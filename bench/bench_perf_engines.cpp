@@ -14,6 +14,7 @@
 #include "dsp/signal.hpp"
 #include "dsp/spectrum.hpp"
 #include "linalg/lu.hpp"
+#include "serve/json.hpp"
 #include "si/delay_line.hpp"
 #include "si/filter.hpp"
 #include "si/netlists.hpp"
@@ -27,6 +28,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -554,54 +556,33 @@ double time_ms(int kind, const std::function<std::size_t()>& run,
 }
 
 // ---------------------------------------------------------------------------
-// Domain-decomposition (BBD/Schur) scaling rows: the SOLVER PATH — one
-// pivoting factorization plus kSchurCycles x (numeric refactor + solve)
-// on the transient-mode Jacobian assembled at the DC operating point —
-// flat sparse vs schur at 1/2/4/8 runtime threads on both
-// transistor-level workload families.  The solver path is timed in
-// isolation because whole-transient wall time is dominated by
-// solver-independent stamping (Amdahl caps any solver at well under 2x
-// there); the assembled system and the cycle count are exactly what the
-// engines execute per accepted transient step, so the rows predict the
-// in-engine solver cost directly.  The thread-independent part of the
-// win is the pivoting first factorization — flat sparse runs one dense
-// O(n^3) pivot pass per topology, schur runs k block-sized ones — plus
-// the batched multi-RHS Schur contribution solves; the per-cycle
-// refactors then scale with the pool (on hosts that have the cores:
-// parallel_for clamps its dispatch width at hardware_concurrency, so t8
-// on a small host reads as t1 without dispatch overhead).  Gates: schur
-// must reach 2x flat sparse on the largest modulator (128 sections,
-// ~2200 unknowns — the >= 64-section acceptance workload) at 8 threads; the
-// kSchurAutoThreshold crossover must be honest in both directions; and
-// no row's partition may degenerate (plus, under --telemetry, an
-// end-to-end engine transient must engage schur without fallback).
+// Sparse factor scaling rows: the SOLVER PATH of the Table 2 modulator
+// core — one pivoting factorization, then kRefactorCycles numeric
+// refactors and kRefactorCycles solves — on the transient-mode Jacobian
+// assembled at the DC operating point, the exact system the engines
+// refactor every Newton iteration of a transient.  SparseLu is serial,
+// so the rows and the gate are independent of the host's core count.
+// Gate: the pivoting factor scales with fill, not n^2 — one doubling of
+// the core (64 -> 128 sections) may cost at most 3x.  Each row carries
+// its host stamp (nproc, compiler, build type, commit).
 // ---------------------------------------------------------------------------
 
-/// Refactor+solve cycles per timed rep: transient-representative (the
+/// Refactor/solve cycles per timed rep: transient-representative (the
 /// quick-suite transients run 100-200 accepted steps per topology).
-constexpr int kSchurCycles = 120;
+constexpr int kRefactorCycles = 120;
 
-struct SchurRow {
-  std::string workload;
-  int size = 0;
+struct SparseFactorRow {
+  int sections = 0;
   std::size_t unknowns = 0;
-  int cycles = kSchurCycles;
-  double sparse_ms = 0.0;
-  double schur_ms_t1 = 0.0;
-  double schur_ms_t2 = 0.0;
-  double schur_ms_t4 = 0.0;
-  double schur_ms_t8 = 0.0;
-  double speedup_t8 = 0.0;
-  std::uint64_t blocks = 0;        ///< BBD diagonal blocks
-  std::uint64_t border = 0;        ///< interface unknowns
-  bool degenerate = false;         ///< partition refused to decompose
-  double parity_maxerr = 0.0;      ///< max |x_schur - x_sparse|
-  double solution_scale = 0.0;     ///< max |x_sparse| (parity gate scale)
+  std::size_t nnz = 0;
+  std::size_t factor_nnz = 0;
+  double factor_ms = 0.0;
+  double refactor_ms = 0.0;  ///< kRefactorCycles refactors
+  double solve_ms = 0.0;     ///< kRefactorCycles solves
 };
 
-/// The transient-mode MNA Jacobian of a workload at its DC operating
-/// point — the exact system the engines refactor every Newton iteration
-/// of a transient — plus its RHS.
+/// The transient-mode MNA Jacobian of an N-section modulator core at its
+/// DC operating point, plus its RHS.
 struct SolverPathSystem {
   std::size_t unknowns = 0;
   std::shared_ptr<const si::linalg::SparsePattern> pattern;
@@ -609,29 +590,19 @@ struct SolverPathSystem {
   std::vector<double> b;
 };
 
-SolverPathSystem assemble_solver_path(const std::string& workload, int size) {
+SolverPathSystem assemble_solver_path(int sections) {
   namespace nets = si::cells::netlists;
   si::spice::Circuit c;
   c.add<si::spice::VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
-  double T = 0.0;
-  if (workload == "schur_delay_line") {
-    nets::DelayStageOptions opt;
-    const auto h = nets::build_delay_line_chain(c, size, opt, "dl_");
-    T = opt.pair.clock_period;
-    c.add<si::spice::CurrentSource>(
-        "Iin", c.ground(), h.in,
-        std::make_unique<si::spice::SineWave>(0.0, 5e-6, 1.0 / (8.0 * T)));
-  } else {
-    nets::ModulatorCoreOptions opt;
-    const auto h = nets::build_modulator_core(c, size, opt, "mod_");
-    T = opt.stage.pair.clock_period;
-    c.add<si::spice::CurrentSource>(
-        "Iinp", c.ground(), h.in_p,
-        std::make_unique<si::spice::SineWave>(0.0, 4e-6, 1.0 / (8.0 * T)));
-    c.add<si::spice::CurrentSource>(
-        "Iinm", c.ground(), h.in_m,
-        std::make_unique<si::spice::SineWave>(0.0, -4e-6, 1.0 / (8.0 * T)));
-  }
+  nets::ModulatorCoreOptions opt;
+  const auto h = nets::build_modulator_core(c, sections, opt, "mod_");
+  const double T = opt.stage.pair.clock_period;
+  c.add<si::spice::CurrentSource>(
+      "Iinp", c.ground(), h.in_p,
+      std::make_unique<si::spice::SineWave>(0.0, 4e-6, 1.0 / (8.0 * T)));
+  c.add<si::spice::CurrentSource>(
+      "Iinm", c.ground(), h.in_m,
+      std::make_unique<si::spice::SineWave>(0.0, -4e-6, 1.0 / (8.0 * T)));
   c.finalize();
   SolverPathSystem sys;
   sys.unknowns = c.system_size();
@@ -665,68 +636,59 @@ SolverPathSystem assemble_solver_path(const std::string& workload, int size) {
   return sys;
 }
 
-SchurRow time_schur_row(const std::string& workload, int size) {
-  SchurRow r;
-  r.workload = workload;
-  r.size = size;
-  const auto sys = assemble_solver_path(workload, size);
+SparseFactorRow time_sparse_factor_row(int sections) {
+  SparseFactorRow r;
+  r.sections = sections;
+  const auto sys = assemble_solver_path(sections);
   r.unknowns = sys.unknowns;
-  const int reps = 2;  // best-of: rep 0 absorbs the warm-up allocations
-
-  std::vector<double> x_sparse, x_schur;
-  {
-    si::linalg::SparseLuD lu;
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      lu.factor(sys.a);
-      for (int k = 0; k < kSchurCycles; ++k) {
-        lu.refactor(sys.a);
-        lu.solve(sys.b, x_sparse);
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(
-          best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    r.sparse_ms = best;
-  }
-  for (double v : x_sparse)
-    r.solution_scale = std::max(r.solution_scale, std::abs(v));
-
-  const auto part = si::linalg::bbd_partition(*sys.pattern);
-  r.degenerate = part.degenerate;
-  r.blocks = part.block_count();
-  r.border = part.border_size();
-  if (part.degenerate) return r;
-
-  auto time_schur_at = [&](unsigned threads) {
-    si::runtime::set_thread_count(threads);
-    si::linalg::SchurLuD schur;
-    schur.attach(sys.pattern, part);
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      schur.factor(sys.a);
-      for (int k = 0; k < kSchurCycles; ++k) {
-        schur.refactor(sys.a);
-        schur.solve(sys.b, x_schur);
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(
-          best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    return best;
+  r.nnz = sys.pattern->nnz();
+  auto ms_since = [](std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
   };
-  r.schur_ms_t1 = time_schur_at(1);
-  r.schur_ms_t2 = time_schur_at(2);
-  r.schur_ms_t4 = time_schur_at(4);
-  r.schur_ms_t8 = time_schur_at(8);
-  si::runtime::set_thread_count(0);
-  r.speedup_t8 = r.sparse_ms / r.schur_ms_t8;
-  for (std::size_t i = 0; i < r.unknowns; ++i)
-    r.parity_maxerr =
-        std::max(r.parity_maxerr, std::abs(x_sparse[i] - x_schur[i]));
+  r.factor_ms = r.refactor_ms = r.solve_ms = 1e300;
+  std::vector<double> x;
+  for (int rep = 0; rep < 5; ++rep) {  // best-of: rep 0 absorbs warm-up
+    si::linalg::SparseLuD lu;
+    auto t0 = std::chrono::steady_clock::now();
+    lu.factor(sys.a);
+    r.factor_ms = std::min(r.factor_ms, ms_since(t0));
+    t0 = std::chrono::steady_clock::now();
+    for (int k = 0; k < kRefactorCycles; ++k) lu.refactor(sys.a);
+    r.refactor_ms = std::min(r.refactor_ms, ms_since(t0));
+    t0 = std::chrono::steady_clock::now();
+    for (int k = 0; k < kRefactorCycles; ++k) lu.solve(sys.b, x);
+    r.solve_ms = std::min(r.solve_ms, ms_since(t0));
+    benchmark::DoNotOptimize(x.data());
+    r.factor_nnz = lu.factor_nnz();
+  }
   return r;
+}
+
+/// Short commit hash of the checkout the bench runs in ("-dirty" when
+/// it has uncommitted changes), or "unknown" outside a git checkout.
+std::string current_commit() {
+  std::string out;
+  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[64];
+    while (std::fgets(buf, sizeof buf, p)) out += buf;
+    pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+    out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
+
+/// The telemetry snapshot without its raw span ring: the committed
+/// ledger keeps summaries (counters, timers, histograms).
+std::string telemetry_summary_json() {
+  const auto snap = si::serve::Json::parse(si::obs::snapshot_json());
+  auto out = si::serve::Json::object();
+  for (const char* key :
+       {"compiled", "enabled", "counters", "timers", "histograms"})
+    if (const auto* v = snap.find(key)) out.set(key, *v);
+  return out.dump();
 }
 
 int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
@@ -802,26 +764,10 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
     for (unsigned threads : {1u, 2u, 4u, 8u})
       mc_rows.push_back(time_mc_batch_row(sections, threads, /*runs=*/64));
 
-  // Domain-decomposition scaling rows (solver-path microbench; every
-  // partition in the sweep must decompose — checked per row below).
-  std::vector<SchurRow> schur_rows;
-  for (int stages : {8, 16, 32, 64, 128})
-    schur_rows.push_back(time_schur_row("schur_delay_line", stages));
+  // Sparse factor scaling rows (solver-path microbench).
+  std::vector<SparseFactorRow> factor_rows;
   for (int sections : {8, 16, 32, 64, 128})
-    schur_rows.push_back(time_schur_row("schur_modulator", sections));
-
-  // End-to-end engine check: one explicit-schur transient on the
-  // acceptance modulator must build a partition and never fall back.
-  std::uint64_t schur_fallbacks_delta = 0;
-  std::uint64_t schur_partitions_delta = 0;
-  if (telemetry) {
-    const auto f0 = si::obs::counter("schur.fallbacks").value();
-    const auto p0 = si::obs::counter("schur.partitions").value();
-    SolverEnv env("schur");
-    run_modulator_transient(64, 0.25);
-    schur_fallbacks_delta = si::obs::counter("schur.fallbacks").value() - f0;
-    schur_partitions_delta = si::obs::counter("schur.partitions").value() - p0;
-  }
+    factor_rows.push_back(time_sparse_factor_row(sections));
 
   std::ofstream os(out_path);
   os << "{\n  \"solver_bench\": [\n";
@@ -869,27 +815,28 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
        << ", \"speedup_vs_scalar\": " << r.batched_tps / r.scalar_tps << "}"
        << (i + 1 < mc_rows.size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"schur_scaling\": [\n";
-  for (std::size_t i = 0; i < schur_rows.size(); ++i) {
-    const auto& r = schur_rows[i];
-    os << "    {\"workload\": \"" << r.workload << "\", \"size\": " << r.size
-       << ", \"unknowns\": " << r.unknowns << ", \"cycles\": " << r.cycles
-       << ", \"sparse_ms\": " << r.sparse_ms
-       << ", \"schur_ms_t1\": " << r.schur_ms_t1
-       << ", \"schur_ms_t2\": " << r.schur_ms_t2
-       << ", \"schur_ms_t4\": " << r.schur_ms_t4
-       << ", \"schur_ms_t8\": " << r.schur_ms_t8
-       << ", \"speedup_t8\": " << r.speedup_t8 << ", \"blocks\": " << r.blocks
-       << ", \"border\": " << r.border
-       << ", \"degenerate\": " << (r.degenerate ? "true" : "false")
-       << ", \"parity_maxerr\": " << r.parity_maxerr << "}"
-       << (i + 1 < schur_rows.size() ? "," : "") << "\n";
+  const std::string commit = current_commit();
+  os << "  ],\n  \"sparse_factor\": [\n";
+  for (std::size_t i = 0; i < factor_rows.size(); ++i) {
+    const auto& r = factor_rows[i];
+    os << "    {\"workload\": \"modulator_tran_jacobian\", \"sections\": "
+       << r.sections << ", \"unknowns\": " << r.unknowns
+       << ", \"nnz\": " << r.nnz << ", \"factor_nnz\": " << r.factor_nnz
+       << ", \"cycles\": " << kRefactorCycles
+       << ", \"factor_ms\": " << r.factor_ms
+       << ", \"refactor_ms\": " << r.refactor_ms
+       << ", \"solve_ms\": " << r.solve_ms
+       << ", \"nproc\": " << std::thread::hardware_concurrency()
+       << ", \"compiler\": \"" << SI_BENCH_COMPILER
+       << "\", \"build_type\": \"" << SI_BENCH_BUILD_TYPE
+       << "\", \"commit\": \"" << commit << "\"}"
+       << (i + 1 < factor_rows.size() ? "," : "") << "\n";
   }
   os << "  ]";
   if (telemetry) {
-    // Merge the solver telemetry snapshot: factor/refactor counts,
+    // Merge the solver telemetry summary: factor/refactor counts,
     // fallback engagements, step stats for the whole quick suite.
-    os << ",\n  \"telemetry\": " << si::obs::snapshot_json();
+    os << ",\n  \"telemetry\": " << telemetry_summary_json();
   }
   os << "\n}\n";
   os.close();
@@ -1008,96 +955,29 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
                  sweep_event_ms, sweep_mono_ms);
     rc = 1;
   }
-  for (const auto& r : schur_rows) {
+  for (const auto& r : factor_rows) {
     std::printf(
-        "%-18s size=%d unknowns=%zu cycles=%d sparse=%.2fms schur_t1=%.2fms "
-        "t2=%.2fms t4=%.2fms t8=%.2fms speedup_t8=%.2fx blocks=%llu "
-        "border=%llu maxerr=%.2e\n",
-        r.workload.c_str(), r.size, r.unknowns, r.cycles, r.sparse_ms,
-        r.schur_ms_t1, r.schur_ms_t2, r.schur_ms_t4, r.schur_ms_t8,
-        r.speedup_t8, static_cast<unsigned long long>(r.blocks),
-        static_cast<unsigned long long>(r.border), r.parity_maxerr);
+        "%-18s sections=%d unknowns=%zu nnz=%zu factor_nnz=%zu factor=%.3fms "
+        "refactor=%.3fms solve=%.3fms (x%d)\n",
+        "sparse_factor", r.sections, r.unknowns, r.nnz, r.factor_nnz,
+        r.factor_ms, r.refactor_ms, r.solve_ms, kRefactorCycles);
   }
-  // Gate 1 (the acceptance headline): on the largest modulator workload
-  // (128 sections, ~2200 unknowns) the schur solver at 8 threads must
-  // deliver at least 2x the flat sparse solver over the solver path.
-  for (const auto& r : schur_rows) {
-    if (r.workload != "schur_modulator" || r.size != 128) continue;
-    if (r.speedup_t8 < 2.0) {
-      std::fprintf(stderr,
-                   "FAIL: schur speedup %.2fx below the 2x target on "
-                   "schur_modulator size=%d (%zu unknowns) at 8 threads\n",
-                   r.speedup_t8, r.size, r.unknowns);
-      rc = 1;
-    }
-  }
-  // Gate 2: the kSchurAutoThreshold crossover must be honest in both
-  // directions.  Rows at or above the threshold must not lose to flat
-  // sparse even at 1 thread (15% timer-noise allowance) and must
-  // auto-resolve to schur; rows below it must auto-resolve to flat
-  // sparse (the heuristic never volunteers a size where schur loses).
+  // Gate: the pivoting factor must scale with fill, not n^2 (a dense
+  // pivoting pass reads 4.6x per doubling on these matrices).
   {
-    SolverEnv env("auto");  // the size heuristic, not the caller's env
-    for (const auto& r : schur_rows) {
-      const auto resolved = si::spice::resolve_solver(
-          si::spice::SolverKind::kAuto, r.unknowns);
-      if (r.unknowns >= si::spice::kSchurAutoThreshold) {
-        if (r.schur_ms_t1 > 1.15 * r.sparse_ms) {
-          std::fprintf(stderr,
-                       "FAIL: schur (%.2f ms) slower than flat sparse "
-                       "(%.2f ms) on auto-engaged %s size=%d at 1 thread\n",
-                       r.schur_ms_t1, r.sparse_ms, r.workload.c_str(), r.size);
-          rc = 1;
-        }
-        if (resolved != si::spice::SolverKind::kSchur) {
-          std::fprintf(stderr,
-                       "FAIL: auto did not resolve to schur at %zu unknowns "
-                       "(%s size=%d)\n",
-                       r.unknowns, r.workload.c_str(), r.size);
-          rc = 1;
-        }
-      } else if (resolved == si::spice::SolverKind::kSchur) {
-        std::fprintf(stderr,
-                     "FAIL: auto resolved to schur below the threshold at "
-                     "%zu unknowns (%s size=%d)\n",
-                     r.unknowns, r.workload.c_str(), r.size);
-        rc = 1;
-      }
+    const SparseFactorRow* r64 = nullptr;
+    const SparseFactorRow* r128 = nullptr;
+    for (const auto& r : factor_rows) {
+      if (r.sections == 64) r64 = &r;
+      if (r.sections == 128) r128 = &r;
     }
-  }
-  // Parity: schur reorders the elimination but never the solution — the
-  // two paths must agree to solver roundoff on every row.
-  for (const auto& r : schur_rows) {
-    if (r.degenerate) continue;
-    if (r.parity_maxerr > 1e-6 * (1.0 + r.solution_scale)) {
+    if (r64 && r128 && r128->factor_ms > 3.0 * r64->factor_ms) {
       std::fprintf(stderr,
-                   "FAIL: schur/sparse solutions diverged (maxerr=%.3e, "
-                   "scale=%.3e) on %s size=%d\n",
-                   r.parity_maxerr, r.solution_scale, r.workload.c_str(),
-                   r.size);
+                   "FAIL: sparse factor %.3f ms at 128 sections > 3x the "
+                   "%.3f ms at 64 sections\n",
+                   r128->factor_ms, r64->factor_ms);
       rc = 1;
     }
-  }
-  // Gate 3: every size in the sweep must decompose, and the end-to-end
-  // engine transient must engage schur without ever falling back — a
-  // degenerate partition or fallback here means the partitioner
-  // regressed on its home workloads.
-  for (const auto& r : schur_rows) {
-    if (r.degenerate) {
-      std::fprintf(stderr,
-                   "FAIL: BBD partition degenerate on %s size=%d "
-                   "(%zu unknowns)\n",
-                   r.workload.c_str(), r.size, r.unknowns);
-      rc = 1;
-    }
-  }
-  if (telemetry && (schur_fallbacks_delta > 0 || schur_partitions_delta == 0)) {
-    std::fprintf(stderr,
-                 "FAIL: explicit-schur engine transient fell back %llu "
-                 "time(s) (partitions built: %llu)\n",
-                 static_cast<unsigned long long>(schur_fallbacks_delta),
-                 static_cast<unsigned long long>(schur_partitions_delta));
-    rc = 1;
   }
   if (telemetry) {
     std::fputs(si::obs::snapshot_table().c_str(), stdout);

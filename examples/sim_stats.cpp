@@ -5,22 +5,23 @@
 // accept/reject/clamp statistics — as a table or JSON.
 //
 //   sim_stats [--json] [--stages=N] [--sections=N] [--periods=P]
-//             [--adaptive] [--solver=dense|sparse|schur|auto]
+//             [--adaptive] [--solver=auto|dense|sparse]
 //             [--engine=event|monolithic]
 //
 // With --engine=event the runs go through the event-driven multi-rate
 // engine (src/event) and the report gains the partition statistics:
 // blocks, block solves vs skips, whole steps skipped, latency ratio.
-// With --solver=schur the report gains the BBD partition statistics
-// (partitions built, blocks, border unknowns, flat-sparse fallbacks).
 //
-// Exit status is nonzero when a run had to accept dt_min-clamped steps
-// above lte_tol (adaptive mode), engaged the dense fallback, or — under
-// the event engine — when partitioning degraded: the circuit collapsed
-// into a single block, or a scoped solve failed to converge and forced
-// a full activation.  With --solver=schur a degenerate partition (no
-// partition built, or a fallback to the flat sparse path) is likewise a
-// nonzero exit: the requested solver did not actually run.
+// Every flag is parsed strictly: an unknown flag or a malformed value
+// ("--stages=2x", "--solver=bogus") exits 2 naming the accepted values.
+// Exit status 1 means a run had to accept dt_min-clamped steps above
+// lte_tol (adaptive mode), engaged the dense fallback, or — under the
+// event engine — that partitioning degraded: the circuit collapsed into
+// a single block, or a scoped solve failed to converge and forced a
+// full activation.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -118,6 +119,39 @@ RunSummary run_modulator(int sections, double periods, bool adaptive,
   return summarize("table2_modulator", c, r);
 }
 
+/// The whole value must parse: "2x" is an error, not 2.
+bool parse_count(const char* s, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || v < 1 || v > INT_MAX)
+    return false;
+  out = static_cast<int>(v);
+  return true;
+}
+
+bool parse_positive(const char* s, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v <= 0.0)
+    return false;
+  out = v;
+  return true;
+}
+
+int usage_error(const char* what, const char* arg) {
+  std::fprintf(stderr,
+               "sim_stats: %s: '%s'\n"
+               "usage: sim_stats [--json] [--adaptive] [--stages=N] "
+               "[--sections=N] [--periods=P] [--solver=auto|dense|sparse] "
+               "[--engine=event|monolithic]\n"
+               "  N: integer >= 1; P: number > 0\n",
+               what, arg);
+  return 2;
+}
+
 void print_summary(const RunSummary& s, bool event_engine) {
   std::printf(
       "%-18s unknowns=%-4zu points=%-6zu accepted=%llu rejected=%llu "
@@ -141,39 +175,36 @@ void print_summary(const RunSummary& s, bool event_engine) {
 int main(int argc, char** argv) {
   bool json = false;
   bool adaptive = false;
-  bool schur_requested = false;
   int stages = 4;
   int sections = 2;
   double periods = 1.0;
   TransientEngine engine = TransientEngine::kAuto;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    else if (std::strcmp(argv[i], "--adaptive") == 0) adaptive = true;
-    else if (std::strncmp(argv[i], "--stages=", 9) == 0)
-      stages = std::atoi(argv[i] + 9);
-    else if (std::strncmp(argv[i], "--sections=", 11) == 0)
-      sections = std::atoi(argv[i] + 11);
-    else if (std::strncmp(argv[i], "--periods=", 10) == 0)
-      periods = std::atof(argv[i] + 10);
-    else if (std::strncmp(argv[i], "--solver=", 9) == 0) {
-      setenv("SI_SOLVER", argv[i] + 9, 1);
-      schur_requested = std::strcmp(argv[i] + 9, "schur") == 0;
-    } else if (std::strcmp(argv[i], "--engine=event") == 0)
+    const char* a = argv[i];
+    if (std::strcmp(a, "--json") == 0) {
+      json = true;
+    } else if (std::strcmp(a, "--adaptive") == 0) {
+      adaptive = true;
+    } else if (std::strncmp(a, "--stages=", 9) == 0) {
+      if (!parse_count(a + 9, stages)) return usage_error("bad --stages", a);
+    } else if (std::strncmp(a, "--sections=", 11) == 0) {
+      if (!parse_count(a + 11, sections))
+        return usage_error("bad --sections", a);
+    } else if (std::strncmp(a, "--periods=", 10) == 0) {
+      if (!parse_positive(a + 10, periods))
+        return usage_error("bad --periods", a);
+    } else if (std::strncmp(a, "--solver=", 9) == 0) {
+      const std::string v = a + 9;
+      if (v != "auto" && v != "dense" && v != "sparse")
+        return usage_error("bad --solver", a);
+      setenv("SI_SOLVER", v.c_str(), 1);
+    } else if (std::strcmp(a, "--engine=event") == 0) {
       engine = TransientEngine::kEvent;
-    else if (std::strcmp(argv[i], "--engine=monolithic") == 0)
+    } else if (std::strcmp(a, "--engine=monolithic") == 0) {
       engine = TransientEngine::kMonolithic;
-    else {
-      std::fprintf(stderr,
-                   "usage: sim_stats [--json] [--adaptive] [--stages=N] "
-                   "[--sections=N] [--periods=P] "
-                   "[--solver=dense|sparse|schur|auto] "
-                   "[--engine=event|monolithic]\n");
-      return 2;
+    } else {
+      return usage_error("unknown flag or value", a);
     }
-  }
-  if (stages < 1 || sections < 1 || periods <= 0.0) {
-    std::fprintf(stderr, "sim_stats: stages/sections must be >= 1, periods > 0\n");
-    return 2;
   }
   const bool event_engine = engine == TransientEngine::kEvent;
   if (event_engine && adaptive) {
@@ -188,16 +219,6 @@ int main(int argc, char** argv) {
 
   const RunSummary dl = run_delay_line(stages, periods, adaptive, engine);
   const RunSummary mod = run_modulator(sections, periods, adaptive, engine);
-
-  const std::uint64_t schur_partitions =
-      si::obs::counter("schur.partitions").value();
-  const std::uint64_t schur_blocks = si::obs::counter("schur.blocks").value();
-  const std::uint64_t schur_border =
-      si::obs::counter("schur.border_unknowns").value();
-  const std::uint64_t schur_fallbacks =
-      si::obs::counter("schur.fallbacks").value();
-  const std::uint64_t schur_promotions =
-      si::obs::counter("schur.promotions").value();
 
   if (json) {
     std::printf("{\"runs\": [");
@@ -220,29 +241,10 @@ int main(int argc, char** argv) {
           latency_ratio(*s));
       first = false;
     }
-    std::printf(
-        "], \"schur\": {\"requested\": %s, \"partitions\": %llu, "
-        "\"blocks\": %llu, \"border_unknowns\": %llu, \"fallbacks\": %llu, "
-        "\"promotions\": %llu}, \"telemetry\": %s}\n",
-        schur_requested ? "true" : "false",
-        static_cast<unsigned long long>(schur_partitions),
-        static_cast<unsigned long long>(schur_blocks),
-        static_cast<unsigned long long>(schur_border),
-        static_cast<unsigned long long>(schur_fallbacks),
-        static_cast<unsigned long long>(schur_promotions),
-        si::obs::snapshot_json().c_str());
+    std::printf("], \"telemetry\": %s}\n", si::obs::snapshot_json().c_str());
   } else {
     print_summary(dl, event_engine);
     print_summary(mod, event_engine);
-    if (schur_requested)
-      std::printf(
-          "schur: partitions=%llu blocks=%llu border_unknowns=%llu "
-          "fallbacks=%llu promotions=%llu\n",
-          static_cast<unsigned long long>(schur_partitions),
-          static_cast<unsigned long long>(schur_blocks),
-          static_cast<unsigned long long>(schur_border),
-          static_cast<unsigned long long>(schur_fallbacks),
-          static_cast<unsigned long long>(schur_promotions));
     std::fputs(si::obs::snapshot_table().c_str(), stdout);
   }
 
@@ -255,17 +257,6 @@ int main(int argc, char** argv) {
                  "lte_clamped_steps=%llu\n",
                  static_cast<unsigned long long>(fallbacks),
                  static_cast<unsigned long long>(clamped));
-    return 1;
-  }
-  if (schur_requested && (schur_fallbacks > 0 || schur_partitions == 0)) {
-    // The requested solver did not actually run: either the BBD
-    // partitioner never engaged (no partition built for any engine) or
-    // it surrendered the topology to the flat sparse path.
-    std::fprintf(stderr,
-                 "sim_stats: schur requested but degraded — partitions=%llu, "
-                 "fallbacks=%llu\n",
-                 static_cast<unsigned long long>(schur_partitions),
-                 static_cast<unsigned long long>(schur_fallbacks));
     return 1;
   }
   if (event_engine) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <queue>
 
 #include "obs/telemetry.hpp"
 
@@ -56,9 +58,12 @@ std::shared_ptr<const SparsePattern> PatternBuilder::build(
 
 std::vector<int> min_degree_order(const SparsePattern& p) {
   const int n = p.dim();
+  const auto un = static_cast<std::size_t>(n);
   // Adjacency of the symmetrized graph, as sorted neighbor vectors
-  // (self-loops dropped).
-  std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
+  // (self-loops dropped).  Only alive nodes ever appear in an alive
+  // node's list: eliminating `best` rewrites exactly the lists that
+  // held it.
+  std::vector<std::vector<int>> adj(un);
   for (int r = 0; r < n; ++r)
     for (std::size_t s = p.row_ptr()[static_cast<std::size_t>(r)];
          s < p.row_ptr()[static_cast<std::size_t>(r) + 1]; ++s) {
@@ -72,103 +77,204 @@ std::vector<int> min_degree_order(const SparsePattern& p) {
     v.erase(std::unique(v.begin(), v.end()), v.end());
   }
 
-  std::vector<char> eliminated(static_cast<std::size_t>(n), 0);
+  // Min-heap of (degree, index) keys, pushed whenever a degree changes;
+  // a key is stale once its node is gone or its degree moved on.  The
+  // top live key is the minimum degree with ties resolved to the lowest
+  // original index — the documented tie-break (see min_degree_order in
+  // sparse.hpp).
+  using Key = std::pair<std::size_t, int>;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> heap;
+  for (int v = 0; v < n; ++v)
+    heap.emplace(adj[static_cast<std::size_t>(v)].size(), v);
+  std::vector<char> eliminated(un, 0);
   std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
-  std::vector<int> merged;
-  for (int step = 0; step < n; ++step) {
-    // Pick the alive node of minimum degree.  The ascending scan with a
-    // strict '<' implements the documented stable tie-break: equal
-    // degrees resolve to the lowest original index, so the ordering is
-    // a pure function of the pattern (see min_degree_order in
-    // sparse.hpp; do not replace this with a heap or hash-ordered scan
-    // without preserving that contract).
-    int best = -1;
-    std::size_t best_deg = 0;
-    for (int v = 0; v < n; ++v) {
-      if (eliminated[static_cast<std::size_t>(v)]) continue;
-      const std::size_t deg = adj[static_cast<std::size_t>(v)].size();
-      if (best < 0 || deg < best_deg) {
-        best = v;
-        best_deg = deg;
-      }
-    }
+  order.reserve(un);
+  while (!heap.empty()) {
+    const auto [deg, best] = heap.top();
+    heap.pop();
+    const auto ub = static_cast<std::size_t>(best);
+    if (eliminated[ub] || adj[ub].size() != deg) continue;
+    eliminated[ub] = 1;
     order.push_back(best);
-    eliminated[static_cast<std::size_t>(best)] = 1;
-    // Eliminating `best` makes its alive neighborhood a clique.
-    auto& nb = adj[static_cast<std::size_t>(best)];
-    nb.erase(std::remove_if(
-                 nb.begin(), nb.end(),
-                 [&](int v) { return eliminated[static_cast<std::size_t>(v)]; }),
-             nb.end());
+    // Eliminating `best` makes its neighborhood a clique:
+    // av := (av u nb) \ {v, best} for every neighbor v.
+    const std::vector<int> nb = std::move(adj[ub]);
     for (const int v : nb) {
       auto& av = adj[static_cast<std::size_t>(v)];
-      // av := (av u nb) \ {v, best, eliminated}
-      merged.clear();
-      merged.reserve(av.size() + nb.size());
-      std::set_union(av.begin(), av.end(), nb.begin(), nb.end(),
-                     std::back_inserter(merged));
-      merged.erase(
-          std::remove_if(merged.begin(), merged.end(),
-                         [&](int u) {
-                           return u == v ||
-                                  eliminated[static_cast<std::size_t>(u)];
-                         }),
-          merged.end());
-      av.swap(merged);
+      const std::size_t before = av.size();
+      av.erase(std::lower_bound(av.begin(), av.end(), best));
+      const auto old_size = static_cast<std::ptrdiff_t>(av.size());
+      for (const int u : nb)
+        if (u != v && !std::binary_search(av.begin(), av.begin() + old_size, u))
+          av.push_back(u);
+      std::inplace_merge(av.begin(), av.begin() + old_size, av.end());
+      if (av.size() != before) heap.emplace(av.size(), v);
     }
-    nb.clear();
-    nb.shrink_to_fit();
   }
   return order;
 }
 
-std::shared_ptr<const SparsePattern> symbolic_fill(
-    const SparsePattern& a, const std::vector<int>& rows,
-    const std::vector<int>& cols) {
-  const int n = a.dim();
+namespace {
+
+/// Row order and L+U pattern of the pre-ordered matrix B = A(cp, cp)
+/// under partial pivoting (see "Sparse pivoting contract", DESIGN.md).
+struct PivotReplay {
+  std::vector<int> rows;  ///< rows[k] = pre-ordered row pivoted at step k
+  std::shared_ptr<const SparsePattern> fill;
+};
+
+/// Left-looking sparse LU (Gilbert & Peierls 1988) of B that replays,
+/// choice for choice, the dense partial pivoting of lu_factor_in_place
+/// on a dense copy of B, in time proportional to the arithmetic:
+///
+///   - column k is x = B(:,k) minus the updates of the steps j < k its
+///     structural reach holds, applied in ascending j — the order in
+///     which the dense right-looking pass applies them — and skipping a
+///     zero L(i,j) as the dense pass does, so every candidate value is
+///     the dense pass's value;
+///   - the pivot is the largest |x(i)| over the unpivoted rows, ties to
+///     the lowest current position under the dense pass's row swaps;
+///   - a pivot below pivot_tol * inf_norm(B) is singular, with the row
+///     sums accumulated in ascending column order like inf_norm();
+///   - L keeps its numerically zero entries, so the reach sets are the
+///     symbolic fill of the permuted matrix.
+template <typename T>
+PivotReplay replay_partial_pivoting(const SparseMatrix<T>& a,
+                                    const std::vector<int>& cp,
+                                    const std::vector<int>& cinv,
+                                    double pivot_tol) {
+  const SparsePattern& ap = a.pattern();
+  const int n = ap.dim();
   const auto un = static_cast<std::size_t>(n);
-  std::vector<int> cinv(un);
-  for (int j = 0; j < n; ++j) cinv[static_cast<std::size_t>(cols[j])] = j;
 
-  // Bitset row representation of the permuted pattern (plus diagonal).
-  const std::size_t words = (un + 63) / 64;
-  std::vector<std::uint64_t> bits(un * words, 0);
-  auto set_bit = [&](std::size_t r, std::size_t c) {
-    bits[r * words + c / 64] |= std::uint64_t{1} << (c % 64);
-  };
-  auto test_bit = [&](std::size_t r, std::size_t c) {
-    return (bits[r * words + c / 64] >> (c % 64)) & 1u;
-  };
-  for (int i = 0; i < n; ++i) {
-    const auto orig = static_cast<std::size_t>(rows[static_cast<std::size_t>(i)]);
-    for (std::size_t s = a.row_ptr()[orig]; s < a.row_ptr()[orig + 1]; ++s)
-      set_bit(static_cast<std::size_t>(i),
-              static_cast<std::size_t>(cinv[static_cast<std::size_t>(
-                  a.col_idx()[s])]));
-    set_bit(static_cast<std::size_t>(i), static_cast<std::size_t>(i));
+  // Column-compressed B.
+  std::vector<std::size_t> bcol(un + 1, 0);
+  for (const int c : ap.col_idx())
+    ++bcol[static_cast<std::size_t>(cinv[static_cast<std::size_t>(c)]) + 1];
+  for (std::size_t j = 0; j < un; ++j) bcol[j + 1] += bcol[j];
+  std::vector<int> brow(ap.nnz());
+  std::vector<T> bval(ap.nnz());
+  {
+    std::vector<std::size_t> cursor(bcol.begin(), bcol.end() - 1);
+    for (int r = 0; r < n; ++r)
+      for (std::size_t s = ap.row_ptr()[static_cast<std::size_t>(r)];
+           s < ap.row_ptr()[static_cast<std::size_t>(r) + 1]; ++s) {
+        const auto j = static_cast<std::size_t>(
+            cinv[static_cast<std::size_t>(ap.col_idx()[s])]);
+        brow[cursor[j]] = cinv[static_cast<std::size_t>(r)];
+        bval[cursor[j]++] = a.values()[s];
+      }
   }
+  double scale = 0.0;
+  {
+    std::vector<double> row_sum(un, 0.0);
+    for (std::size_t j = 0; j < un; ++j)
+      for (std::size_t s = bcol[j]; s < bcol[j + 1]; ++s)
+        row_sum[static_cast<std::size_t>(brow[s])] += std::abs(bval[s]);
+    for (const double s : row_sum)
+      if (s > scale) scale = s;
+  }
+  const double tol = pivot_tol * (scale > 0 ? scale : 1.0);
 
-  // Symbolic elimination in natural order: row_i |= {j in row_k : j > k}
-  // for every k < i with (i, k) nonzero.
-  for (std::size_t k = 0; k < un; ++k) {
-    const std::size_t kw = k / 64;
-    const std::uint64_t khigh_mask = ~((std::uint64_t{2} << (k % 64)) - 1);
-    for (std::size_t i = k + 1; i < un; ++i) {
-      if (!test_bit(i, k)) continue;
-      std::uint64_t* ri = &bits[i * words];
-      const std::uint64_t* rk = &bits[k * words];
-      ri[kw] |= rk[kw] & khigh_mask;
-      for (std::size_t w = kw + 1; w < words; ++w) ri[w] |= rk[w];
+  PivotReplay out;
+  out.rows.assign(un, -1);
+  std::vector<int> step_of(un, -1);  // pre-ordered row -> pivot step
+  std::vector<int> pos(un), row_at(un);  // the dense pass's row swaps
+  for (int i = 0; i < n; ++i)
+    pos[static_cast<std::size_t>(i)] = row_at[static_cast<std::size_t>(i)] = i;
+  std::vector<std::size_t> lcol(un + 1, 0);  // L by column, rows unpivoted
+  std::vector<int> lrow;                     // at that step
+  std::vector<T> lval;
+  PatternBuilder fill(n);
+
+  std::vector<T> x(un, T{});
+  std::vector<int> mark(un, -1);
+  std::vector<int> reach, steps;
+  for (int k = 0; k < n; ++k) {
+    const auto uk = static_cast<std::size_t>(k);
+    // Structural reach of B(:,k) through the columns of L so far.
+    reach.clear();
+    for (std::size_t s = bcol[uk]; s < bcol[uk + 1]; ++s) {
+      const auto i = static_cast<std::size_t>(brow[s]);
+      x[i] = bval[s];
+      if (mark[i] != k) {
+        mark[i] = k;
+        reach.push_back(brow[s]);
+      }
     }
+    for (std::size_t t = 0; t < reach.size(); ++t) {
+      const int j = step_of[static_cast<std::size_t>(reach[t])];
+      if (j < 0) continue;
+      for (std::size_t s = lcol[static_cast<std::size_t>(j)];
+           s < lcol[static_cast<std::size_t>(j) + 1]; ++s) {
+        const auto i = static_cast<std::size_t>(lrow[s]);
+        if (mark[i] != k) {
+          mark[i] = k;
+          reach.push_back(lrow[s]);
+        }
+      }
+    }
+    steps.clear();
+    for (const int i : reach)
+      if (step_of[static_cast<std::size_t>(i)] >= 0)
+        steps.push_back(step_of[static_cast<std::size_t>(i)]);
+    std::sort(steps.begin(), steps.end());
+
+    for (const int j : steps) {
+      const auto uj = static_cast<std::size_t>(j);
+      fill.add(j, k);
+      const T ujk = x[static_cast<std::size_t>(out.rows[uj])];
+      for (std::size_t s = lcol[uj]; s < lcol[uj + 1]; ++s) {
+        if (lval[s] == T{}) continue;
+        x[static_cast<std::size_t>(lrow[s])] -= lval[s] * ujk;
+      }
+    }
+
+    // Partial pivoting, replayed: the row now at position k, beaten only
+    // by a strictly larger magnitude or an equal one at a lower position.
+    int piv = row_at[uk];
+    double best = std::abs(x[static_cast<std::size_t>(piv)]);
+    for (const int i : reach) {
+      const auto ui = static_cast<std::size_t>(i);
+      if (step_of[ui] >= 0) continue;
+      const double m = std::abs(x[ui]);
+      if (m > best || (m == best && pos[ui] < pos[static_cast<std::size_t>(piv)])) {
+        piv = i;
+        best = m;
+      }
+    }
+    if (best < tol)
+      throw SingularMatrixError(static_cast<std::size_t>(cp[uk]));
+    const auto up = static_cast<std::size_t>(piv);
+    const int displaced = row_at[uk];
+    row_at[static_cast<std::size_t>(pos[up])] = displaced;
+    pos[static_cast<std::size_t>(displaced)] = pos[up];
+    row_at[uk] = piv;
+    pos[up] = k;
+    step_of[up] = k;
+    out.rows[uk] = piv;
+
+    const T pivot = x[up];
+    for (const int i : reach) {
+      const auto ui = static_cast<std::size_t>(i);
+      if (step_of[ui] < 0) {
+        lrow.push_back(i);
+        lval.push_back(x[ui] / pivot);
+      }
+      x[ui] = T{};
+    }
+    lcol[uk + 1] = lrow.size();
   }
 
-  PatternBuilder b(n);
-  for (std::size_t i = 0; i < un; ++i)
-    for (std::size_t c = 0; c < un; ++c)
-      if (test_bit(i, c)) b.add(static_cast<int>(i), static_cast<int>(c));
-  return b.build(/*symmetrize=*/false);
+  for (int k = 0; k < n; ++k)
+    for (std::size_t s = lcol[static_cast<std::size_t>(k)];
+         s < lcol[static_cast<std::size_t>(k) + 1]; ++s)
+      fill.add(step_of[static_cast<std::size_t>(lrow[s])], k);
+  out.fill = fill.build(/*symmetrize=*/false);
+  return out;
 }
+
+}  // namespace
 
 template <typename T>
 void SparseLu<T>::build_symbolic(const SparseMatrix<T>& a) {
@@ -182,44 +288,22 @@ void SparseLu<T>::build_symbolic(const SparseMatrix<T>& a) {
   std::vector<int> cinv(un);
   for (int j = 0; j < n_; ++j) cinv[static_cast<std::size_t>(cp_[j])] = j;
 
-  // 2. Pivoting first factorization on a dense working copy of the
-  //    pre-ordered matrix — fixes the row permutation from real partial
-  //    pivoting, once per topology.  The dense copy is transient.
-  {
-    DenseMatrix<T> m(un, un);
-    for (int r = 0; r < n_; ++r) {
-      const auto pr =
-          static_cast<std::size_t>(cinv[static_cast<std::size_t>(r)]);
-      for (std::size_t s = ap.row_ptr()[static_cast<std::size_t>(r)];
-           s < ap.row_ptr()[static_cast<std::size_t>(r) + 1]; ++s)
-        m(pr, static_cast<std::size_t>(
-                  cinv[static_cast<std::size_t>(ap.col_idx()[s])])) =
-            a.values()[s];
-    }
-    std::vector<std::size_t> pivot_perm;
-    try {
-      lu_factor_in_place(m, pivot_perm, opt_.pivot_tol);
-    } catch (const SingularMatrixError& e) {
-      // Report the ORIGINAL column index, not the position in the
-      // min-degree pre-order — callers (the Schur engine's delayed-pivot
-      // promotion) act on indices in their own numbering.
-      throw SingularMatrixError(
-          static_cast<std::size_t>(cp_[e.column()]));
-    }
-    rp_.resize(un);
-    for (int i = 0; i < n_; ++i)
-      rp_[static_cast<std::size_t>(i)] = cp_[pivot_perm[static_cast<std::size_t>(i)]];
-  }
-
-  // 3. Freeze the L+U fill pattern of the permuted matrix.
-  fill_ = symbolic_fill(ap, rp_, cp_);
+  // 2. Pivoting first factorization of the pre-ordered matrix — fixes
+  //    the row permutation and the L+U fill pattern, once per topology.
+  //    Throws SingularMatrixError with the ORIGINAL column index.
+  PivotReplay replay = replay_partial_pivoting(a, cp_, cinv, opt_.pivot_tol);
+  rp_.resize(un);
+  for (int i = 0; i < n_; ++i)
+    rp_[static_cast<std::size_t>(i)] =
+        cp_[static_cast<std::size_t>(replay.rows[static_cast<std::size_t>(i)])];
+  fill_ = std::move(replay.fill);
   urow_start_.resize(un);
   for (int i = 0; i < n_; ++i) {
     const int d = fill_->find(i, i);
     urow_start_[static_cast<std::size_t>(i)] = static_cast<std::size_t>(d);
   }
 
-  // 4. Scatter map from A's slots into factored coordinates.
+  // 3. Scatter map from A's slots into factored coordinates.
   std::vector<int> rinv(un);
   for (int i = 0; i < n_; ++i) rinv[static_cast<std::size_t>(rp_[i])] = i;
   as_row_ptr_.assign(un + 1, 0);
@@ -280,8 +364,7 @@ void SparseLu<T>::refactor_values(const SparseMatrix<T>& a, bool fresh_pivot) {
     // The first numeric pass reuses the values the pivoting pass just
     // accepted, so it applies the (loose) singularity threshold, not
     // the drift threshold: rejecting a pivot partial pivoting chose
-    // moments earlier would be contradictory (BBD interior blocks hold
-    // whole rows at the gmin scale and rightly factor this way).
+    // moments earlier would be contradictory.
     const double scale = rmax > 0 ? rmax : 1.0;
     const double tol =
         (fresh_pivot ? opt_.pivot_tol : opt_.drift_tol) * scale;
@@ -320,10 +403,10 @@ void SparseLu<T>::factor(const SparseMatrix<T>& a) {
   try {
     refactor_values(a, /*fresh_pivot=*/true);
   } catch (const PivotDriftError& e) {
-    // The pivoting dense pass succeeded but the frozen-order numeric
-    // pass hit a tiny pivot (its row-relative drift test is stricter
-    // than the dense pass's global threshold): treat as singular for
-    // this topology, reporting the original column index.
+    // The pivoting pass succeeded but the frozen-order numeric pass hit
+    // a tiny pivot (its row-relative test is stricter than the pivoting
+    // pass's global threshold): treat as singular for this topology,
+    // reporting the original column index.
     throw SingularMatrixError(static_cast<std::size_t>(cp_[e.row()]));
   }
 }
@@ -365,51 +448,6 @@ void SparseLu<T>::solve(const std::vector<T>& b, std::vector<T>& x) const {
   x.resize(un);
   for (std::size_t j = 0; j < un; ++j)
     x[static_cast<std::size_t>(cp_[j])] = ywork_[j];
-}
-
-template <typename T>
-void SparseLu<T>::solve_multi(const std::vector<T>& b, std::vector<T>& x,
-                              std::size_t k) const {
-  const auto un = static_cast<std::size_t>(n_);
-  if (!factored_)
-    throw std::logic_error("SparseLu::solve_multi before factor");
-  if (b.size() != un * k)
-    throw std::invalid_argument("SparseLu::solve_multi: size mismatch");
-  const auto& frp = fill_->row_ptr();
-  const auto& fci = fill_->col_idx();
-  mwork_.resize(un * k);
-  T* y = mwork_.data();
-  // Forward-substitute L Y = (row-permuted) B, all lanes per row.
-  for (std::size_t i = 0; i < un; ++i) {
-    T* yi = y + i * k;
-    const T* bi = b.data() + static_cast<std::size_t>(rp_[i]) * k;
-    for (std::size_t l = 0; l < k; ++l) yi[l] = bi[l];
-    for (std::size_t s = frp[i]; s < urow_start_[i]; ++s) {
-      const T f = fvals_[s];
-      if (f == T{}) continue;
-      const T* yj = y + static_cast<std::size_t>(fci[s]) * k;
-      for (std::size_t l = 0; l < k; ++l) yi[l] -= f * yj[l];
-    }
-  }
-  // Back-substitute U Z = Y.
-  for (std::size_t ii = un; ii-- > 0;) {
-    T* yi = y + ii * k;
-    for (std::size_t s = urow_start_[ii] + 1; s < frp[ii + 1]; ++s) {
-      const T f = fvals_[s];
-      if (f == T{}) continue;
-      const T* yj = y + static_cast<std::size_t>(fci[s]) * k;
-      for (std::size_t l = 0; l < k; ++l) yi[l] -= f * yj[l];
-    }
-    const T d = diag_inv_[ii];
-    for (std::size_t l = 0; l < k; ++l) yi[l] *= d;
-  }
-  // Un-permute columns: X[cp_[j], :] = Z[j, :].
-  x.resize(un * k);
-  for (std::size_t j = 0; j < un; ++j) {
-    const T* yj = y + j * k;
-    T* xj = x.data() + static_cast<std::size_t>(cp_[j]) * k;
-    for (std::size_t l = 0; l < k; ++l) xj[l] = yj[l];
-  }
 }
 
 template class SparseLu<double>;

@@ -5,16 +5,19 @@
 // The solver follows the standard circuit-simulator recipe (KLU-style):
 //
 //   1. symbolic phase, once per topology — fill-reducing pre-order
-//      (greedy minimum degree on A + A^T), a pivoting first
-//      factorization that fixes the row permutation, and a symbolic
-//      elimination that freezes the L+U fill pattern and slot layout;
+//      (greedy minimum degree on A + A^T), then a left-looking sparse
+//      LU (Gilbert & Peierls) with partial pivoting that fixes the row
+//      permutation and freezes the L+U fill pattern and slot layout in
+//      time proportional to its arithmetic.  Its pivots are exactly
+//      those of dense partial pivoting on the pre-ordered matrix (see
+//      DESIGN.md, "Sparse pivoting contract");
 //   2. numeric phase, per solve — refactor the values over the frozen
 //      pattern (no searching, no allocation) and substitute.
 //
 // Pivot magnitudes are checked on every refactor: if the operating
 // point drifts far enough that a frozen pivot becomes too small, the
 // refactor throws PivotDriftError and the caller re-runs the pivoting
-// factorization (or falls back to the dense path).
+// factorization.
 #pragma once
 
 #include <cstdint>
@@ -241,24 +244,16 @@ class SparseMatrix {
 
 /// Greedy minimum-degree ordering of the (structurally symmetric)
 /// pattern; returns `order` with order[k] = original index eliminated at
-/// step k.  Small-n implementation: the circuits this serves have at
-/// most a few thousand unknowns and the ordering runs once per topology.
+/// step k.  Exact external degrees on the explicit elimination graph,
+/// with the next node drawn from a (degree, index) heap.
 ///
 /// Tie-break contract: among nodes of equal minimum degree the LOWEST
 /// original index is eliminated first.  This is part of the API — the
-/// ordering (and everything derived from it: factor fill patterns,
-/// pivot sequences, BBD partitions) must be reproducible across
-/// platforms and STL implementations, never dependent on hash or
-/// allocation order.  Pinned by SparseOrdering.MinDegreeTieBreak.
+/// ordering (and everything derived from it: factor fill patterns and
+/// pivot sequences) must be reproducible across platforms and STL
+/// implementations, never dependent on hash or allocation order.
+/// Pinned by SparseOrdering.MinDegreeTieBreak.
 std::vector<int> min_degree_order(const SparsePattern& p);
-
-/// Symbolic L+U fill pattern of the row/col-permuted matrix, eliminated
-/// in natural order with no further pivoting.  `rows`/`cols` map
-/// factored index -> original index.  The result always contains the
-/// full diagonal.
-std::shared_ptr<const SparsePattern> symbolic_fill(
-    const SparsePattern& a, const std::vector<int>& rows,
-    const std::vector<int>& cols);
 
 /// Sparse LU with split symbolic/numeric phases (see file comment).
 template <typename T>
@@ -278,10 +273,10 @@ class SparseLu {
   explicit SparseLu(Options opt = {}) : opt_(opt) {}
 
   /// Full factorization: chooses the column pre-order and row pivot
-  /// order (partial pivoting on a dense working copy, once per
-  /// topology), freezes the fill pattern, then factors numerically.
-  /// Throws SingularMatrixError if the matrix is singular; the error's
-  /// column() is in the caller's (unpermuted) column numbering.
+  /// order (sparse partial pivoting, once per topology), freezes the
+  /// fill pattern, then factors numerically.  Throws SingularMatrixError
+  /// if the matrix is singular; the error's column() is in the caller's
+  /// (unpermuted) column numbering.
   void factor(const SparseMatrix<T>& a);
 
   /// Numeric-only refactorization of a matrix with the same pattern as
@@ -295,15 +290,12 @@ class SparseLu {
   /// warm).  Any number of right-hand sides per factorization.
   void solve(const std::vector<T>& b, std::vector<T>& x) const;
 
-  /// Solves A X = B for `k` right-hand sides in ONE sweep over the
-  /// factor.  `b` and `x` are row-major n x k — the k lanes of a row
-  /// are contiguous (entry (i, lane) at i*k + lane) — so the sweep
-  /// decodes each factor entry once and applies it to every lane, the
-  /// same SoA idea as the batched Monte-Carlo solver.  Lane `l` of the
-  /// result is bit-identical to solve() on column `l` alone.  `x` is
-  /// resized; no allocation once the lane workspace is warm.
-  void solve_multi(const std::vector<T>& b, std::vector<T>& x,
-                   std::size_t k) const;
+  /// Frozen layout of the last factor(): factored row i is original
+  /// row row_order()[i], factored column j is original column
+  /// col_order()[j], and fill() is the L+U pattern in factored indices.
+  const std::vector<int>& row_order() const { return rp_; }
+  const std::vector<int>& col_order() const { return cp_; }
+  const std::shared_ptr<const SparsePattern>& fill() const { return fill_; }
 
   /// Nonzeros in the frozen L+U pattern (symbolic fill), for stats.
   std::size_t factor_nnz() const { return fvals_.size(); }
@@ -338,7 +330,6 @@ class SparseLu {
   // Preallocated workspaces.
   mutable std::vector<T> work_;
   mutable std::vector<T> ywork_;
-  mutable std::vector<T> mwork_;  // solve_multi lanes, n * k once warm
 };
 
 using SparseMatrixD = SparseMatrix<double>;

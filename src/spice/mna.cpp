@@ -25,13 +25,6 @@ struct MnaTelemetry {
   obs::Counter& pivot_repivots = obs::counter("mna.pivot_repivots");
   obs::Counter& dense_fallbacks = obs::counter("mna.dense_fallback_engaged");
   obs::Counter& singular_retries = obs::counter("mna.singular_matrix");
-  obs::Counter& schur_partitions = obs::counter("schur.partitions");
-  obs::Counter& schur_blocks = obs::counter("schur.blocks");
-  obs::Counter& schur_border = obs::counter("schur.border_unknowns");
-  obs::Counter& schur_factors = obs::counter("schur.factors");
-  obs::Counter& schur_refactors = obs::counter("schur.refactors");
-  obs::Counter& schur_fallbacks = obs::counter("schur.fallbacks");
-  obs::Counter& schur_promotions = obs::counter("schur.promotions");
   obs::Timer& newton_time = obs::timer("mna.newton");
 
   static MnaTelemetry& get() {
@@ -45,19 +38,16 @@ struct MnaTelemetry {
 SolverKind solver_kind_from_env() {
   // A typo must not silently benchmark the auto-selected solver; the
   // shared strict parser throws naming the valid choices.
-  const auto v = runtime::parse_env_choice("SI_SOLVER",
-                                           {"auto", "dense", "sparse", "schur"});
+  const auto v =
+      runtime::parse_env_choice("SI_SOLVER", {"auto", "dense", "sparse"});
   if (!v || *v == "auto") return SolverKind::kAuto;
-  if (*v == "dense") return SolverKind::kDense;
-  if (*v == "sparse") return SolverKind::kSparse;
-  return SolverKind::kSchur;
+  return *v == "dense" ? SolverKind::kDense : SolverKind::kSparse;
 }
 
 SolverKind resolve_solver(SolverKind requested, std::size_t n) {
   if (requested != SolverKind::kAuto) return requested;
   const SolverKind env = solver_kind_from_env();
   if (env != SolverKind::kAuto) return env;
-  if (n >= kSchurAutoThreshold) return SolverKind::kSchur;
   return n >= kSparseAutoThreshold ? SolverKind::kSparse : SolverKind::kDense;
 }
 
@@ -75,10 +65,7 @@ void MnaEngine::prepare(const StampContext& ctx) {
   // the new topology gets a fresh sparse attempt — without this reset a
   // single pattern miss used to pin the circuit to the dense solver
   // across every later edit.
-  if (revision_ != c.revision()) {
-    dense_fallback_ = false;
-    schur_fallback_ = false;  // new topology, fresh partition attempt
-  }
+  if (revision_ != c.revision()) dense_fallback_ = false;
   revision_ = c.revision();
   prepared_ = true;
   ++stats_.workspace_allocs;
@@ -90,8 +77,6 @@ void MnaEngine::prepare(const StampContext& ctx) {
 
   const std::size_t n = c.system_size();
   active_ = dense_fallback_ ? SolverKind::kDense : resolve_solver(requested_, n);
-  if (active_ == SolverKind::kSchur && schur_fallback_)
-    active_ = SolverKind::kSparse;
   b0_.assign(n, 0.0);
   b_.assign(n, 0.0);
   x_new_.assign(n, 0.0);
@@ -128,26 +113,6 @@ void MnaEngine::prepare(const StampContext& ctx) {
   a0_sparse_ = linalg::SparseMatrixD(pattern_);
   a_sparse_ = linalg::SparseMatrixD(pattern_);
   lu_ = linalg::SparseLuD();  // drop the stale symbolic factorization
-
-  if (active_ == SolverKind::kSchur) {
-    MnaTelemetry& tm = MnaTelemetry::get();
-    schur_part_ = linalg::bbd_partition(*pattern_);
-    ++stats_.schur_partitions;
-    tm.schur_partitions.add();
-    if (schur_part_.degenerate) {
-      // The pattern did not decompose (too small, too entangled, or a
-      // dominating border): flat sparse for this topology revision.
-      schur_fallback_ = true;
-      active_ = SolverKind::kSparse;
-      ++stats_.schur_fallbacks;
-      tm.schur_fallbacks.add();
-    } else {
-      schur_.attach(pattern_, schur_part_);
-      schur_warm_ = false;
-      tm.schur_blocks.add(schur_part_.block_count());
-      tm.schur_border.add(schur_part_.border_size());
-    }
-  }
 }
 
 void MnaEngine::stamp_baseline(const StampContext& ctx,
@@ -230,52 +195,6 @@ void MnaEngine::solve_sparse() {
   lu_.solve(b_, x_new_);
 }
 
-void MnaEngine::solve_schur() {
-  MnaTelemetry& tm = MnaTelemetry::get();
-  while (true) {
-    try {
-      if (!schur_warm_) {
-        schur_.factor(a_sparse_);
-        schur_warm_ = true;
-        ++stats_.schur_factors;
-        tm.schur_factors.add();
-      } else {
-        schur_.refactor(a_sparse_);  // per-block drift recovers internally
-        ++stats_.schur_refactors;
-        tm.schur_refactors.add();
-      }
-      schur_.solve(b_, x_new_);
-      return;
-    } catch (const linalg::SchurBlockSingularError& e) {
-      // Delayed pivots: a block cannot pivot these unknowns safely in
-      // isolation (their conductance paths run through the border), so
-      // promote them to the interface — where the full cross-block
-      // coupling is available — and retry on the adjusted partition.
-      // Exact, deterministic, and bounded: each retry grows the border,
-      // and a border past the BbdOptions bound degenerates into the
-      // flat-sparse fallback below.
-      linalg::bbd_promote_to_border(schur_part_, e.unknowns());
-      stats_.schur_promotions += e.unknowns().size();
-      tm.schur_promotions.add(e.unknowns().size());
-      if (!schur_part_.degenerate) {
-        schur_.attach(pattern_, schur_part_);
-        schur_warm_ = false;
-        continue;
-      }
-    } catch (const linalg::SingularMatrixError&) {
-      // The interface system is singular under the frozen partition;
-      // fall through to the flat solver, which can pivot globally.
-    }
-    schur_fallback_ = true;
-    active_ = SolverKind::kSparse;
-    lu_warm_ = false;
-    ++stats_.schur_fallbacks;
-    tm.schur_fallbacks.add();
-    solve_sparse();
-    return;
-  }
-}
-
 int MnaEngine::newton(const StampContext& ctx, linalg::Vector& x,
                       const NewtonOptions& opt, double extra_gdiag) {
   MnaTelemetry& tm = MnaTelemetry::get();
@@ -301,8 +220,6 @@ int MnaEngine::newton(const StampContext& ctx, linalg::Vector& x,
         try {
           if (active_ == SolverKind::kDense)
             solve_dense();
-          else if (active_ == SolverKind::kSchur)
-            solve_schur();
           else
             solve_sparse();
         } catch (const linalg::SingularMatrixError& e) {
@@ -359,18 +276,13 @@ void AcEngine::prepare() {
   if (prepared_ && revision_ == c.revision()) return;
   // Same reset as MnaEngine::prepare(): the fallback is only sticky
   // within one topology revision.
-  if (revision_ != c.revision()) {
-    dense_fallback_ = false;
-    schur_fallback_ = false;
-  }
+  if (revision_ != c.revision()) dense_fallback_ = false;
   revision_ = c.revision();
   prepared_ = true;
   ++stats_.workspace_allocs;
 
   const std::size_t n = c.system_size();
   active_ = dense_fallback_ ? SolverKind::kDense : resolve_solver(requested_, n);
-  if (active_ == SolverKind::kSchur && schur_fallback_)
-    active_ = SolverKind::kSparse;
   b_.assign(n, std::complex<double>{});
   lu_warm_ = false;
   memo_warm_ = false;
@@ -393,24 +305,6 @@ void AcEngine::prepare() {
   MnaTelemetry::get().pattern_builds.add();
   a_sparse_ = linalg::SparseMatrixZ(pattern_);
   lu_ = linalg::SparseLuZ();
-
-  if (active_ == SolverKind::kSchur) {
-    MnaTelemetry& tm = MnaTelemetry::get();
-    schur_part_ = linalg::bbd_partition(*pattern_);
-    ++stats_.schur_partitions;
-    tm.schur_partitions.add();
-    if (schur_part_.degenerate) {
-      schur_fallback_ = true;
-      active_ = SolverKind::kSparse;
-      ++stats_.schur_fallbacks;
-      tm.schur_fallbacks.add();
-    } else {
-      schur_.attach(pattern_, schur_part_);
-      schur_warm_ = false;
-      tm.schur_blocks.add(schur_part_.block_count());
-      tm.schur_border.add(schur_part_.border_size());
-    }
-  }
 }
 
 void AcEngine::assemble(double omega) {
@@ -437,46 +331,7 @@ void AcEngine::assemble(double omega) {
         ComplexStamper s(c, a_sparse_, b_, &memo_);
         for (const auto& e : c.elements()) e->stamp_ac(s, omega);
         memo_warm_ = true;
-        if (active_ == SolverKind::kSchur) {
-          while (true) {
-            try {
-              if (!schur_warm_) {
-                schur_.factor(a_sparse_);
-                schur_warm_ = true;
-                ++stats_.schur_factors;
-                tm.schur_factors.add();
-              } else {
-                schur_.refactor(a_sparse_);
-                ++stats_.schur_refactors;
-                tm.schur_refactors.add();
-              }
-              break;
-            } catch (const linalg::SchurBlockSingularError& e) {
-              // Delayed pivots, as in MnaEngine::solve_schur(): promote
-              // the unpivotable unknowns to the border and retry.
-              linalg::bbd_promote_to_border(schur_part_, e.unknowns());
-              stats_.schur_promotions += e.unknowns().size();
-              tm.schur_promotions.add(e.unknowns().size());
-              if (!schur_part_.degenerate) {
-                schur_.attach(pattern_, schur_part_);
-                schur_warm_ = false;
-                continue;
-              }
-            } catch (const linalg::SingularMatrixError&) {
-              // Singular interface system: fall through to flat sparse.
-            }
-            schur_fallback_ = true;
-            active_ = SolverKind::kSparse;
-            lu_warm_ = false;
-            ++stats_.schur_fallbacks;
-            tm.schur_fallbacks.add();
-            lu_.factor(a_sparse_);
-            lu_warm_ = true;
-            ++stats_.symbolic_factors;
-            tm.symbolic_factors.add();
-            break;
-          }
-        } else if (!lu_warm_) {
+        if (!lu_warm_) {
           lu_.factor(a_sparse_);
           lu_warm_ = true;
           ++stats_.symbolic_factors;
@@ -509,8 +364,6 @@ void AcEngine::solve(const linalg::ComplexVector& b,
                      linalg::ComplexVector& x) {
   if (active_ == SolverKind::kDense)
     linalg::lu_solve_in_place(a_dense_, perm_, b, x);
-  else if (active_ == SolverKind::kSchur)
-    schur_.solve(b, x);
   else
     lu_.solve(b, x);
 }

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "linalg/lu.hpp"
-#include "linalg/schur.hpp"
 #include "linalg/sparse.hpp"
 #include "spice/dc.hpp"
 
@@ -28,34 +27,18 @@ namespace si::spice {
 /// Matrix representation used by the MNA engines.
 enum class SolverKind {
   kAuto,    ///< by size: dense < kSparseAutoThreshold <= sparse
-            ///< < kSchurAutoThreshold <= schur
   kDense,   ///< dense partial-pivot LU (the seed behavior)
   kSparse,  ///< CSR + symbolic-reuse sparse LU
-  kSchur,   ///< BBD partition + parallel Schur-complement LU
 };
 
 /// Auto crossover: systems with at least this many unknowns go sparse.
 /// Below it the dense factor's contiguous inner loops win.
 constexpr std::size_t kSparseAutoThreshold = 32;
 
-/// Auto crossover to the domain-decomposition (BBD/Schur) solver: large
-/// chain/array systems factor their sections in parallel and keep the
-/// pivoting first-factorization pass block-sized.  Engages only when
-/// the pattern actually decomposes (degenerate partitions fall back to
-/// flat sparse for the topology — see DESIGN.md "BBD/Schur contract").
-/// The value is the measured solver-path crossover on the Table 1/2
-/// workloads at transient-representative refactor counts (~120 cycles
-/// per topology): below ~700 unknowns the flat refactor is cheap enough
-/// that the Schur per-cycle overhead (block solves + interface) is not
-/// yet paid back by the block-sized pivoting pass — see the
-/// schur_scaling rows of BENCH_solvers.json.
-constexpr std::size_t kSchurAutoThreshold = 768;
-
 /// Parses the SI_SOLVER environment variable.  Unset or empty means
-/// kAuto; "auto", "dense", "sparse", "schur" select explicitly; any
-/// other value throws std::invalid_argument naming the valid choices (a
-/// typo like SI_SOLVER=sprase must not silently benchmark the wrong
-/// solver).
+/// kAuto; "auto", "dense", "sparse" select explicitly; any other value
+/// throws std::invalid_argument naming the valid choices (a typo like
+/// SI_SOLVER=sprase must not silently benchmark the wrong solver).
 SolverKind solver_kind_from_env();
 
 /// Resolves a requested kind to a concrete one.  An explicit request
@@ -73,11 +56,6 @@ struct MnaStats {
   std::uint64_t workspace_allocs = 0;   ///< workspace (re)allocations
   std::uint64_t pivot_repivots = 0;     ///< refactors rescued by re-pivoting
   std::uint64_t dense_fallbacks = 0;    ///< pattern-miss dense engagements
-  std::uint64_t schur_partitions = 0;   ///< BBD partitions built
-  std::uint64_t schur_factors = 0;      ///< Schur pivoting factorizations
-  std::uint64_t schur_refactors = 0;    ///< Schur numeric-only refactors
-  std::uint64_t schur_fallbacks = 0;    ///< schur -> flat-sparse engagements
-  std::uint64_t schur_promotions = 0;   ///< delayed pivots sent to the border
 };
 
 /// Real-valued MNA engine: damped Newton solves for DC and transient.
@@ -104,10 +82,6 @@ class MnaEngine {
 
   const MnaStats& stats() const { return stats_; }
 
-  /// BBD partition shape of the active schur solver (0 when inactive).
-  std::size_t schur_blocks() const { return schur_.block_count(); }
-  std::size_t schur_border_size() const { return schur_.border_size(); }
-
   Circuit& circuit() { return *circuit_; }
 
  private:
@@ -117,7 +91,6 @@ class MnaEngine {
   void assemble_iteration(const StampContext& ctx, const linalg::Vector& x);
   void solve_dense();
   void solve_sparse();
-  void solve_schur();
 
   Circuit* circuit_;
   SolverKind requested_;
@@ -150,18 +123,6 @@ class MnaEngine {
   bool nl_memo_warm_ = false;
   linalg::SparseLuD lu_;
   bool lu_warm_ = false;
-
-  // Schur path (stamps through the sparse matrices above; only the
-  // factor/solve differ).  Blocks that cannot pivot an unknown under
-  // block-local pivoting promote it to the border (delayed pivots) and
-  // retry on the adjusted partition kept in schur_part_.  The fallback
-  // is sticky per topology, like the dense one: a degenerate partition
-  // (including one promotion pushed past the border bound) or a
-  // singular interface system sends this revision to flat sparse.
-  linalg::SchurLuD schur_;
-  linalg::BbdPartition schur_part_;
-  bool schur_warm_ = false;
-  bool schur_fallback_ = false;
 };
 
 /// Complex-valued engine for the small-signal analyses (AC sweep, noise
@@ -208,11 +169,6 @@ class AcEngine {
   linalg::SparseLuZ lu_;
   bool lu_warm_ = false;
   bool memo_warm_ = false;
-
-  linalg::SchurLuZ schur_;
-  linalg::BbdPartition schur_part_;
-  bool schur_warm_ = false;
-  bool schur_fallback_ = false;
 };
 
 }  // namespace si::spice

@@ -1,12 +1,16 @@
 // MnaEngine behavior: solver selection (auto / SI_SOLVER / explicit),
-// dense-vs-sparse parity on transistor-level netlists, symbolic-reuse
-// accounting, and pattern-cache invalidation on circuit edits.
+// dense-vs-sparse parity on transistor-level netlists (DC, and the
+// AcEngine sweep), symbolic-reuse accounting, and pattern-cache
+// invalidation on circuit edits.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <cstdlib>
+#include <numbers>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/telemetry.hpp"
 #include "si/netlists.hpp"
@@ -43,10 +47,8 @@ TEST(SolverSelect, AutoUsesSizeThreshold) {
             SolverKind::kDense);
   EXPECT_EQ(resolve_solver(SolverKind::kAuto, kSparseAutoThreshold),
             SolverKind::kSparse);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, kSchurAutoThreshold - 1),
-            SolverKind::kSparse);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, kSchurAutoThreshold),
-            SolverKind::kSchur);
+  // Every larger system stays on the one flat sparse path.
+  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 4096), SolverKind::kSparse);
 }
 
 TEST(SolverSelect, ExplicitRequestWins) {
@@ -62,8 +64,6 @@ TEST(SolverSelect, EnvOverridesAuto) {
   EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kSparse);
   setenv("SI_SOLVER", "dense", 1);
   EXPECT_EQ(resolve_solver(SolverKind::kAuto, 1000), SolverKind::kDense);
-  setenv("SI_SOLVER", "schur", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kSchur);
   setenv("SI_SOLVER", "auto", 1);
   EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kDense);
   setenv("SI_SOLVER", "", 1);
@@ -82,9 +82,13 @@ TEST(SolverSelect, RejectsUnknownEnvValues) {
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("sprase"), std::string::npos) << msg;
-    for (const char* valid : {"auto", "dense", "sparse", "schur"})
-      EXPECT_NE(msg.find(valid), std::string::npos) << msg;
+    EXPECT_NE(msg.find("valid values: auto, dense, sparse"),
+              std::string::npos)
+        << msg;
   }
+  // No other solver name is accepted, `schur` included.
+  setenv("SI_SOLVER", "schur", 1);
+  EXPECT_THROW((void)solver_kind_from_env(), std::invalid_argument);
   setenv("SI_SOLVER", "bogus", 1);
   EXPECT_THROW((void)resolve_solver(SolverKind::kAuto, 2),
                std::invalid_argument);
@@ -318,6 +322,38 @@ TEST(MnaEngine, AutoPicksSparseForLargeNetlists) {
   dco.erc_gate = false;
   dc_operating_point(c, engine, dco);
   EXPECT_EQ(engine.active_solver(), SolverKind::kSparse);
+}
+
+TEST(AcEngine, SparseSweepMatchesDense) {
+  // The small-signal engine's sparse path (pattern discovery at one
+  // frequency, refactor per frequency) against the dense one.
+  auto sweep = [](SolverKind kind) {
+    Circuit c;
+    c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
+    DelayStageOptions opt;
+    const auto h = build_delay_line_chain(c, 12, opt, "dl_");
+    auto& iin = c.add<CurrentSource>("Iin", c.ground(), h.in, 5e-6);
+    iin.set_ac_magnitude(1e-6);
+    DcOptions dco;
+    dco.erc_gate = false;
+    dc_operating_point(c, dco);
+    AcEngine engine(c, kind);
+    std::vector<std::complex<double>> out;
+    si::linalg::ComplexVector x;
+    for (const double f : {1e3, 1e5, 1e7}) {
+      engine.assemble(2.0 * std::numbers::pi * f);
+      engine.solve(engine.rhs(), x);
+      out.push_back(x[static_cast<std::size_t>(h.out) - 1]);
+    }
+    EXPECT_EQ(engine.active_solver(), kind);
+    return out;
+  };
+  const auto ds = sweep(SolverKind::kDense);
+  const auto ss = sweep(SolverKind::kSparse);
+  ASSERT_EQ(ds.size(), ss.size());
+  for (std::size_t i = 0; i < ds.size(); ++i)
+    EXPECT_LE(std::abs(ss[i] - ds[i]), 1e-9 * (1.0 + std::abs(ds[i])))
+        << "frequency point " << i;
 }
 
 TEST(DcSweep, WarmStartMatchesPerPointColdSolves) {

@@ -1,19 +1,201 @@
 // Sparse pattern / sparse LU unit tests: randomized dense-vs-sparse
 // equivalence on MNA-shaped and SPD matrices (real and complex),
 // refactor reuse, pivot drift, singular-matrix parity with the dense
-// path, and the slot-memo replay used by pattern-cached stamping.
+// path, the slot-memo replay used by pattern-cached stamping, and the
+// sparse pivoting contract: SparseLu's row order and L+U pattern must
+// equal those of the dense-pass reference below on circuit Jacobians,
+// tie-heavy random systems and singular inputs.
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <optional>
 #include <random>
+#include <string>
 
+#include "analysis/mc_batch.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/sparse.hpp"
+#include "si/netlists.hpp"
+#include "spice/dc.hpp"
 
 using namespace si::linalg;
 using cplx = std::complex<double>;
 
 namespace {
+
+// Reference symbolic phase: the linear-scan minimum-degree order, partial
+// pivoting on a dense copy of the pre-ordered matrix, and bitset symbolic
+// elimination of the permuted pattern.  SparseLu must reproduce its row
+// order and fill pattern exactly (see "Sparse pivoting contract" in
+// DESIGN.md).
+namespace reference {
+
+std::vector<int> min_degree_order(const SparsePattern& p) {
+  const int n = p.dim();
+  std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r)
+    for (std::size_t s = p.row_ptr()[static_cast<std::size_t>(r)];
+         s < p.row_ptr()[static_cast<std::size_t>(r) + 1]; ++s) {
+      const int c = p.col_idx()[s];
+      if (c == r) continue;
+      adj[static_cast<std::size_t>(r)].push_back(c);
+      adj[static_cast<std::size_t>(c)].push_back(r);
+    }
+  for (auto& v : adj) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  }
+  std::vector<char> eliminated(static_cast<std::size_t>(n), 0);
+  std::vector<int> order;
+  std::vector<int> merged;
+  for (int step = 0; step < n; ++step) {
+    int best = -1;
+    std::size_t best_deg = 0;
+    for (int v = 0; v < n; ++v) {
+      if (eliminated[static_cast<std::size_t>(v)]) continue;
+      const std::size_t deg = adj[static_cast<std::size_t>(v)].size();
+      if (best < 0 || deg < best_deg) {
+        best = v;
+        best_deg = deg;
+      }
+    }
+    order.push_back(best);
+    eliminated[static_cast<std::size_t>(best)] = 1;
+    auto& nb = adj[static_cast<std::size_t>(best)];
+    nb.erase(std::remove_if(
+                 nb.begin(), nb.end(),
+                 [&](int v) { return eliminated[static_cast<std::size_t>(v)]; }),
+             nb.end());
+    for (const int v : nb) {
+      auto& av = adj[static_cast<std::size_t>(v)];
+      merged.clear();
+      std::set_union(av.begin(), av.end(), nb.begin(), nb.end(),
+                     std::back_inserter(merged));
+      merged.erase(
+          std::remove_if(merged.begin(), merged.end(),
+                         [&](int u) {
+                           return u == v ||
+                                  eliminated[static_cast<std::size_t>(u)];
+                         }),
+          merged.end());
+      av.swap(merged);
+    }
+    nb.clear();
+  }
+  return order;
+}
+
+std::shared_ptr<const SparsePattern> symbolic_fill(
+    const SparsePattern& a, const std::vector<int>& rows,
+    const std::vector<int>& cols) {
+  const auto un = static_cast<std::size_t>(a.dim());
+  std::vector<int> cinv(un);
+  for (std::size_t j = 0; j < un; ++j)
+    cinv[static_cast<std::size_t>(cols[j])] = static_cast<int>(j);
+  const std::size_t words = (un + 63) / 64;
+  std::vector<std::uint64_t> bits(un * words, 0);
+  auto set_bit = [&](std::size_t r, std::size_t c) {
+    bits[r * words + c / 64] |= std::uint64_t{1} << (c % 64);
+  };
+  auto test_bit = [&](std::size_t r, std::size_t c) {
+    return (bits[r * words + c / 64] >> (c % 64)) & 1u;
+  };
+  for (std::size_t i = 0; i < un; ++i) {
+    const auto orig = static_cast<std::size_t>(rows[i]);
+    for (std::size_t s = a.row_ptr()[orig]; s < a.row_ptr()[orig + 1]; ++s)
+      set_bit(i, static_cast<std::size_t>(
+                     cinv[static_cast<std::size_t>(a.col_idx()[s])]));
+    set_bit(i, i);
+  }
+  for (std::size_t k = 0; k < un; ++k) {
+    const std::size_t kw = k / 64;
+    const std::uint64_t khigh_mask = ~((std::uint64_t{2} << (k % 64)) - 1);
+    for (std::size_t i = k + 1; i < un; ++i) {
+      if (!test_bit(i, k)) continue;
+      std::uint64_t* ri = &bits[i * words];
+      const std::uint64_t* rk = &bits[k * words];
+      ri[kw] |= rk[kw] & khigh_mask;
+      for (std::size_t w = kw + 1; w < words; ++w) ri[w] |= rk[w];
+    }
+  }
+  PatternBuilder b(a.dim());
+  for (std::size_t i = 0; i < un; ++i)
+    for (std::size_t c = 0; c < un; ++c)
+      if (test_bit(i, c)) b.add(static_cast<int>(i), static_cast<int>(c));
+  return b.build(/*symmetrize=*/false);
+}
+
+struct Symbolic {
+  std::vector<int> rows, cols;
+  std::shared_ptr<const SparsePattern> fill;
+};
+
+/// Throws SingularMatrixError with the original column index.
+template <typename T>
+Symbolic build_symbolic(const SparseMatrix<T>& a) {
+  const SparsePattern& ap = a.pattern();
+  const auto un = static_cast<std::size_t>(ap.dim());
+  Symbolic out;
+  out.cols = reference::min_degree_order(ap);
+  std::vector<std::size_t> cinv(un);
+  for (std::size_t j = 0; j < un; ++j)
+    cinv[static_cast<std::size_t>(out.cols[j])] = j;
+  DenseMatrix<T> m(un, un);
+  for (std::size_t r = 0; r < un; ++r)
+    for (std::size_t s = ap.row_ptr()[r]; s < ap.row_ptr()[r + 1]; ++s)
+      m(cinv[r], cinv[static_cast<std::size_t>(ap.col_idx()[s])]) =
+          a.values()[s];
+  std::vector<std::size_t> perm;
+  try {
+    lu_factor_in_place(m, perm, 1e-13);
+  } catch (const SingularMatrixError& e) {
+    throw SingularMatrixError(
+        static_cast<std::size_t>(out.cols[e.column()]));
+  }
+  out.rows.resize(un);
+  for (std::size_t i = 0; i < un; ++i) out.rows[i] = out.cols[perm[i]];
+  out.fill = reference::symbolic_fill(ap, out.rows, out.cols);
+  return out;
+}
+
+}  // namespace reference
+
+/// Factors `a` and checks it against the reference: the same column
+/// pre-order, row order and L+U pattern, or the same singular column.
+/// Returns the reference's singular column (nullopt when it factored).
+template <typename T>
+std::optional<std::size_t> expect_replays_reference(const SparseMatrix<T>& a,
+                                                    const std::string& what) {
+  std::optional<reference::Symbolic> want;
+  std::optional<std::size_t> want_singular;
+  try {
+    want = reference::build_symbolic(a);
+  } catch (const SingularMatrixError& e) {
+    want_singular = e.column();
+  }
+  SparseLu<T> lu;
+  std::optional<std::size_t> got_singular;
+  try {
+    lu.factor(a);
+  } catch (const SingularMatrixError& e) {
+    got_singular = e.column();
+  }
+  if (want_singular) {
+    EXPECT_EQ(got_singular, want_singular) << what;
+    return want_singular;
+  }
+  // A singular throw from the numeric pass (its row-relative test) comes
+  // after the symbolic phase, whose layout is still comparable.
+  EXPECT_EQ(lu.col_order(), want->cols) << what;
+  EXPECT_EQ(lu.row_order(), want->rows) << what;
+  if (!lu.fill()) {
+    ADD_FAILURE() << what << ": no fill pattern";
+    return std::nullopt;
+  }
+  EXPECT_EQ(lu.fill()->row_ptr(), want->fill->row_ptr()) << what;
+  EXPECT_EQ(lu.fill()->col_idx(), want->fill->col_idx()) << what;
+  return std::nullopt;
+}
 
 // Random sparse pattern shaped like an MNA system: a diagonally-coupled
 // node block plus a few "branch rows" with zero diagonal that only
@@ -381,5 +563,199 @@ TEST(SparseLu, SolveIsReusableAcrossManyRhs) {
     for (auto& v : b) v = random_value<cplx>(rng);
     lu.solve(b, x);
     EXPECT_LT(rel_err(x, dense.solve(b)), 1e-12);
+  }
+}
+
+namespace {
+
+namespace nets = si::cells::netlists;
+namespace spice = si::spice;
+
+/// The DC and transient Jacobians of a circuit at its DC operating
+/// point, over the pattern the MNA engine discovers (DC and transient
+/// stamps, symmetrized), with gmin on the node diagonal as the engine
+/// stamps it; the transient one at dt = period / 200.
+struct CircuitJacobians {
+  SparseMatrixD dc, tran;
+};
+
+CircuitJacobians jacobians_at_operating_point(spice::Circuit& c,
+                                              double period) {
+  c.finalize();
+  const std::size_t n = c.system_size();
+  spice::DcOptions dopt;
+  dopt.erc_gate = false;
+  const Vector x = spice::dc_operating_point(c, dopt).x;
+  spice::StampContext dc_ctx;
+  spice::StampContext tran_ctx;
+  tran_ctx.mode = spice::AnalysisMode::kTransient;
+  tran_ctx.dt = period / 200.0;
+  Vector b(n);
+  PatternBuilder pb(static_cast<int>(n));
+  for (const auto* ctx : {&dc_ctx, &tran_ctx}) {
+    spice::RealStamper rec(c, pb, b, x);
+    for (const auto& e : c.elements()) e->stamp(rec, *ctx);
+  }
+  const auto pattern = pb.build(/*symmetrize=*/true);
+  auto assemble = [&](const spice::StampContext& ctx) {
+    SparseMatrixD a(pattern);
+    spice::RealStamper s(c, a, b, x);
+    for (const auto& e : c.elements()) e->stamp(s, ctx);
+    for (std::size_t i = 0; i + 1 < c.node_count(); ++i)
+      a.values()[static_cast<std::size_t>(pattern->diag_slots()[i])] +=
+          ctx.gmin;
+    return a;
+  };
+  return {assemble(dc_ctx), assemble(tran_ctx)};
+}
+
+/// Table 2 modulator core with its differential input sources.
+double build_modulator(spice::Circuit& c, int sections) {
+  c.add<spice::VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
+  nets::ModulatorCoreOptions opt;
+  const auto h = nets::build_modulator_core(c, sections, opt, "mod_");
+  c.add<spice::CurrentSource>("Iinp", c.ground(), h.in_p, 1e-6);
+  c.add<spice::CurrentSource>("Iinm", c.ground(), h.in_m, -1e-6);
+  return opt.stage.pair.clock_period;
+}
+
+}  // namespace
+
+TEST(SparseLuReplay, ModulatorCoreDcAndTransientJacobians) {
+  for (int sections : {1, 2, 8, 16, 64, 128}) {
+    spice::Circuit c;
+    const double period = build_modulator(c, sections);
+    const auto j = jacobians_at_operating_point(c, period);
+    const std::string what = "modulator sections=" + std::to_string(sections);
+    EXPECT_FALSE(expect_replays_reference(j.dc, what + " dc"));
+    EXPECT_FALSE(expect_replays_reference(j.tran, what + " tran"));
+  }
+}
+
+TEST(SparseLuReplay, DelayLineMonteCarloMatrices) {
+  // The transistor-level mismatch-yield study: 32-stage chain, DC
+  // Jacobian at each trial's operating point.
+  const auto w = si::analysis::delay_line_mismatch_workload(32);
+  spice::Circuit c;
+  const auto fns = w.build(c);
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    fns.apply(seed);
+    const auto j = jacobians_at_operating_point(c, 1.0);
+    EXPECT_FALSE(expect_replays_reference(
+        j.dc, "delay line trial seed=" + std::to_string(seed)));
+  }
+}
+
+TEST(SparseLuReplay, ComplexAcMatrices) {
+  for (int sections : {1, 8}) {
+    spice::Circuit c;
+    const double period = build_modulator(c, sections);
+    (void)jacobians_at_operating_point(c, period);  // linearizes the devices
+    const std::size_t n = c.system_size();
+    ComplexVector b(n);
+    PatternBuilder pb(static_cast<int>(n));
+    {
+      spice::ComplexStamper rec(c, pb, b);
+      for (const auto& e : c.elements()) e->stamp_ac(rec, 1.0);
+    }
+    const auto pattern = pb.build(/*symmetrize=*/true);
+    for (double omega : {1e3, 1e6, 1e9}) {
+      SparseMatrixZ a(pattern);
+      spice::ComplexStamper s(c, a, b);
+      for (const auto& e : c.elements()) e->stamp_ac(s, omega);
+      EXPECT_FALSE(expect_replays_reference(
+          a, "ac sections=" + std::to_string(sections) +
+                 " omega=" + std::to_string(omega)));
+    }
+  }
+}
+
+TEST(SparseLuReplay, TiedPivotCandidatesOnRandomMnaSystems) {
+  // Small-integer (real) and unit-modulus (complex) values make equal-
+  // magnitude pivot candidates common, so the position tie-break decides
+  // many pivots.
+  const double reals[] = {-2.0, -1.0, 1.0, 2.0};
+  const cplx units[] = {{1.0, 0.0}, {-1.0, 0.0}, {0.0, 1.0}, {0.0, -1.0}};
+  std::size_t nonsingular = 0;
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937 rng(seed);
+    const int n_nodes = 8 + static_cast<int>(seed % 23);
+    const auto sys = random_mna_pattern(n_nodes, static_cast<int>(seed % 5), rng);
+    std::uniform_int_distribution<int> pick(0, 3);
+    SparseMatrixD ar(sys.pattern);
+    SparseMatrixZ az(sys.pattern);
+    for (const auto& [i, j] : sys.coords) {
+      ar.add(i, j, reals[pick(rng)]);
+      az.add(i, j, units[pick(rng)]);
+    }
+    const std::string what = "seed=" + std::to_string(seed);
+    nonsingular += !expect_replays_reference(ar, what + " real");
+    nonsingular += !expect_replays_reference(az, what + " complex");
+  }
+  EXPECT_GT(nonsingular, 40u);  // most draws must reach a full factor
+}
+
+TEST(SparseLuReplay, SingularInputsThrowTheReferenceColumn) {
+  std::mt19937 rng(3);
+  const auto sys = random_mna_pattern(12, 2, rng);
+  // A zeroed node row, a row duplicated into another, a zeroed column.
+  for (int variant = 0; variant < 3; ++variant) {
+    auto a = random_mna_values<double>(sys, 12, rng);
+    auto& v = a.values();
+    const auto& rp = sys.pattern->row_ptr();
+    const auto& ci = sys.pattern->col_idx();
+    if (variant == 0) {
+      for (std::size_t s = rp[5]; s < rp[6]; ++s) v[s] = 0.0;
+    } else if (variant == 1) {
+      // Row 7 := row 3, on a pattern that gives both rows the union of
+      // their columns.
+      PatternBuilder pb(sys.pattern->dim());
+      for (int r = 0; r < sys.pattern->dim(); ++r)
+        for (std::size_t s = rp[static_cast<std::size_t>(r)];
+             s < rp[static_cast<std::size_t>(r) + 1]; ++s) {
+          pb.add(r, ci[s]);
+          if (r == 3) pb.add(7, ci[s]);
+          if (r == 7) pb.add(3, ci[s]);
+        }
+      SparseMatrixD dup(pb.build(/*symmetrize=*/false));
+      for (int r = 0; r < sys.pattern->dim(); ++r) {
+        if (r == 7) continue;
+        for (std::size_t s = rp[static_cast<std::size_t>(r)];
+             s < rp[static_cast<std::size_t>(r) + 1]; ++s)
+          dup.add(r, ci[s], v[s]);
+      }
+      for (std::size_t s = rp[3]; s < rp[4]; ++s) dup.add(7, ci[s], v[s]);
+      EXPECT_TRUE(expect_replays_reference(dup, "duplicated row"));
+      continue;
+    } else {
+      for (int r = 0; r < sys.pattern->dim(); ++r) {
+        const int slot = sys.pattern->find(r, 4);
+        if (slot >= 0) v[static_cast<std::size_t>(slot)] = 0.0;
+      }
+    }
+    EXPECT_TRUE(expect_replays_reference(
+        a, "singular variant " + std::to_string(variant)));
+  }
+}
+
+TEST(MinDegree, MatchesReferenceOnHubPatterns) {
+  // A supply-rail-like hub adjacent to at least half the nodes: the
+  // ordering must stay the reference's, tie-break included.
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937 rng(seed);
+    const int n = 16 << (seed % 6);
+    std::uniform_int_distribution<int> node(0, n - 1);
+    const int hub = node(rng);
+    PatternBuilder b(n);
+    for (int k = 0; k < n / 2; ++k) b.add(hub, node(rng));
+    for (int v = 0; v < n; v += 2) b.add(hub, v);
+    for (int k = 0; k < n; ++k) b.add(node(rng), node(rng));
+    const auto p = b.build(/*symmetrize=*/true);
+    const std::size_t hub_degree =
+        p->row_ptr()[static_cast<std::size_t>(hub) + 1] -
+        p->row_ptr()[static_cast<std::size_t>(hub)];
+    ASSERT_GE(2 * hub_degree, static_cast<std::size_t>(n));
+    EXPECT_EQ(min_degree_order(*p), reference::min_degree_order(*p))
+        << "seed=" << seed << " n=" << n;
   }
 }

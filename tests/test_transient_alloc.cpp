@@ -15,7 +15,6 @@
 #include <new>
 
 #include "obs/telemetry.hpp"
-#include "runtime/parallel.hpp"
 #include "runtime/rng_stream.hpp"
 #include "si/netlists.hpp"
 #include "spice/dc.hpp"
@@ -91,58 +90,6 @@ TEST(TransientAlloc, SparseNewtonLoopIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(after - before, 0u)
       << "heap allocations leaked into the warm Newton/transient loop";
   EXPECT_EQ(engine.stats().workspace_allocs, ws_before);
-}
-
-TEST(TransientAlloc, SchurNewtonLoopIsAllocationFreeAfterWarmup) {
-  // The domain-decomposition path: per-block gather/refactor, the
-  // serial Schur assembly, and the three solve phases must all run out
-  // of the workspaces hoisted into SchurLu::attach().  At one thread
-  // the parallel_for bodies run inline (and they capture only `this`,
-  // staying in the std::function small-buffer slot), so the whole warm
-  // loop is heap-silent.
-  si::obs::set_enabled(true);
-  si::runtime::set_thread_count(1);
-  Circuit c;
-  c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
-  DelayStageOptions opt;
-  // Large enough that the BBD partition is non-degenerate.
-  const auto h = build_delay_line_chain(c, 12, opt, "dl_");
-  c.add<CurrentSource>("Iin", c.ground(), h.in, 5e-6);
-  c.finalize();
-
-  MnaEngine engine(c, SolverKind::kSchur);
-  NewtonOptions nopt;
-  StampContext ctx;
-  ctx.mode = AnalysisMode::kDcOperatingPoint;
-  si::linalg::Vector x;
-  engine.newton(ctx, x, nopt);
-  ASSERT_EQ(engine.active_solver(), SolverKind::kSchur);
-  {
-    SolutionView sol(c, x);
-    for (const auto& e : c.elements()) e->accept(sol, ctx);
-  }
-
-  ctx.mode = AnalysisMode::kTransient;
-  ctx.dt = 200e-9 / 400.0;
-  auto step = [&](int k) {
-    ctx.time = k * ctx.dt;
-    engine.newton(ctx, x, nopt);
-    SolutionView sol(c, x);
-    for (const auto& e : c.elements()) e->accept(sol, ctx);
-  };
-
-  for (int k = 1; k <= 5; ++k) step(k);
-
-  const std::uint64_t before = g_allocs.load();
-  const std::uint64_t ws_before = engine.stats().workspace_allocs;
-  for (int k = 6; k <= 60; ++k) step(k);
-  const std::uint64_t after = g_allocs.load();
-  si::runtime::set_thread_count(0);
-
-  EXPECT_EQ(after - before, 0u)
-      << "heap allocations leaked into the warm schur Newton loop";
-  EXPECT_EQ(engine.stats().workspace_allocs, ws_before);
-  EXPECT_EQ(engine.stats().schur_fallbacks, 0u);
 }
 
 TEST(TransientAlloc, DenseNewtonLoopIsAllocationFreeAfterWarmup) {
