@@ -242,12 +242,12 @@ BENCHMARK(BM_VerifyModulator)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Dense-vs-sparse MNA solver benchmarks on the paper's two transistor-level
-// workloads: the Table 1 delay-line chain and the Table 2 modulator core.
+// Transient benchmarks on the paper's two transistor-level workloads: the
+// Table 1 delay-line chain and the Table 2 modulator core.
 // ---------------------------------------------------------------------------
 
 /// Builds and runs a Table 1 delay-line chain transient; returns the
-/// system size.  Solver selection follows SI_SOLVER / auto.
+/// system size.
 std::size_t run_chain_transient(int n_stages, double periods) {
   namespace nets = si::cells::netlists;
   si::spice::Circuit c;
@@ -295,62 +295,35 @@ std::size_t run_modulator_transient(int sections, double periods) {
   return c.system_size();
 }
 
-/// Forces SI_SOLVER for the benchmark's duration.
-class SolverEnv {
- public:
-  explicit SolverEnv(const char* kind) {
-    if (const char* v = std::getenv("SI_SOLVER")) saved_ = v;
-    setenv("SI_SOLVER", kind, 1);
-  }
-  explicit SolverEnv(int kind) : SolverEnv(kind ? "sparse" : "dense") {}
-  ~SolverEnv() {
-    if (saved_.empty())
-      unsetenv("SI_SOLVER");
-    else
-      setenv("SI_SOLVER", saved_.c_str(), 1);
-  }
-
- private:
-  std::string saved_;
-};
-
 void BM_SolverChainTransient(benchmark::State& state) {
-  SolverEnv env(static_cast<int>(state.range(1)));
   std::size_t n = 0;
   for (auto _ : state) n = run_chain_transient(static_cast<int>(state.range(0)), 1.0);
   state.counters["unknowns"] = static_cast<double>(n);
-  state.SetLabel(state.range(1) ? "sparse" : "dense");
 }
 BENCHMARK(BM_SolverChainTransient)
-    ->ArgsProduct({{2, 4, 8}, {0, 1}})
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SolverModulatorTransient(benchmark::State& state) {
-  SolverEnv env(static_cast<int>(state.range(1)));
   std::size_t n = 0;
   for (auto _ : state)
     n = run_modulator_transient(static_cast<int>(state.range(0)), 0.5);
   state.counters["unknowns"] = static_cast<double>(n);
-  state.SetLabel(state.range(1) ? "sparse" : "dense");
 }
 BENCHMARK(BM_SolverModulatorTransient)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// --quick mode: hand-timed dense-vs-sparse table written to
-// BENCH_solvers.json, with a regression gate — sparse must not be slower
-// than dense on the largest Table 2 modulator netlist.  Used by the CI
-// benchmark smoke lane.
+// --quick mode: hand-timed rows written to BENCH_solvers.json, each
+// section with a gate checked in the same run.  Used by the CI benchmark
+// smoke lane.
 // ---------------------------------------------------------------------------
-
-struct QuickRow {
-  std::string workload;
-  int size = 0;
-  std::size_t unknowns = 0;
-  double dense_ms = 0.0;
-  double sparse_ms = 0.0;
-};
 
 // ---------------------------------------------------------------------------
 // Event-vs-monolithic engine rows.  Two workload families:
@@ -541,20 +514,6 @@ McBatchRow time_mc_batch_row(int sections, unsigned threads, int runs) {
   return r;
 }
 
-double time_ms(int kind, const std::function<std::size_t()>& run,
-               std::size_t* unknowns) {
-  SolverEnv env(kind);
-  *unknowns = run();  // warm-up (also reports the system size)
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
-
 // ---------------------------------------------------------------------------
 // Sparse factor scaling rows: the SOLVER PATH of the Table 2 modulator
 // core — one pivoting factorization, then kRefactorCycles numeric
@@ -581,8 +540,9 @@ struct SparseFactorRow {
   double solve_ms = 0.0;     ///< kRefactorCycles solves
 };
 
-/// The transient-mode MNA Jacobian of an N-section modulator core at its
-/// DC operating point, plus its RHS.
+/// The transient-mode MNA Jacobian of a Table 2 modulator core
+/// (`modulator`, `size` sections) or a Table 1 delay line (`size`
+/// stages) at its DC operating point, plus its RHS.
 struct SolverPathSystem {
   std::size_t unknowns = 0;
   std::shared_ptr<const si::linalg::SparsePattern> pattern;
@@ -590,19 +550,29 @@ struct SolverPathSystem {
   std::vector<double> b;
 };
 
-SolverPathSystem assemble_solver_path(int sections) {
+SolverPathSystem assemble_solver_path(bool modulator, int size) {
   namespace nets = si::cells::netlists;
   si::spice::Circuit c;
   c.add<si::spice::VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
-  nets::ModulatorCoreOptions opt;
-  const auto h = nets::build_modulator_core(c, sections, opt, "mod_");
-  const double T = opt.stage.pair.clock_period;
-  c.add<si::spice::CurrentSource>(
-      "Iinp", c.ground(), h.in_p,
-      std::make_unique<si::spice::SineWave>(0.0, 4e-6, 1.0 / (8.0 * T)));
-  c.add<si::spice::CurrentSource>(
-      "Iinm", c.ground(), h.in_m,
-      std::make_unique<si::spice::SineWave>(0.0, -4e-6, 1.0 / (8.0 * T)));
+  double T = 0.0;
+  if (modulator) {
+    nets::ModulatorCoreOptions opt;
+    const auto h = nets::build_modulator_core(c, size, opt, "mod_");
+    T = opt.stage.pair.clock_period;
+    c.add<si::spice::CurrentSource>(
+        "Iinp", c.ground(), h.in_p,
+        std::make_unique<si::spice::SineWave>(0.0, 4e-6, 1.0 / (8.0 * T)));
+    c.add<si::spice::CurrentSource>(
+        "Iinm", c.ground(), h.in_m,
+        std::make_unique<si::spice::SineWave>(0.0, -4e-6, 1.0 / (8.0 * T)));
+  } else {
+    nets::DelayStageOptions opt;
+    const auto h = nets::build_delay_line_chain(c, size, opt, "dl_");
+    T = opt.pair.clock_period;
+    c.add<si::spice::CurrentSource>(
+        "Iin", c.ground(), h.in,
+        std::make_unique<si::spice::SineWave>(0.0, 5e-6, 1.0 / (8.0 * T)));
+  }
   c.finalize();
   SolverPathSystem sys;
   sys.unknowns = c.system_size();
@@ -636,17 +606,18 @@ SolverPathSystem assemble_solver_path(int sections) {
   return sys;
 }
 
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 SparseFactorRow time_sparse_factor_row(int sections) {
   SparseFactorRow r;
   r.sections = sections;
-  const auto sys = assemble_solver_path(sections);
+  const auto sys = assemble_solver_path(/*modulator=*/true, sections);
   r.unknowns = sys.unknowns;
   r.nnz = sys.pattern->nnz();
-  auto ms_since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
   r.factor_ms = r.refactor_ms = r.solve_ms = 1e300;
   std::vector<double> x;
   for (int rep = 0; rep < 5; ++rep) {  // best-of: rep 0 absorbs warm-up
@@ -666,6 +637,70 @@ SparseFactorRow time_sparse_factor_row(int sections) {
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// Solver rows: the dense-or-sparse choice measured at the layer where it
+// lives (spice::MnaSystem picks by size, see kSparseAutoThreshold).  Each
+// row takes the transient Jacobian above for a modulator core of 1/2/4/8
+// sections or a delay line of 2/4/8 stages — sizes that straddle the
+// threshold — and times `cycles` Newton-iteration solves both ways, each
+// cycle loading the iteration matrix as MnaSystem does:
+//  * dense  — cycles x (copy, LU factor in place, solve);
+//  * sparse — (copy, pivoting factor, solve), then
+//             (cycles - 1) x (copy, numeric refactor, solve).
+// cycles = 10 is a short DC solve, 400 a transient.  Serial code, so the
+// rows are independent of the host's core count.  Gate: sparse is not
+// slower than dense on the 8-section modulator at 400 cycles.
+// ---------------------------------------------------------------------------
+
+struct SolverRow {
+  std::string workload;
+  int size = 0;
+  std::size_t unknowns = 0;
+  std::size_t nnz = 0;
+  int cycles = 0;
+  double dense_ms = 0.0;
+  double sparse_ms = 0.0;
+};
+
+SolverRow time_solver_row(bool modulator, int size, int cycles) {
+  SolverRow r;
+  r.workload = modulator ? "table2_modulator" : "table1_delay_line";
+  r.size = size;
+  r.cycles = cycles;
+  const auto sys = assemble_solver_path(modulator, size);
+  r.unknowns = sys.unknowns;
+  r.nnz = sys.pattern->nnz();
+  const si::linalg::Matrix a_dense = sys.a.to_dense();
+  si::linalg::Matrix work;
+  si::linalg::SparseMatrixD a_sparse(sys.pattern);
+  std::vector<std::size_t> perm;
+  std::vector<double> x;
+  r.dense_ms = r.sparse_ms = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {  // best-of: rep 0 absorbs warm-up
+    auto t0 = std::chrono::steady_clock::now();
+    for (int k = 0; k < cycles; ++k) {
+      work = a_dense;
+      si::linalg::lu_factor_in_place(work, perm);
+      si::linalg::lu_solve_in_place(work, perm, sys.b, x);
+    }
+    r.dense_ms = std::min(r.dense_ms, ms_since(t0));
+    benchmark::DoNotOptimize(x.data());
+    t0 = std::chrono::steady_clock::now();
+    si::linalg::SparseLuD lu;
+    for (int k = 0; k < cycles; ++k) {
+      a_sparse.copy_values_from(sys.a);
+      if (k == 0)
+        lu.factor(a_sparse);
+      else
+        lu.refactor(a_sparse);
+      lu.solve(sys.b, x);
+    }
+    r.sparse_ms = std::min(r.sparse_ms, ms_since(t0));
+    benchmark::DoNotOptimize(x.data());
+  }
+  return r;
+}
+
 /// Short commit hash of the checkout the bench runs in ("-dirty" when
 /// it has uncommitted changes), or "unknown" outside a git checkout.
 std::string current_commit() {
@@ -678,6 +713,16 @@ std::string current_commit() {
   while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
     out.pop_back();
   return out.empty() ? "unknown" : out;
+}
+
+/// Host context every timed row carries: nproc, compiler, build type
+/// and commit, as JSON members.
+std::string host_stamp(const std::string& commit) {
+  return ", \"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" SI_BENCH_COMPILER "\", \"build_type\": \"" +
+         std::string(SI_BENCH_BUILD_TYPE) + "\", \"commit\": \"" + commit +
+         "\"";
 }
 
 /// The telemetry snapshot without its raw span ring: the committed
@@ -696,24 +741,12 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
     si::obs::set_enabled(true);
     si::obs::reset();
   }
-  std::vector<QuickRow> rows;
-  for (int stages : {2, 4, 8}) {
-    QuickRow r;
-    r.workload = "table1_delay_line";
-    r.size = stages;
-    auto run = [stages] { return run_chain_transient(stages, 1.0); };
-    r.dense_ms = time_ms(0, run, &r.unknowns);
-    r.sparse_ms = time_ms(1, run, &r.unknowns);
-    rows.push_back(r);
-  }
-  for (int sections : {1, 2, 4, 8}) {
-    QuickRow r;
-    r.workload = "table2_modulator";
-    r.size = sections;
-    auto run = [sections] { return run_modulator_transient(sections, 0.5); };
-    r.dense_ms = time_ms(0, run, &r.unknowns);
-    r.sparse_ms = time_ms(1, run, &r.unknowns);
-    rows.push_back(r);
+  std::vector<SolverRow> solver_rows;
+  for (const int cycles : {10, 400}) {
+    for (const int stages : {2, 4, 8})
+      solver_rows.push_back(time_solver_row(false, stages, cycles));
+    for (const int sections : {1, 2, 4, 8})
+      solver_rows.push_back(time_solver_row(true, sections, cycles));
   }
 
   // Event-engine rows: the OSR-64 sweep always runs; the 1e4-period
@@ -769,15 +802,17 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   for (int sections : {8, 16, 32, 64, 128})
     factor_rows.push_back(time_sparse_factor_row(sections));
 
+  const std::string host = host_stamp(current_commit());
   std::ofstream os(out_path);
   os << "{\n  \"solver_bench\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
+  for (std::size_t i = 0; i < solver_rows.size(); ++i) {
+    const auto& r = solver_rows[i];
     os << "    {\"workload\": \"" << r.workload << "\", \"size\": " << r.size
-       << ", \"unknowns\": " << r.unknowns << ", \"dense_ms\": " << r.dense_ms
+       << ", \"unknowns\": " << r.unknowns << ", \"nnz\": " << r.nnz
+       << ", \"cycles\": " << r.cycles << ", \"dense_ms\": " << r.dense_ms
        << ", \"sparse_ms\": " << r.sparse_ms
-       << ", \"speedup\": " << r.dense_ms / r.sparse_ms << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
+       << ", \"speedup\": " << r.dense_ms / r.sparse_ms << host << "}"
+       << (i + 1 < solver_rows.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"event_bench\": [\n";
   for (std::size_t i = 0; i < event_rows.size(); ++i) {
@@ -815,7 +850,6 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
        << ", \"speedup_vs_scalar\": " << r.batched_tps / r.scalar_tps << "}"
        << (i + 1 < mc_rows.size() ? "," : "") << "\n";
   }
-  const std::string commit = current_commit();
   os << "  ],\n  \"sparse_factor\": [\n";
   for (std::size_t i = 0; i < factor_rows.size(); ++i) {
     const auto& r = factor_rows[i];
@@ -825,36 +859,35 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
        << ", \"cycles\": " << kRefactorCycles
        << ", \"factor_ms\": " << r.factor_ms
        << ", \"refactor_ms\": " << r.refactor_ms
-       << ", \"solve_ms\": " << r.solve_ms
-       << ", \"nproc\": " << std::thread::hardware_concurrency()
-       << ", \"compiler\": \"" << SI_BENCH_COMPILER
-       << "\", \"build_type\": \"" << SI_BENCH_BUILD_TYPE
-       << "\", \"commit\": \"" << commit << "\"}"
+       << ", \"solve_ms\": " << r.solve_ms << host << "}"
        << (i + 1 < factor_rows.size() ? "," : "") << "\n";
   }
   os << "  ]";
   if (telemetry) {
     // Merge the solver telemetry summary: factor/refactor counts,
-    // fallback engagements, step stats for the whole quick suite.
+    // pattern misses, step stats for the whole quick suite.
     os << ",\n  \"telemetry\": " << telemetry_summary_json();
   }
   os << "\n}\n";
   os.close();
 
   int rc = 0;
-  for (const auto& r : rows) {
-    std::printf("%-18s size=%d unknowns=%zu dense=%.2fms sparse=%.2fms speedup=%.2fx\n",
-                r.workload.c_str(), r.size, r.unknowns, r.dense_ms, r.sparse_ms,
-                r.dense_ms / r.sparse_ms);
-  }
-  // Gate: the largest modulator netlist must not regress.
-  const auto& gate = rows.back();
-  if (gate.sparse_ms > gate.dense_ms) {
-    std::fprintf(stderr,
-                 "FAIL: sparse (%.2f ms) slower than dense (%.2f ms) on "
-                 "table2_modulator size=%d\n",
-                 gate.sparse_ms, gate.dense_ms, gate.size);
-    rc = 1;
+  for (const auto& r : solver_rows) {
+    std::printf(
+        "%-18s size=%d unknowns=%zu cycles=%d dense=%.3fms sparse=%.3fms "
+        "speedup=%.2fx\n",
+        r.workload.c_str(), r.size, r.unknowns, r.cycles, r.dense_ms,
+        r.sparse_ms, r.dense_ms / r.sparse_ms);
+    // Gate: past the threshold, over a transient's worth of iterations,
+    // the sparse path the size rule picks must not lose.
+    if (r.workload == "table2_modulator" && r.size == 8 && r.cycles == 400 &&
+        r.sparse_ms > r.dense_ms) {
+      std::fprintf(stderr,
+                   "FAIL: sparse (%.3f ms) slower than dense (%.3f ms) on "
+                   "table2_modulator size=%d cycles=%d\n",
+                   r.sparse_ms, r.dense_ms, r.size, r.cycles);
+      rc = 1;
+    }
   }
   double sweep_mono_ms = 0.0;
   double sweep_event_ms = 0.0;
@@ -981,15 +1014,15 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   }
   if (telemetry) {
     std::fputs(si::obs::snapshot_table().c_str(), stdout);
-    // Gate: the parity workloads stamp inside the discovered pattern by
-    // contract, so any dense-fallback engagement is a regression.
-    const std::uint64_t fallbacks =
-        si::obs::counter("mna.dense_fallback_engaged").value();
-    if (fallbacks > 0) {
+    // Gate: the quick-suite netlists stamp inside the discovered pattern
+    // by contract, so any pattern miss is a regression.
+    const std::uint64_t misses =
+        si::obs::counter("mna.pattern_misses").value();
+    if (misses > 0) {
       std::fprintf(stderr,
-                   "FAIL: dense fallback engaged %llu time(s) on the parity "
-                   "suite (stamp-pattern contract violated)\n",
-                   static_cast<unsigned long long>(fallbacks));
+                   "FAIL: %llu stamp(s) outside the discovered pattern on "
+                   "the quick suite (stamp-pattern contract violated)\n",
+                   static_cast<unsigned long long>(misses));
       rc = 1;
     }
   }

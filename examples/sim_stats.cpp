@@ -1,24 +1,23 @@
 // sim_stats: run the paper's two transistor-level workloads (Table 1
 // delay-line chain, Table 2 modulator core) with solver telemetry
 // enabled and report what the engines actually did — Newton iterations,
-// factorizations vs symbolic reuses, re-pivot and fallback events, step
+// factorizations vs symbolic reuses, re-pivots and pattern misses, step
 // accept/reject/clamp statistics — as a table or JSON.
 //
 //   sim_stats [--json] [--stages=N] [--sections=N] [--periods=P]
-//             [--adaptive] [--solver=auto|dense|sparse]
-//             [--engine=event|monolithic]
+//             [--adaptive] [--engine=event|monolithic]
 //
 // With --engine=event the runs go through the event-driven multi-rate
 // engine (src/event) and the report gains the partition statistics:
 // blocks, block solves vs skips, whole steps skipped, latency ratio.
 //
 // Every flag is parsed strictly: an unknown flag or a malformed value
-// ("--stages=2x", "--solver=bogus") exits 2 naming the accepted values.
+// ("--stages=2x", "--engine=evnt") exits 2 naming the accepted values.
 // Exit status 1 means a run had to accept dt_min-clamped steps above
-// lte_tol (adaptive mode), engaged the dense fallback, or — under the
-// event engine — that partitioning degraded: the circuit collapsed into
-// a single block, or a scoped solve failed to converge and forced a
-// full activation.
+// lte_tol (adaptive mode), stamped outside a discovered sparsity
+// pattern (mna.pattern_misses), or — under the event engine — that
+// partitioning degraded: the circuit collapsed into a single block, or
+// a scoped solve failed to converge and forced a full activation.
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -145,8 +144,7 @@ int usage_error(const char* what, const char* arg) {
   std::fprintf(stderr,
                "sim_stats: %s: '%s'\n"
                "usage: sim_stats [--json] [--adaptive] [--stages=N] "
-               "[--sections=N] [--periods=P] [--solver=auto|dense|sparse] "
-               "[--engine=event|monolithic]\n"
+               "[--sections=N] [--periods=P] [--engine=event|monolithic]\n"
                "  N: integer >= 1; P: number > 0\n",
                what, arg);
   return 2;
@@ -193,11 +191,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(a, "--periods=", 10) == 0) {
       if (!parse_positive(a + 10, periods))
         return usage_error("bad --periods", a);
-    } else if (std::strncmp(a, "--solver=", 9) == 0) {
-      const std::string v = a + 9;
-      if (v != "auto" && v != "dense" && v != "sparse")
-        return usage_error("bad --solver", a);
-      setenv("SI_SOLVER", v.c_str(), 1);
     } else if (std::strcmp(a, "--engine=event") == 0) {
       engine = TransientEngine::kEvent;
     } else if (std::strcmp(a, "--engine=monolithic") == 0) {
@@ -248,14 +241,13 @@ int main(int argc, char** argv) {
     std::fputs(si::obs::snapshot_table().c_str(), stdout);
   }
 
-  const std::uint64_t fallbacks =
-      si::obs::counter("mna.dense_fallback_engaged").value();
+  const std::uint64_t misses = si::obs::counter("mna.pattern_misses").value();
   const std::uint64_t clamped = dl.clamped + mod.clamped;
-  if (fallbacks > 0 || clamped > 0) {
+  if (misses > 0 || clamped > 0) {
     std::fprintf(stderr,
-                 "sim_stats: degraded run — dense_fallback_engaged=%llu, "
+                 "sim_stats: degraded run — pattern_misses=%llu, "
                  "lte_clamped_steps=%llu\n",
-                 static_cast<unsigned long long>(fallbacks),
+                 static_cast<unsigned long long>(misses),
                  static_cast<unsigned long long>(clamped));
     return 1;
   }

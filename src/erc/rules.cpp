@@ -11,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "spice/elements.hpp"
 #include "spice/mosfet.hpp"
 #include "verify/phase.hpp"
@@ -510,6 +511,10 @@ std::vector<Diagnostic> check(const Circuit& c, const ErcOptions& opt) {
 }
 
 void enforce(const Circuit& c, const ErcOptions& opt) {
+  // Counted so callers that chain analyses can show the circuit is
+  // linted once per run, not once per analysis.
+  static obs::Counter& runs = obs::counter("erc.runs");
+  runs.add();
   DiagnosticSink sink;
   check(c, sink, opt);
   if (!sink.ok()) {

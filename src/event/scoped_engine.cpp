@@ -1,7 +1,6 @@
 #include "event/scoped_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -9,9 +8,7 @@
 
 namespace si::event {
 
-using spice::AnalysisMode;
 using spice::Element;
-using spice::Integrator;
 using spice::RealStamper;
 using spice::StampContext;
 
@@ -30,13 +27,13 @@ struct ScopedTelemetry {
 
 }  // namespace
 
-ScopedMnaEngine::ScopedMnaEngine(spice::Circuit& c, const CircuitPartition& p,
-                                 spice::SolverKind kind)
-    : circuit_(&c), partition_(&p), requested_(kind) {
+ScopedMnaEngine::ScopedMnaEngine(spice::Circuit& c, const CircuitPartition& p)
+    : circuit_(&c), partition_(&p) {
   c.finalize();
   revision_ = c.revision();
   const std::size_t n = c.system_size();
   const std::size_t n_nodes = c.node_count() - 1;
+  seed_.assign(n, 0.0);
   b0_.assign(n, 0.0);
   b_.assign(n, 0.0);
   x_new_.assign(n, 0.0);
@@ -54,21 +51,19 @@ ScopedMnaEngine::ScopedMnaEngine(spice::Circuit& c, const CircuitPartition& p,
   }
 }
 
+spice::MnaStats ScopedMnaEngine::stats() const {
+  spice::MnaStats total;
+  for (const auto& [mask, st] : states_) total += st.system.stats();
+  return total;
+}
+
 ScopedMnaEngine::ScopeState& ScopedMnaEngine::state_for(
     const std::vector<unsigned char>& active, const StampContext& ctx) {
   auto it = states_.find(active);
   if (it != states_.end()) return it->second;
   ScopeState& st = states_[active];
-  build_state(st, active, ctx);
-  return st;
-}
-
-void ScopedMnaEngine::build_state(ScopeState& st,
-                                  const std::vector<unsigned char>& active,
-                                  const StampContext& ctx) {
   spice::Circuit& c = *circuit_;
   const std::size_t n = c.system_size();
-  ++stats_.workspace_allocs;
   ScopedTelemetry::get().scope_builds.add();
 
   st.scope.assign(n, 0);
@@ -78,8 +73,6 @@ void ScopedMnaEngine::build_state(ScopeState& st,
       st.scope[i] = 1;
   }
 
-  st.linear.clear();
-  st.nonlinear.clear();
   const auto& elements = c.elements();
   for (std::size_t i = 0; i < elements.size(); ++i) {
     bool any_active = false;
@@ -108,126 +101,8 @@ void ScopedMnaEngine::build_state(ScopeState& st,
     (e->nonlinear() ? st.nonlinear : st.linear).push_back(e);
   }
 
-  st.dense = st.dense_fallback ||
-             spice::resolve_solver(requested_, n) == spice::SolverKind::kDense;
-  st.lu_warm = false;
-  st.lin_memo_warm = false;
-  st.nl_memo_warm = false;
-  st.lin_memo = linalg::SlotMemo();
-  st.nl_memo = linalg::SlotMemo();
-
-  if (st.dense) {
-    st.a0_dense.resize(n, n);
-    st.a_dense.resize(n, n);
-    st.pattern.reset();
-    return;
-  }
-
-  // Discovery pass under the scope: only in-scope coordinates are
-  // recorded (frozen rows keep just their identity diagonal, which the
-  // builder includes unconditionally).  Record under both analysis
-  // modes, as the monolithic engine does, so companion stamps that
-  // vanish at DC still land in the pattern.
-  linalg::PatternBuilder rec(static_cast<int>(n));
-  linalg::Vector scratch_b(n, 0.0);
-  linalg::Vector scratch_x(n, 0.0);
-  RealStamper r(c, rec, scratch_b, scratch_x);
-  r.set_scope(&st.scope);
-  StampContext probe = ctx;
-  probe.mode = AnalysisMode::kDcOperatingPoint;
-  for (Element* e : st.linear) e->stamp(r, probe);
-  for (Element* e : st.nonlinear) e->stamp(r, probe);
-  probe.mode = AnalysisMode::kTransient;
-  if (probe.dt <= 0.0) probe.dt = 1.0;
-  probe.integrator = Integrator::kTrapezoidal;
-  for (Element* e : st.linear) e->stamp(r, probe);
-  for (Element* e : st.nonlinear) e->stamp(r, probe);
-  st.pattern = rec.build(/*symmetrize=*/true);
-  ++stats_.pattern_builds;
-  st.a0_sparse = linalg::SparseMatrixD(st.pattern);
-  st.a_sparse = linalg::SparseMatrixD(st.pattern);
-  st.lu = linalg::SparseLuD();
-}
-
-void ScopedMnaEngine::freeze_out_of_scope(ScopeState& st,
-                                          const linalg::Vector& x,
-                                          bool baseline) {
-  // Identity equations for held unknowns: A[r,r] = 1, b[r] = x[r].
-  // Frozen rows and columns carry no other entries (the scoped stamper
-  // dropped the rows and condensed the columns), so the solve passes
-  // the held values through exactly.
-  const std::size_t n = x.size();
-  if (st.dense) {
-    auto& a = baseline ? st.a0_dense : st.a_dense;
-    for (std::size_t r = 0; r < n; ++r)
-      if (!st.scope[r]) {
-        a(r, r) = 1.0;
-        (baseline ? b0_ : b_)[r] = x[r];
-      }
-  } else {
-    const auto& diag = st.pattern->diag_slots();
-    auto& vals = (baseline ? st.a0_sparse : st.a_sparse).values();
-    for (std::size_t r = 0; r < n; ++r)
-      if (!st.scope[r]) {
-        vals[static_cast<std::size_t>(diag[r])] = 1.0;
-        (baseline ? b0_ : b_)[r] = x[r];
-      }
-  }
-}
-
-void ScopedMnaEngine::stamp_baseline(ScopeState& st, const StampContext& ctx,
-                                     const linalg::Vector& x, double gdiag) {
-  spice::Circuit& c = *circuit_;
-  const std::size_t n_nodes = c.node_count() - 1;
-  b0_.assign(b0_.size(), 0.0);
-  ++stats_.base_stamps;
-  if (st.dense) {
-    st.a0_dense.set_zero();
-    RealStamper s(c, st.a0_dense, b0_, x);
-    s.set_scope(&st.scope);
-    for (Element* e : st.linear) e->stamp(s, ctx);
-    for (std::size_t i = 0; i < n_nodes; ++i)
-      if (st.scope[i]) st.a0_dense(i, i) += gdiag;
-  } else {
-    st.a0_sparse.set_zero();
-    if (st.lin_memo_warm)
-      st.lin_memo.start_replay();
-    else
-      st.lin_memo.start_record();
-    RealStamper s(c, st.a0_sparse, b0_, x, &st.lin_memo);
-    s.set_scope(&st.scope);
-    for (Element* e : st.linear) e->stamp(s, ctx);
-    st.lin_memo_warm = true;
-    const auto& diag = st.pattern->diag_slots();
-    auto& vals = st.a0_sparse.values();
-    for (std::size_t i = 0; i < n_nodes; ++i)
-      if (st.scope[i]) vals[static_cast<std::size_t>(diag[i])] += gdiag;
-  }
-  freeze_out_of_scope(st, x, /*baseline=*/true);
-}
-
-void ScopedMnaEngine::assemble_iteration(ScopeState& st,
-                                         const StampContext& ctx,
-                                         const linalg::Vector& x) {
-  spice::Circuit& c = *circuit_;
-  b_ = b0_;
-  ++stats_.nonlinear_stamps;
-  if (st.dense) {
-    st.a_dense = st.a0_dense;
-    RealStamper s(c, st.a_dense, b_, x);
-    s.set_scope(&st.scope);
-    for (Element* e : st.nonlinear) e->stamp(s, ctx);
-  } else {
-    st.a_sparse.copy_values_from(st.a0_sparse);
-    if (st.nl_memo_warm)
-      st.nl_memo.start_replay();
-    else
-      st.nl_memo.start_record();
-    RealStamper s(c, st.a_sparse, b_, x, &st.nl_memo);
-    s.set_scope(&st.scope);
-    for (Element* e : st.nonlinear) e->stamp(s, ctx);
-    st.nl_memo_warm = true;
-  }
+  st.system.reset(c, ctx, st.linear, st.nonlinear, &st.scope);
+  return st;
 }
 
 void ScopedMnaEngine::accept_scope(const std::vector<unsigned char>& active,
@@ -256,82 +131,71 @@ int ScopedMnaEngine::newton(const StampContext& ctx, linalg::Vector& x,
   obs::ScopedTimer timed(tm.solve_time);
   tm.scoped_solves.add();
 
-  const std::size_t n = c.system_size();
-  const std::size_t n_nodes = c.node_count() - 1;
-  if (x.size() != n) x.assign(n, 0.0);
-
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    ScopeState& st = state_for(active, ctx);
+  if (x.size() != c.system_size()) x.assign(c.system_size(), 0.0);
+  ScopeState& st = state_for(active, ctx);
+  seed_ = x;
+  while (true) {
     try {
-      stamp_baseline(st, ctx, x, opt.gmin);
-
-      for (int it = 1; it <= opt.max_iterations; ++it) {
-        // Same cancellation checkpoint as MnaEngine::newton: the event
-        // engine honors per-job deadlines at Newton-iteration
-        // granularity too.
-        if (opt.cancel) opt.cancel->checkpoint();
-        assemble_iteration(st, ctx, x);
-        try {
-          if (st.dense) {
-            ++stats_.dense_factors;
-            linalg::lu_factor_in_place(st.a_dense, st.perm);
-            linalg::lu_solve_in_place(st.a_dense, st.perm, b_, x_new_);
-          } else {
-            if (!st.lu_warm) {
-              st.lu.factor(st.a_sparse);
-              st.lu_warm = true;
-              ++stats_.symbolic_factors;
-            } else {
-              try {
-                st.lu.refactor(st.a_sparse);
-                ++stats_.numeric_refactors;
-              } catch (const linalg::PivotDriftError&) {
-                st.lu.factor(st.a_sparse);
-                ++stats_.symbolic_factors;
-                ++stats_.pivot_repivots;
-              }
-            }
-            st.lu.solve(b_, x_new_);
-          }
-        } catch (const linalg::SingularMatrixError& e) {
-          throw spice::ConvergenceError(
-              std::string("singular scoped MNA matrix: ") + e.what());
-        }
-
-        if (st.nonlinear.empty()) {
-          // No in-scope nonlinear device: the restricted system is
-          // linear and solves exactly in one step.
-          x = x_new_;
-          return it;
-        }
-
-        // Same damping and convergence test as the monolithic engine;
-        // frozen unknowns pass through with dv == 0.
-        bool converged = true;
-        for (std::size_t i = 0; i < n; ++i) {
-          double dv = x_new_[i] - x[i];
-          if (i < n_nodes) {
-            const double tol = opt.v_abstol + opt.v_reltol * std::abs(x[i]);
-            if (std::abs(dv) > tol) converged = false;
-            dv = std::clamp(dv, -opt.max_step, opt.max_step);
-          }
-          x[i] += dv;
-        }
-        if (converged && it > 1) return it;
-      }
-      throw spice::ConvergenceError(
-          "scoped Newton iteration did not converge in " +
-          std::to_string(opt.max_iterations) + " iterations");
-    } catch (const linalg::PatternMissError&) {
-      // Stamp outside the per-scope pattern: demote this scope state to
-      // the dense path and retry once.
-      st.dense_fallback = true;
-      ++stats_.dense_fallbacks;
-      build_state(st, active, ctx);
+      return iterate(st, ctx, x, opt);
+    } catch (const linalg::PatternMissError& miss) {
+      // Same recovery as MnaEngine::newton: grow this scope's pattern
+      // and restart from the caller's seed.
+      st.system.add_to_pattern(miss);
+      x = seed_;
     }
   }
+}
+
+int ScopedMnaEngine::iterate(ScopeState& st, const StampContext& ctx,
+                             linalg::Vector& x,
+                             const spice::NewtonOptions& opt) {
+  spice::Circuit& c = *circuit_;
+  const std::size_t n_nodes = c.node_count() - 1;
+  b0_.assign(b0_.size(), 0.0);
+  {
+    RealStamper s = st.system.baseline_stamper(c, b0_, x);
+    s.set_scope(&st.scope);
+    for (Element* e : st.linear) e->stamp(s, ctx);
+  }
+  st.system.add_diagonal(n_nodes, opt.gmin, &st.scope);
+  // Identity equations for held unknowns: A[r,r] = 1, b[r] = x[r].
+  // Frozen rows and columns carry no other entries (the scoped stamper
+  // dropped the rows and condensed the columns), so the solve passes
+  // the held values through exactly.
+  st.system.freeze_rows(st.scope);
+  for (std::size_t r = 0; r < x.size(); ++r)
+    if (!st.scope[r]) b0_[r] = x[r];
+
+  for (int it = 1; it <= opt.max_iterations; ++it) {
+    // Same cancellation checkpoint as MnaEngine::newton: the event
+    // engine honors per-job deadlines at Newton-iteration granularity
+    // too.
+    if (opt.cancel) opt.cancel->checkpoint();
+    b_ = b0_;
+    RealStamper s = st.system.iteration_stamper(c, b_, x);
+    s.set_scope(&st.scope);
+    for (Element* e : st.nonlinear) e->stamp(s, ctx);
+    try {
+      st.system.factor();
+      st.system.solve(b_, x_new_);
+    } catch (const linalg::SingularMatrixError& e) {
+      throw spice::ConvergenceError(
+          std::string("singular scoped MNA matrix: ") + e.what());
+    }
+
+    if (st.nonlinear.empty()) {
+      // No in-scope nonlinear device: the restricted system is linear
+      // and solves exactly in one step.
+      x = x_new_;
+      return it;
+    }
+    // Frozen unknowns pass through the shared update with dv == 0.
+    if (spice::damped_newton_update(x, x_new_, n_nodes, opt) && it > 1)
+      return it;
+  }
   throw spice::ConvergenceError(
-      "scoped MNA engine: dense fallback failed to engage");
+      "scoped Newton iteration did not converge in " +
+      std::to_string(opt.max_iterations) + " iterations");
 }
 
 }  // namespace si::event

@@ -30,7 +30,8 @@ namespace si::linalg {
 
 /// Thrown when a stamp targets a coordinate outside the frozen nonzero
 /// pattern (an element violated the stamp-pattern contract, see
-/// DESIGN.md); the MNA engine falls back to the dense path.
+/// DESIGN.md); the MNA engine adds the coordinate to the pattern and
+/// restarts the solve.
 class PatternMissError : public std::logic_error {
  public:
   PatternMissError(int row, int col)

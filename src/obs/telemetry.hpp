@@ -1,7 +1,7 @@
 // Solver telemetry: a process-wide registry of named Counters, Timers
 // and Histograms plus a preallocated TraceSpan event ring, wired into
 // the MNA engines, the transient steppers and the runtime pool so the
-// self-healing mechanisms (dense fallback, pivot re-pivot, dt_min
+// self-healing mechanisms (pattern misses, pivot re-pivot, dt_min
 // clamping, gmin ladders) are counted instead of recovering silently.
 //
 // Overhead contract:

@@ -8,7 +8,7 @@
 // silently parsing as 8 (strtol stopping at the junk) or =abc silently
 // falling back to the hardware default is precisely the class of
 // misconfiguration that benchmarks the wrong setup for a week before
-// anyone notices — reject it up front, like SI_SOLVER always has.
+// anyone notices — reject it up front, like SI_TRANSIENT does.
 //
 // Header-only on purpose: si_obs sits below si_runtime in the link
 // order but shares the same include root, so the telemetry layer can
@@ -75,7 +75,7 @@ inline std::optional<bool> parse_env_flag(const char* name) {
 /// Parses an enumerated environment variable against an explicit choice
 /// list.  Unset or empty returns std::nullopt; a listed choice is
 /// returned verbatim; anything else throws naming every valid choice (a
-/// typo like SI_SOLVER=sprase must not silently select the default).
+/// typo like SI_TRANSIENT=evnt must not silently select the default).
 inline std::optional<std::string> parse_env_choice(
     const char* name, std::initializer_list<const char*> choices) {
   const char* raw = std::getenv(name);

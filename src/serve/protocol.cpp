@@ -12,6 +12,7 @@
 #include "runtime/result_cache.hpp"
 #include "runtime/rng_stream.hpp"
 #include "spice/deck.hpp"
+#include "spice/mna.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/parser.hpp"
 
@@ -190,7 +191,11 @@ Json run_mc(const JobRequest& r, const spice::DeckRunOptions& opt) {
 
   // Trials stay sequential inside one job: the JobServer's workers are
   // the parallelism, and the cancel token is honoured every Newton
-  // iteration regardless.
+  // iteration regardless.  One engine serves every trial, as in
+  // dc_sweep: a draw moves values, never the topology, so a sparse-sized
+  // deck builds its pattern and symbolic factor once per job.  Trials
+  // still start from zero, not from the previous sample.
+  spice::MnaEngine engine(c);
   std::vector<double> samples(static_cast<std::size_t>(r.mc_trials));
   for (std::size_t k = 0; k < samples.size(); ++k) {
     runtime::RngStream rng(runtime::trial_seed(r.mc_seed, k));
@@ -200,7 +205,7 @@ Json run_mc(const JobRequest& r, const spice::DeckRunOptions& opt) {
       p.vt0 = nominal.vt0 * (1.0 + r.mc_sigma * rng.normal());
       mos->set_params(p);
     }
-    const auto res = spice::dc_operating_point(c, dopt);
+    const auto res = spice::dc_operating_point(c, engine, dopt);
     samples[k] = node_voltage(res.x, probe);
   }
   std::sort(samples.begin(), samples.end());

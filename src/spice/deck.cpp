@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "erc/check.hpp"
 #include "spice/parser.hpp"
 
 namespace si::spice {
@@ -112,9 +113,11 @@ DeckRunResult run_deck(const std::string& deck, const DeckRunOptions& opt) {
   }
 
   DeckRunResult r{parse_netlist(element_deck.str()), {}, {}, {}, {}};
+  // Lint once: every analysis below runs on the same unchanged circuit.
+  if (opt.erc_gate) erc::enforce(r.circuit);
   DcOptions dco;
   dco.newton = opt.newton;
-  dco.erc_gate = opt.erc_gate;
+  dco.erc_gate = false;
   r.op = dc_operating_point(r.circuit, dco);
 
   if (dir.have_tran) {
@@ -122,7 +125,7 @@ DeckRunResult run_deck(const std::string& deck, const DeckRunOptions& opt) {
     topt.dt = dir.dt;
     topt.t_stop = dir.t_stop;
     topt.newton = opt.newton;
-    topt.erc_gate = opt.erc_gate;
+    topt.erc_gate = false;
     topt.engine = opt.engine;
     Transient tr(r.circuit, topt);
     for (const auto& [kind, name] : dir.probes) {
@@ -138,7 +141,7 @@ DeckRunResult run_deck(const std::string& deck, const DeckRunOptions& opt) {
   }
   if (dir.have_ac) {
     AcOptions aopt;
-    aopt.erc_gate = opt.erc_gate;
+    aopt.erc_gate = false;
     r.ac = ac_analysis(r.circuit,
                        log_space(dir.ac_lo, dir.ac_hi, dir.ac_ppd), aopt);
   }

@@ -72,7 +72,7 @@ void BatchedDcEngine::prepare() {
     x_nominal_ = dc_operating_point(c, dopt).x;
   }
 
-  // Discovery pass, identical to MnaEngine::prepare(): record under both
+  // Discovery pass, identical to MnaSystem::reset(): record under both
   // analysis modes and symmetrize, so the frozen pattern covers every
   // parameter draw (draws move values, never coordinates — apart from
   // the MOSFET orientation swap, which symmetrization absorbs).

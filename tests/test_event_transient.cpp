@@ -3,8 +3,8 @@
 // monolithic engine's waveforms on the paper's Table 1 / Table 2
 // workloads byte-identically at the %.6g precision the bench tables
 // emit, honor the SI_TRANSIENT override, skip work on a quiescent
-// DC-hold run, and fall back to the monolithic engine under adaptive
-// stepping.
+// DC-hold run, fall back to the monolithic engine under adaptive
+// stepping, and recover from a stamp outside a scope's pattern.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +13,9 @@
 #include <memory>
 #include <string>
 
+#include "event/partition.hpp"
+#include "event/scoped_engine.hpp"
+#include "mna_fixtures.hpp"
 #include "obs/telemetry.hpp"
 #include "si/netlists.hpp"
 #include "spice/transient.hpp"
@@ -199,6 +202,56 @@ TEST(EventEngine, TelemetryCountersAdvance) {
   EXPECT_GT(si::obs::counter("event.events_dispatched").value(), 0u);
   EXPECT_EQ(si::obs::counter("event.full_activations").value(), 0u);
   si::obs::reset();
+  si::obs::set_enabled(false);
+}
+
+TEST(ScopedEngine, PatternMissGrowsScopePatternAndRestartsFromSeed) {
+  // The scoped path's miss recovery, on a circuit padded past the
+  // sparse threshold: the bridge first stamps in Newton iteration 2.
+  si::obs::set_enabled(true);
+#if SI_OBS_ENABLED
+  si::obs::Counter& misses = si::obs::counter("mna.pattern_misses");
+  const std::uint64_t misses_before = misses.value();
+#endif
+  Circuit c;
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  const NodeId d = c.node("d");
+  c.add<VoltageSource>("V1", a, c.ground(), 1.0);
+  c.add<Resistor>("R1", a, b, 1e3);
+  c.add<Resistor>("R2", b, c.ground(), 1e3);
+  c.add<Resistor>("R3", d, c.ground(), 1e3);
+  c.add<si::test::ThresholdBridge>("X1", b, d, /*v_on=*/0.25);
+  si::test::pad_unknowns(c);
+
+  const auto partition = si::event::partition_circuit(c);
+  si::event::ScopedMnaEngine scoped(c, partition);
+  const std::vector<unsigned char> active(partition.block_count(), 1);
+  const NewtonOptions nopt;
+  const StampContext ctx;
+  const si::linalg::Vector seed(c.system_size(), 0.0);
+
+  si::linalg::Vector retried = seed;
+  const int retried_iters = scoped.newton(ctx, retried, nopt, active);
+  EXPECT_EQ(scoped.stats().pattern_misses, 1u);
+  EXPECT_EQ(scoped.stats().pattern_builds, 2u);
+  EXPECT_EQ(scoped.stats().dense_factors, 0u);
+#if SI_OBS_ENABLED
+  EXPECT_EQ(misses.value(), misses_before + 1);
+#endif
+  // b loaded by R2 || (1k bridge + R3) = 1k || 2k.
+  EXPECT_NEAR(retried[b - 1], 0.4, 1e-6);
+
+  // The grown pattern holds, and the retry matched a clean solve from
+  // the same seed.
+  si::linalg::Vector repeat = seed;
+  const int repeat_iters = scoped.newton(ctx, repeat, nopt, active);
+  EXPECT_EQ(scoped.stats().pattern_misses, 1u);
+  EXPECT_EQ(scoped.stats().pattern_builds, 2u);
+  EXPECT_EQ(retried_iters, repeat_iters);
+  ASSERT_EQ(retried.size(), repeat.size());
+  for (std::size_t i = 0; i < retried.size(); ++i)
+    EXPECT_EQ(retried[i], repeat[i]) << "unknown " << i;
   si::obs::set_enabled(false);
 }
 

@@ -1,17 +1,16 @@
-// MnaEngine behavior: solver selection (auto / SI_SOLVER / explicit),
-// dense-vs-sparse parity on transistor-level netlists (DC, and the
-// AcEngine sweep), symbolic-reuse accounting, and pattern-cache
-// invalidation on circuit edits.
+// MNA engine behavior: the size rule that picks the dense or sparse
+// representation, dense-vs-sparse parity on transistor-level netlists
+// (DC, and the AcEngine sweep) with each circuit run as is and padded
+// past the threshold, symbolic-reuse accounting, pattern-cache
+// invalidation on circuit edits, and pattern-miss recovery.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
-#include <cstdlib>
 #include <numbers>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
+#include "mna_fixtures.hpp"
 #include "obs/telemetry.hpp"
 #include "si/netlists.hpp"
 #include "spice/dc.hpp"
@@ -22,93 +21,37 @@ namespace {
 
 using namespace si::spice;
 using namespace si::cells::netlists;
+using si::test::LatePathElement;
+using si::test::pad_unknowns;
+using si::test::ThresholdBridge;
 
-/// Saves/clears SI_SOLVER for the test's duration.
-class EnvGuard {
- public:
-  EnvGuard() {
-    if (const char* v = std::getenv("SI_SOLVER")) saved_ = v;
-    unsetenv("SI_SOLVER");
-  }
-  ~EnvGuard() {
-    if (saved_.empty())
-      unsetenv("SI_SOLVER");
-    else
-      setenv("SI_SOLVER", saved_.c_str(), 1);
-  }
-
- private:
-  std::string saved_;
-};
+/// One solve of a 1 V divider padded to `n` unknowns; returns the stats.
+MnaStats divider_stats(std::size_t n) {
+  Circuit c;
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  c.add<VoltageSource>("V1", a, c.ground(), 1.0);
+  c.add<Resistor>("R1", a, b, 1e3);
+  c.add<Resistor>("R2", b, c.ground(), 1e3);
+  pad_unknowns(c, n);
+  EXPECT_EQ(c.system_size(), n);
+  MnaEngine engine(c);
+  si::linalg::Vector x;
+  engine.newton(StampContext{}, x, NewtonOptions{});
+  EXPECT_NEAR(x[b - 1], 0.5, 1e-8);
+  return engine.stats();
+}
 
 TEST(SolverSelect, AutoUsesSizeThreshold) {
-  EnvGuard env;
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, kSparseAutoThreshold - 1),
-            SolverKind::kDense);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, kSparseAutoThreshold),
-            SolverKind::kSparse);
-  // Every larger system stays on the one flat sparse path.
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 4096), SolverKind::kSparse);
-}
-
-TEST(SolverSelect, ExplicitRequestWins) {
-  EnvGuard env;
-  setenv("SI_SOLVER", "sparse", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kDense, 1000), SolverKind::kDense);
-  EXPECT_EQ(resolve_solver(SolverKind::kSparse, 2), SolverKind::kSparse);
-}
-
-TEST(SolverSelect, EnvOverridesAuto) {
-  EnvGuard env;
-  setenv("SI_SOLVER", "sparse", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kSparse);
-  setenv("SI_SOLVER", "dense", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 1000), SolverKind::kDense);
-  setenv("SI_SOLVER", "auto", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kDense);
-  setenv("SI_SOLVER", "", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kDense);
-}
-
-TEST(SolverSelect, RejectsUnknownEnvValues) {
-  EnvGuard env;
-  // A typo such as SI_SOLVER=sprase used to silently mean "auto" and
-  // benchmark the wrong solver; it must fail loudly, naming the valid
-  // values.
-  setenv("SI_SOLVER", "sprase", 1);
-  try {
-    (void)solver_kind_from_env();
-    FAIL() << "expected std::invalid_argument for SI_SOLVER=sprase";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("sprase"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("valid values: auto, dense, sparse"),
-              std::string::npos)
-        << msg;
-  }
-  // No other solver name is accepted, `schur` included.
-  setenv("SI_SOLVER", "schur", 1);
-  EXPECT_THROW((void)solver_kind_from_env(), std::invalid_argument);
-  setenv("SI_SOLVER", "bogus", 1);
-  EXPECT_THROW((void)resolve_solver(SolverKind::kAuto, 2),
-               std::invalid_argument);
-  // Explicit requests never consult the environment.
-  EXPECT_EQ(resolve_solver(SolverKind::kDense, 2), SolverKind::kDense);
-}
-
-TEST(SolverSelect, EnvDrivesEngineThroughAnalyses) {
-  EnvGuard env;
-  setenv("SI_SOLVER", "sparse", 1);
-  Circuit c;
-  c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
-  MemoryPairOptions opt;
-  opt.switches_always_on = true;
-  build_class_ab_memory_pair(c, opt, "m_");
-  MnaEngine engine(c);
-  DcOptions dco;
-  dc_operating_point(c, engine, dco);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kSparse);
-  EXPECT_EQ(engine.stats().pattern_builds, 1u);
+  // The representation follows the system size alone.
+  const MnaStats below = divider_stats(kSparseAutoThreshold - 1);
+  EXPECT_EQ(below.dense_factors, 1u);
+  EXPECT_EQ(below.pattern_builds, 0u);
+  EXPECT_EQ(below.symbolic_factors, 0u);
+  const MnaStats at = divider_stats(kSparseAutoThreshold);
+  EXPECT_EQ(at.dense_factors, 0u);
+  EXPECT_EQ(at.pattern_builds, 1u);
+  EXPECT_EQ(at.symbolic_factors, 1u);
 }
 
 /// Builds one Table 2 modulator-core circuit with supply and a small
@@ -123,16 +66,24 @@ ModulatorCoreHandles build_modulator_fixture(Circuit& c, int sections) {
 }
 
 TEST(MnaEngine, DenseSparseDcParityOnModulatorCore) {
-  auto solve = [](SolverKind kind) {
+  // The 1-section core has 19 unknowns and solves dense; padded past
+  // the threshold it solves sparse.
+  auto solve = [](bool pad) {
     Circuit c;
     build_modulator_fixture(c, 1);
-    MnaEngine engine(c, kind);
+    c.finalize();
+    const std::size_t nodes = c.node_count();
+    if (pad) pad_unknowns(c);
+    MnaEngine engine(c);
     DcOptions opt;
     opt.erc_gate = false;
-    return dc_operating_point(c, engine, opt).x;
+    const auto x = dc_operating_point(c, engine, opt).x;
+    EXPECT_EQ(engine.stats().dense_factors > 0, !pad);
+    EXPECT_EQ(engine.stats().symbolic_factors > 0, pad);
+    return si::test::original_unknowns(c, nodes, x);
   };
-  const auto xd = solve(SolverKind::kDense);
-  const auto xs = solve(SolverKind::kSparse);
+  const auto xd = solve(false);
+  const auto xs = solve(true);
   ASSERT_EQ(xd.size(), xs.size());
   for (std::size_t i = 0; i < xd.size(); ++i)
     EXPECT_NEAR(xd[i], xs[i], 1e-9) << "unknown " << i;
@@ -144,9 +95,9 @@ TEST(MnaEngine, SymbolicFactorizationReusedAcrossTransientSteps) {
   DelayStageOptions opt;
   const auto h = build_delay_stage(c, opt, "s_");
   c.add<CurrentSource>("Iin", c.ground(), h.in, 5e-6);
-  c.finalize();
+  pad_unknowns(c);
 
-  MnaEngine engine(c, SolverKind::kSparse);
+  MnaEngine engine(c);
   NewtonOptions nopt;
   StampContext ctx;
   ctx.mode = AnalysisMode::kDcOperatingPoint;
@@ -169,6 +120,7 @@ TEST(MnaEngine, SymbolicFactorizationReusedAcrossTransientSteps) {
 
   const MnaStats& st = engine.stats();
   EXPECT_EQ(st.pattern_builds, 1u);
+  EXPECT_EQ(st.dense_factors, 0u);
   // One pivoting factorization (plus at most a rare pivot-drift rescue);
   // every other iteration reuses the frozen pattern numerically.
   EXPECT_LE(st.symbolic_factors, 2u);
@@ -183,9 +135,9 @@ TEST(MnaEngine, PatternCacheInvalidatedOnCircuitEdit) {
   c.add<VoltageSource>("V1", a, c.ground(), 1.0);
   c.add<Resistor>("R1", a, b, 1e3);
   c.add<Resistor>("R2", b, c.ground(), 1e3);
-  c.finalize();
+  pad_unknowns(c);
 
-  MnaEngine engine(c, SolverKind::kSparse);
+  MnaEngine engine(c);
   NewtonOptions nopt;
   StampContext ctx;
   si::linalg::Vector x;
@@ -201,7 +153,8 @@ TEST(MnaEngine, PatternCacheInvalidatedOnCircuitEdit) {
   c.finalize();
   engine.newton(ctx, x, nopt);
   EXPECT_EQ(engine.stats().pattern_builds, 2u);
-  // Divider now 1k into (1k + 2k || ...): check against the dense path.
+  EXPECT_EQ(engine.stats().dense_factors, 0u);
+  // Check against the same divider unpadded, which solves dense.
   Circuit ref;
   const NodeId ra = ref.node("a");
   const NodeId rb = ref.node("b");
@@ -211,41 +164,23 @@ TEST(MnaEngine, PatternCacheInvalidatedOnCircuitEdit) {
   ref.add<Resistor>("R2", rb, ref.ground(), 1e3);
   ref.add<Resistor>("R3", rb, rd, 1e3);
   ref.add<Resistor>("R4", rd, ref.ground(), 1e3);
-  MnaEngine dense(ref, SolverKind::kDense);
+  MnaEngine dense(ref);
   si::linalg::Vector xr;
   dense.newton(ctx, xr, nopt);
-  ASSERT_EQ(x.size(), xr.size());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], xr[i], 1e-12);
+  EXPECT_EQ(dense.stats().dense_factors, 1u);
+  const SolutionView sol(c, x);
+  const SolutionView rsol(ref, xr);
+  for (const char* name : {"a", "b", "d"})
+    EXPECT_NEAR(sol.voltage(c.node(name)), rsol.voltage(ref.node(name)), 1e-12)
+        << name;
+  EXPECT_NEAR(sol.branch_current(0), rsol.branch_current(0), 1e-12);
 }
 
-/// Deliberately violates the stamp-pattern contract: bridges its two
-/// nodes only once ctx.time reaches t_on, so pattern discovery before
-/// t_on never sees the (a, b) coordinates and the first post-t_on stamp
-/// raises PatternMissError.
-class LatePathElement : public Element {
- public:
-  LatePathElement(std::string name, NodeId a, NodeId b, double t_on)
-      : Element(std::move(name)), a_(a), b_(b), t_on_(t_on) {}
-
-  std::vector<Terminal> terminals() const override {
-    return {{a_, "p", false}, {b_, "m", false}};
-  }
-
-  void stamp(RealStamper& s, const StampContext& ctx) override {
-    if (ctx.mode == AnalysisMode::kTransient && ctx.time >= t_on_)
-      s.conductance(a_, b_, 1e-3);
-  }
-
- private:
-  NodeId a_, b_;
-  double t_on_;
-};
-
-TEST(MnaEngine, DenseFallbackIsStickyPerTopologyAndResetsOnEdit) {
+TEST(MnaEngine, PatternMissGrowsPatternAndResetsOnEdit) {
   si::obs::set_enabled(true);
 #if SI_OBS_ENABLED
-  si::obs::Counter& engaged = si::obs::counter("mna.dense_fallback_engaged");
-  const std::uint64_t engaged_before = engaged.value();
+  si::obs::Counter& misses = si::obs::counter("mna.pattern_misses");
+  const std::uint64_t misses_before = misses.value();
 #endif
 
   Circuit c;
@@ -257,59 +192,92 @@ TEST(MnaEngine, DenseFallbackIsStickyPerTopologyAndResetsOnEdit) {
   c.add<Resistor>("R2", b, c.ground(), 1e3);
   c.add<Resistor>("R3", d, c.ground(), 1e3);
   c.add<LatePathElement>("X1", b, d, /*t_on=*/0.5);
-  c.finalize();
+  pad_unknowns(c);
 
-  MnaEngine engine(c, SolverKind::kSparse);
+  MnaEngine engine(c);
   NewtonOptions nopt;
   StampContext ctx;
   ctx.mode = AnalysisMode::kTransient;
   ctx.dt = 1e-3;
   si::linalg::Vector x;
 
-  // Before t_on the discovered pattern is complete: sparse, no fallback.
+  // Before t_on the discovered pattern is complete.
   ctx.time = 1e-3;
   engine.newton(ctx, x, nopt);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kSparse);
-  EXPECT_EQ(engine.stats().dense_fallbacks, 0u);
+  EXPECT_EQ(engine.stats().pattern_builds, 1u);
+  EXPECT_EQ(engine.stats().pattern_misses, 0u);
   EXPECT_NEAR(x[b - 1], 0.5, 1e-6);
 
-  // Crossing t_on stamps outside the frozen pattern: the solve still
-  // succeeds (dense rescue) and the engagement is counted, not silent.
+  // Crossing t_on stamps outside the pattern: the engine grows the
+  // pattern by the missed coordinate, stays sparse, and counts the miss.
   ctx.time = 1.0;
   engine.newton(ctx, x, nopt);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kDense);
-  EXPECT_EQ(engine.stats().dense_fallbacks, 1u);
+  EXPECT_EQ(engine.stats().pattern_misses, 1u);
+  EXPECT_EQ(engine.stats().pattern_builds, 2u);
+  EXPECT_EQ(engine.stats().dense_factors, 0u);
 #if SI_OBS_ENABLED
-  EXPECT_EQ(engaged.value(), engaged_before + 1);
+  EXPECT_EQ(misses.value(), misses_before + 1);
 #endif
   // b now loaded by R2 || (1k bridge + R3) = 1k || 2k.
   EXPECT_NEAR(x[b - 1], 0.4, 1e-6);
 
-  // Same topology: the fallback is sticky — no sparse retry per solve.
+  // The grown pattern holds: no rebuild on the next solve.
   ctx.time = 1.1;
   engine.newton(ctx, x, nopt);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kDense);
-  EXPECT_EQ(engine.stats().dense_fallbacks, 1u);
+  EXPECT_EQ(engine.stats().pattern_builds, 2u);
+  EXPECT_EQ(engine.stats().pattern_misses, 1u);
 
-  // Edit the circuit (revision bump): the fallback must clear and the
-  // rebuilt pattern — discovered at a post-t_on time — works sparsely.
-  // This used to pin the engine to the dense solver forever.
+  // An edit (revision bump) rediscovers the pattern — at a post-t_on
+  // time, so the bridge is part of it and nothing misses.
   c.add<Resistor>("R4", d, c.ground(), 1e6);
   c.finalize();
   ctx.time = 1.2;
   engine.newton(ctx, x, nopt);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kSparse);
-  EXPECT_EQ(engine.stats().dense_fallbacks, 1u);
-#if SI_OBS_ENABLED
-  EXPECT_EQ(engaged.value(), engaged_before + 1);
-#endif
+  EXPECT_EQ(engine.stats().pattern_builds, 3u);
+  EXPECT_EQ(engine.stats().pattern_misses, 1u);
+  EXPECT_EQ(engine.stats().dense_factors, 0u);
   EXPECT_NEAR(x[b - 1], 0.4, 1e-3);  // R4 = 1M barely loads node d
 
   si::obs::set_enabled(false);
 }
 
+TEST(MnaEngine, PatternMissRetryRestartsFromSeed) {
+  // The bridge first stamps in Newton iteration 2 (iteration 1 lifts
+  // v(b) from 0 to 0.5 V).  The retry after the miss must start from
+  // the caller's seed, not from the iterate the miss interrupted, so it
+  // matches a repeat solve from the same seed bit for bit.
+  Circuit c;
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  const NodeId d = c.node("d");
+  c.add<VoltageSource>("V1", a, c.ground(), 1.0);
+  c.add<Resistor>("R1", a, b, 1e3);
+  c.add<Resistor>("R2", b, c.ground(), 1e3);
+  c.add<Resistor>("R3", d, c.ground(), 1e3);
+  c.add<ThresholdBridge>("X1", b, d, /*v_on=*/0.25);
+  pad_unknowns(c);
+
+  MnaEngine engine(c);
+  const NewtonOptions nopt;
+  const StampContext ctx;
+  const si::linalg::Vector seed(c.system_size(), 0.0);
+
+  si::linalg::Vector retried = seed;
+  const int retried_iters = engine.newton(ctx, retried, nopt);
+  EXPECT_EQ(engine.stats().pattern_misses, 1u);
+  EXPECT_EQ(engine.stats().dense_factors, 0u);
+  EXPECT_NEAR(retried[b - 1], 0.4, 1e-6);
+
+  si::linalg::Vector repeat = seed;
+  const int repeat_iters = engine.newton(ctx, repeat, nopt);
+  EXPECT_EQ(engine.stats().pattern_misses, 1u);
+  EXPECT_EQ(retried_iters, repeat_iters);
+  ASSERT_EQ(retried.size(), repeat.size());
+  for (std::size_t i = 0; i < retried.size(); ++i)
+    EXPECT_EQ(retried[i], repeat[i]) << "unknown " << i;
+}
+
 TEST(MnaEngine, AutoPicksSparseForLargeNetlists) {
-  EnvGuard env;
   Circuit c;
   c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
   DelayStageOptions opt;
@@ -321,23 +289,27 @@ TEST(MnaEngine, AutoPicksSparseForLargeNetlists) {
   DcOptions dco;
   dco.erc_gate = false;
   dc_operating_point(c, engine, dco);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kSparse);
+  EXPECT_EQ(engine.stats().pattern_builds, 1u);
+  EXPECT_GE(engine.stats().symbolic_factors, 1u);
+  EXPECT_EQ(engine.stats().dense_factors, 0u);
 }
 
 TEST(AcEngine, SparseSweepMatchesDense) {
   // The small-signal engine's sparse path (pattern discovery at one
-  // frequency, refactor per frequency) against the dense one.
-  auto sweep = [](SolverKind kind) {
+  // frequency, refactor per frequency) against the dense one: a 4-stage
+  // delay line (26 unknowns) as is, and padded past the threshold.
+  auto sweep = [](bool pad) {
     Circuit c;
     c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
     DelayStageOptions opt;
-    const auto h = build_delay_line_chain(c, 12, opt, "dl_");
+    const auto h = build_delay_line_chain(c, 4, opt, "dl_");
     auto& iin = c.add<CurrentSource>("Iin", c.ground(), h.in, 5e-6);
     iin.set_ac_magnitude(1e-6);
+    if (pad) pad_unknowns(c);
     DcOptions dco;
     dco.erc_gate = false;
     dc_operating_point(c, dco);
-    AcEngine engine(c, kind);
+    AcEngine engine(c);
     std::vector<std::complex<double>> out;
     si::linalg::ComplexVector x;
     for (const double f : {1e3, 1e5, 1e7}) {
@@ -345,11 +317,13 @@ TEST(AcEngine, SparseSweepMatchesDense) {
       engine.solve(engine.rhs(), x);
       out.push_back(x[static_cast<std::size_t>(h.out) - 1]);
     }
-    EXPECT_EQ(engine.active_solver(), kind);
+    EXPECT_EQ(engine.stats().dense_factors, pad ? 0u : 3u);
+    EXPECT_EQ(engine.stats().pattern_builds, pad ? 1u : 0u);
+    EXPECT_EQ(engine.stats().symbolic_factors > 0, pad);
     return out;
   };
-  const auto ds = sweep(SolverKind::kDense);
-  const auto ss = sweep(SolverKind::kSparse);
+  const auto ds = sweep(false);
+  const auto ss = sweep(true);
   ASSERT_EQ(ds.size(), ss.size());
   for (std::size_t i = 0; i < ds.size(); ++i)
     EXPECT_LE(std::abs(ss[i] - ds[i]), 1e-9 * (1.0 + std::abs(ds[i])))

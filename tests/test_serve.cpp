@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "serve/job_server.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
@@ -148,6 +149,37 @@ std::string op_deck(int variant) {
   std::ostringstream ss;
   ss << kCellCards << "Ix 0 d DC " << (1 + variant % 7) << "u\n.op\n";
   return ss.str();
+}
+
+TEST(Protocol, McJobBuildsOnePatternPerJob) {
+  // The memory cell plus a detached, grounded 30-node ladder: 35
+  // unknowns, so every trial solves on the sparse representation.  The
+  // job shares one engine across its trials, so it discovers the
+  // pattern once rather than once per trial.
+  std::ostringstream deck;
+  deck << kCellCards;
+  for (int k = 0; k < 30; ++k) deck << "Rpad" << k << " pad" << k << " 0 1k\n";
+  deck << ".op\n";
+  Json req = base_request(deck.str());
+  req.set("analysis", "mc");
+  req.set("mc_trials", 16);
+  req.set("mc_seed", 7);
+  req.set("mc_measure", "v(d)");
+
+  si::obs::set_enabled(true);
+#if SI_OBS_ENABLED
+  si::obs::Counter& builds = si::obs::counter("mna.pattern_builds");
+  si::obs::Counter& dense = si::obs::counter("mna.dense_factors");
+  const std::uint64_t builds_before = builds.value();
+  const std::uint64_t dense_before = dense.value();
+#endif
+  const Json out = run_job(parse_request(req), nullptr);
+  EXPECT_EQ(out.find("trials")->as_number(), 16.0);
+#if SI_OBS_ENABLED
+  EXPECT_EQ(builds.value(), builds_before + 1);
+  EXPECT_EQ(dense.value(), dense_before);
+#endif
+  si::obs::set_enabled(false);
 }
 
 // A transient long enough to be mid-flight when a deadline or a cancel

@@ -1,18 +1,17 @@
 // Tier-1 solver-parity assertions: the Table 1 delay-line and Table 2
-// modulator-core transients must produce the same waveforms under
-// SI_SOLVER=dense and SI_SOLVER=sparse — within 1e-9 on the raw
-// doubles, and byte-identical once formatted at the %.6g precision the
-// bench tables emit.
+// modulator-core transients must produce the same waveforms on the
+// dense representation (each circuit as is, below kSparseAutoThreshold)
+// and on the sparse one (the same circuit padded past it) — within 1e-9
+// on the raw doubles, and byte-identical once formatted at the %.6g
+// precision the bench tables emit.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
+#include "mna_fixtures.hpp"
+#include "obs/telemetry.hpp"
 #include "si/netlists.hpp"
-#include "spice/mna.hpp"
 #include "spice/transient.hpp"
 
 namespace {
@@ -20,23 +19,23 @@ namespace {
 using namespace si::spice;
 using namespace si::cells::netlists;
 
-/// Runs `run` with SI_SOLVER forced to `kind`, restoring the prior
-/// value afterwards.
-template <typename F>
-auto with_solver(const char* kind, F run) {
-  std::string saved;
-  bool had = false;
-  if (const char* v = std::getenv("SI_SOLVER")) {
-    saved = v;
-    had = true;
-  }
-  setenv("SI_SOLVER", kind, 1);
-  auto result = run();
-  if (had)
-    setenv("SI_SOLVER", saved.c_str(), 1);
-  else
-    unsetenv("SI_SOLVER");
-  return result;
+/// Runs the transient `tr` and checks, through the registry's factor
+/// counters, that it solved on the representation `sparse` names.
+TransientResult run_on(Transient& tr, bool sparse) {
+  si::obs::set_enabled(true);
+#if SI_OBS_ENABLED
+  auto& dense_factors = si::obs::counter("mna.dense_factors");
+  auto& symbolic_factors = si::obs::counter("mna.symbolic_factors");
+  const auto dense_before = dense_factors.value();
+  const auto symbolic_before = symbolic_factors.value();
+#endif
+  auto r = tr.run();
+#if SI_OBS_ENABLED
+  EXPECT_EQ(dense_factors.value() > dense_before, !sparse);
+  EXPECT_EQ(symbolic_factors.value() > symbolic_before, sparse);
+#endif
+  si::obs::set_enabled(false);
+  return r;
 }
 
 std::string fmt6(double v) {
@@ -59,7 +58,7 @@ void expect_signals_match(const TransientResult& dense,
   }
 }
 
-TransientResult run_table1_chain() {
+TransientResult run_table1_chain(bool sparse) {
   Circuit c;
   c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
   DelayStageOptions opt;
@@ -72,13 +71,14 @@ TransientResult run_table1_chain() {
   topt.t_stop = 2.0 * T;
   topt.dt = T / 200.0;
   topt.erc_gate = false;
+  if (sparse) si::test::pad_unknowns(c);
   Transient tr(c, topt);
   tr.probe_voltage(c.node_name(h.in));
   tr.probe_voltage(c.node_name(h.out));
-  return tr.run();
+  return run_on(tr, sparse);
 }
 
-TransientResult run_table2_modulator() {
+TransientResult run_table2_modulator(bool sparse) {
   Circuit c;
   c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
   ModulatorCoreOptions opt;
@@ -94,42 +94,38 @@ TransientResult run_table2_modulator() {
   topt.t_stop = T;
   topt.dt = T / 200.0;
   topt.erc_gate = false;
+  if (sparse) si::test::pad_unknowns(c);
   Transient tr(c, topt);
   tr.probe_voltage(c.node_name(h.out_p));
   tr.probe_voltage(c.node_name(h.out_m));
-  return tr.run();
+  return run_on(tr, sparse);
 }
 
 TEST(SolverParity, Table1DelayLineTransient) {
-  const auto dense = with_solver("dense", run_table1_chain);
-  const auto sparse = with_solver("sparse", run_table1_chain);
-  expect_signals_match(dense, sparse);
+  expect_signals_match(run_table1_chain(false), run_table1_chain(true));
 }
 
 TEST(SolverParity, Table2ModulatorTransient) {
-  const auto dense = with_solver("dense", run_table2_modulator);
-  const auto sparse = with_solver("sparse", run_table2_modulator);
-  expect_signals_match(dense, sparse);
+  expect_signals_match(run_table2_modulator(false), run_table2_modulator(true));
 }
 
 TEST(SolverParity, AdaptiveTransientAgreesAcrossSolvers) {
-  auto run = [] {
+  auto run = [](bool sparse) {
     Circuit c;
     c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
     MemoryPairOptions opt;
     const auto h = build_class_ab_memory_pair(c, opt, "m_");
     c.add<CurrentSource>("Iin", c.ground(), h.d, 8e-6);
+    if (sparse) si::test::pad_unknowns(c);
     TransientOptions topt;
     topt.t_stop = 0.75 * opt.clock_period;
     topt.dt = opt.clock_period / 500.0;
     topt.adaptive = true;
     Transient tr(c, topt);
     tr.probe_voltage("m_gn");
-    return tr.run();
+    return run_on(tr, sparse);
   };
-  const auto dense = with_solver("dense", run);
-  const auto sparse = with_solver("sparse", run);
-  expect_signals_match(dense, sparse);
+  expect_signals_match(run(false), run(true));
 }
 
 }  // namespace

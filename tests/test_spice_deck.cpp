@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "erc/check.hpp"
+#include "obs/telemetry.hpp"
 #include "spice/deck.hpp"
 #include "spice/elements.hpp"
 #include "spice/parser.hpp"
@@ -83,6 +85,44 @@ C1 out 0 1n
   EXPECT_TRUE(r.tran.has_value());
   EXPECT_TRUE(r.ac.has_value());
   EXPECT_TRUE(r.noise.has_value());
+}
+
+TEST(Deck, LintsOncePerRun) {
+  // The DC op, the transient, the re-op before AC and the AC sweep all
+  // run on one unchanged circuit, so ERC runs once per deck.
+  si::obs::set_enabled(true);
+#if SI_OBS_ENABLED
+  si::obs::Counter& erc_runs = si::obs::counter("erc.runs");
+  si::obs::Counter& solves = si::obs::counter("mna.newton_solves");
+  const std::uint64_t erc_before = erc_runs.value();
+#endif
+  auto r = run_deck(R"(
+V1 in 0 SIN(0 1 10k) AC 1
+R1 in out 10k
+C1 out 0 1n
+.tran 1u 100u
+.probe v(out)
+.ac dec 5 100 1meg
+)");
+  EXPECT_TRUE(r.tran.has_value());
+  EXPECT_TRUE(r.ac.has_value());
+#if SI_OBS_ENABLED
+  EXPECT_EQ(erc_runs.value(), erc_before + 1);
+  const std::uint64_t solves_before = solves.value();
+#endif
+  // A deck that fails ERC still throws before any solve.
+  EXPECT_THROW(run_deck(R"(
+V1 in 0 DC 1
+R1 in 0 1k
+R2 isla islb 10k
+R3 isla islb 22k
+.tran 1u 10u
+)"),
+               si::erc::ErcError);
+#if SI_OBS_ENABLED
+  EXPECT_EQ(solves.value(), solves_before);
+#endif
+  si::obs::set_enabled(false);
 }
 
 TEST(Deck, DirectiveErrors) {

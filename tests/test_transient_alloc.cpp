@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "mna_fixtures.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/rng_stream.hpp"
 #include "si/netlists.hpp"
@@ -43,7 +44,8 @@ namespace {
 using namespace si::spice;
 using namespace si::cells::netlists;
 
-/// Delay-line fixture shared by both tests.
+/// Delay-line fixture shared by the tests: 14 unknowns, so it runs on
+/// the dense representation unless padded.
 DelayLineChainHandles build_fixture(Circuit& c) {
   c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
   DelayStageOptions opt;
@@ -56,9 +58,9 @@ TEST(TransientAlloc, SparseNewtonLoopIsAllocationFreeAfterWarmup) {
   si::obs::set_enabled(true);
   Circuit c;
   build_fixture(c);
-  c.finalize();
+  si::test::pad_unknowns(c);
 
-  MnaEngine engine(c, SolverKind::kSparse);
+  MnaEngine engine(c);
   NewtonOptions nopt;
   StampContext ctx;
   ctx.mode = AnalysisMode::kDcOperatingPoint;
@@ -90,6 +92,7 @@ TEST(TransientAlloc, SparseNewtonLoopIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(after - before, 0u)
       << "heap allocations leaked into the warm Newton/transient loop";
   EXPECT_EQ(engine.stats().workspace_allocs, ws_before);
+  EXPECT_EQ(engine.stats().dense_factors, 0u);
 }
 
 TEST(TransientAlloc, DenseNewtonLoopIsAllocationFreeAfterWarmup) {
@@ -98,7 +101,7 @@ TEST(TransientAlloc, DenseNewtonLoopIsAllocationFreeAfterWarmup) {
   build_fixture(c);
   c.finalize();
 
-  MnaEngine engine(c, SolverKind::kDense);
+  MnaEngine engine(c);
   NewtonOptions nopt;
   StampContext ctx;
   ctx.mode = AnalysisMode::kTransient;
@@ -114,6 +117,7 @@ TEST(TransientAlloc, DenseNewtonLoopIsAllocationFreeAfterWarmup) {
     engine.newton(ctx, x, nopt);
   }
   EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(engine.stats().symbolic_factors, 0u);
 }
 
 TEST(TransientAlloc, TransientRunStepsAllocateOnlyDuringWarmup) {
