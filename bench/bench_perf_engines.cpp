@@ -239,6 +239,7 @@ BENCHMARK(BM_VerifyModulator)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -550,9 +551,12 @@ struct SolverPathSystem {
   std::vector<double> b;
 };
 
-SolverPathSystem assemble_solver_path(bool modulator, int size) {
+/// Builds the Table 2 modulator core (`modulator`, `size` sections) or
+/// the Table 1 delay line (`size` stages) with its sine input into `c`;
+/// returns the clock period.
+double build_solver_path_circuit(si::spice::Circuit& c, bool modulator,
+                                 int size) {
   namespace nets = si::cells::netlists;
-  si::spice::Circuit c;
   c.add<si::spice::VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
   double T = 0.0;
   if (modulator) {
@@ -574,6 +578,12 @@ SolverPathSystem assemble_solver_path(bool modulator, int size) {
         std::make_unique<si::spice::SineWave>(0.0, 5e-6, 1.0 / (8.0 * T)));
   }
   c.finalize();
+  return T;
+}
+
+SolverPathSystem assemble_solver_path(bool modulator, int size) {
+  si::spice::Circuit c;
+  const double T = build_solver_path_circuit(c, modulator, size);
   SolverPathSystem sys;
   sys.unknowns = c.system_size();
   const auto n = sys.unknowns;
@@ -633,6 +643,100 @@ SparseFactorRow time_sparse_factor_row(int sections) {
     r.solve_ms = std::min(r.solve_ms, ms_since(t0));
     benchmark::DoNotOptimize(x.data());
     r.factor_nnz = lu.factor_nnz();
+  }
+  return r;
+}
+
+// ---------------------------------------------------------------------------
+// Assembly rows: one Newton iteration of the modulator core's transient
+// solve, split into its phases and driven through spice::MnaSystem the
+// way the engines drive it, at the DC operating point:
+//  * baseline stamp — zero, stamp the linear elements, add gmin;
+//  * restamp        — copy the baseline, then restamp every nonlinear
+//                     device through the slot memo (device_stamp_ns is
+//                     the device part per device);
+//  * refactor, solve — numeric refactor over the frozen pattern and the
+//                     triangular solves.
+// Each phase is the best over reps of its mean per iteration.  Serial
+// code.  Recorded, not gated: the end-to-end benchmark under perfbench/
+// measures what these phases add up to in a transient.
+// ---------------------------------------------------------------------------
+
+constexpr int kAssemblyIterations = 200;
+
+struct AssemblyRow {
+  int sections = 0;
+  std::size_t unknowns = 0;
+  std::size_t devices = 0;  ///< nonlinear elements restamped per iteration
+  double baseline_us = 0.0;
+  double restamp_us = 0.0;
+  double device_stamp_ns = 0.0;
+  double refactor_us = 0.0;
+  double solve_us = 0.0;
+};
+
+AssemblyRow time_assembly_row(int sections) {
+  namespace sp = si::spice;
+  using Clock = std::chrono::steady_clock;
+  AssemblyRow r;
+  r.sections = sections;
+  sp::Circuit c;
+  const double T = build_solver_path_circuit(c, /*modulator=*/true, sections);
+  const std::size_t n = c.system_size();
+  r.unknowns = n;
+  sp::DcOptions dopt;
+  dopt.erc_gate = false;
+  const si::linalg::Vector x = sp::dc_operating_point(c, dopt).x;
+  sp::StampContext ctx;
+  ctx.mode = sp::AnalysisMode::kTransient;
+  ctx.dt = T / 200.0;
+  std::vector<sp::Element*> linear, nonlinear;
+  for (const auto& e : c.elements())
+    (e->nonlinear() ? nonlinear : linear).push_back(e.get());
+  r.devices = nonlinear.size();
+  sp::MnaSystem<double> sys(/*report=*/false);
+  sys.reset(c, ctx, linear, nonlinear);
+  si::linalg::Vector b0(n, 0.0), b(n, 0.0), x_new;
+  auto us = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count() /
+           kAssemblyIterations;
+  };
+  r.baseline_us = r.restamp_us = r.refactor_us = r.solve_us = 1e300;
+  r.device_stamp_ns = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {  // best-of: rep 0 absorbs warm-up
+    Clock::duration base{}, restamp{}, devices{}, refactor{}, solve{};
+    for (int it = 0; it < kAssemblyIterations; ++it) {
+      const auto t0 = Clock::now();
+      b0.assign(n, 0.0);
+      {
+        sp::RealStamper s = sys.baseline_stamper(c, b0, x);
+        for (sp::Element* e : linear) e->stamp(s, ctx);
+      }
+      sys.add_diagonal(c.node_count() - 1, ctx.gmin);
+      const auto t1 = Clock::now();
+      b = b0;
+      sp::RealStamper s = sys.iteration_stamper(c, b, x);
+      const auto t2 = Clock::now();
+      for (sp::Element* e : nonlinear) e->stamp(s, ctx);
+      const auto t3 = Clock::now();
+      sys.factor();
+      const auto t4 = Clock::now();
+      sys.solve(b, x_new);
+      const auto t5 = Clock::now();
+      base += t1 - t0;
+      restamp += t3 - t1;
+      devices += t3 - t2;
+      refactor += t4 - t3;
+      solve += t5 - t4;
+    }
+    benchmark::DoNotOptimize(x_new.data());
+    r.baseline_us = std::min(r.baseline_us, us(base));
+    r.restamp_us = std::min(r.restamp_us, us(restamp));
+    r.device_stamp_ns =
+        std::min(r.device_stamp_ns,
+                 1e3 * us(devices) / static_cast<double>(r.devices));
+    r.refactor_us = std::min(r.refactor_us, us(refactor));
+    r.solve_us = std::min(r.solve_us, us(solve));
   }
   return r;
 }
@@ -760,14 +864,16 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
                                         /*dc_hold=*/true, /*reps=*/1));
 
   // Static-verification rows: whole-netlist interval analysis + property
-  // checkers on the modulator core across sizes.
+  // checkers on the modulator core across sizes, up to 16 sections (the
+  // witness evaluation was exponential in sections before its per-corner
+  // memo: minutes at 16).
   struct VerifyRow {
     int size = 0;
     std::size_t nodes = 0, pairs = 0, segments = 0, findings = 0;
     double analyze_ms = 0.0;
   };
   std::vector<VerifyRow> verify_rows;
-  for (int sections : {1, 2, 4, 8}) {
+  for (int sections : {1, 2, 4, 8, 16}) {
     VerifyRow r;
     r.size = sections;
     const auto c = build_verify_modulator(sections);
@@ -802,6 +908,11 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   for (int sections : {8, 16, 32, 64, 128})
     factor_rows.push_back(time_sparse_factor_row(sections));
 
+  // Newton-iteration phase rows (assembly layer).
+  std::vector<AssemblyRow> assembly_rows;
+  for (int sections : {8, 64})
+    assembly_rows.push_back(time_assembly_row(sections));
+
   const std::string host = host_stamp(current_commit());
   std::ofstream os(out_path);
   os << "{\n  \"solver_bench\": [\n";
@@ -834,7 +945,7 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
     os << "    {\"workload\": \"verify_modulator\", \"size\": " << r.size
        << ", \"nodes\": " << r.nodes << ", \"pairs\": " << r.pairs
        << ", \"segments\": " << r.segments << ", \"findings\": " << r.findings
-       << ", \"analyze_ms\": " << r.analyze_ms << "}"
+       << ", \"analyze_ms\": " << r.analyze_ms << host << "}"
        << (i + 1 < verify_rows.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"mc_batch\": [\n";
@@ -861,6 +972,20 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
        << ", \"refactor_ms\": " << r.refactor_ms
        << ", \"solve_ms\": " << r.solve_ms << host << "}"
        << (i + 1 < factor_rows.size() ? "," : "") << "\n";
+  }
+  os << "  ],\n  \"assembly\": [\n";
+  for (std::size_t i = 0; i < assembly_rows.size(); ++i) {
+    const auto& r = assembly_rows[i];
+    os << "    {\"workload\": \"modulator_tran_newton\", \"sections\": "
+       << r.sections << ", \"unknowns\": " << r.unknowns
+       << ", \"devices\": " << r.devices
+       << ", \"iterations\": " << kAssemblyIterations
+       << ", \"baseline_stamp_us\": " << r.baseline_us
+       << ", \"restamp_us\": " << r.restamp_us
+       << ", \"device_stamp_ns\": " << r.device_stamp_ns
+       << ", \"refactor_us\": " << r.refactor_us
+       << ", \"solve_us\": " << r.solve_us << host << "}"
+       << (i + 1 < assembly_rows.size() ? "," : "") << "\n";
   }
   os << "  ]";
   if (telemetry) {
@@ -939,6 +1064,24 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
                  verify_rows.back().analyze_ms, verify_rows.back().size);
     rc = 1;
   }
+  // Gate: doubling the sections from 8 to 16 may cost at most 4x (the
+  // corners and the pairs evaluated per corner both grow linearly; the
+  // unmemoised witness evaluation doubled per section).
+  {
+    const VerifyRow* r8 = nullptr;
+    const VerifyRow* r16 = nullptr;
+    for (const auto& r : verify_rows) {
+      if (r.size == 8) r8 = &r;
+      if (r.size == 16) r16 = &r;
+    }
+    if (r8 && r16 && r16->analyze_ms > 4.0 * r8->analyze_ms) {
+      std::fprintf(stderr,
+                   "FAIL: verify analysis %.2f ms at 16 sections > 4x the "
+                   "%.2f ms at 8 sections\n",
+                   r16->analyze_ms, r8->analyze_ms);
+      rc = 1;
+    }
+  }
   for (const auto& r : mc_rows) {
     std::printf(
         "%-22s size=%d unknowns=%zu threads=%u batch=%zu rebuild=%.0f/s "
@@ -1011,6 +1154,13 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
                    r128->factor_ms, r64->factor_ms);
       rc = 1;
     }
+  }
+  for (const auto& r : assembly_rows) {
+    std::printf(
+        "%-18s sections=%d unknowns=%zu devices=%zu baseline=%.2fus "
+        "restamp=%.2fus (%.1f ns/device) refactor=%.2fus solve=%.2fus\n",
+        "assembly", r.sections, r.unknowns, r.devices, r.baseline_us,
+        r.restamp_us, r.device_stamp_ns, r.refactor_us, r.solve_us);
   }
   if (telemetry) {
     std::fputs(si::obs::snapshot_table().c_str(), stdout);

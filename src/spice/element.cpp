@@ -7,102 +7,59 @@
 
 namespace si::spice {
 
+namespace {
+
+/// MNA row of branch 0: branch unknowns follow the non-ground nodes.
+int first_branch_row(const Circuit& c) {
+  return static_cast<int>(c.node_count()) - 1;
+}
+
+}  // namespace
+
 SolutionView::SolutionView(const Circuit& c, const linalg::Vector& x)
-    : circuit_(&c), x_(&x) {
+    : x_(&x), branch_base_(c.node_count() - 1) {
   if (x.size() != c.system_size())
     throw std::invalid_argument("SolutionView: vector size mismatch");
 }
 
-double SolutionView::voltage(NodeId n) const {
-  if (n == kGroundNode) return 0.0;
-  return (*x_)[static_cast<std::size_t>(n - 1)];
-}
-
-double SolutionView::branch_current(int branch) const {
-  return (*x_)[circuit_->node_count() - 1 + static_cast<std::size_t>(branch)];
-}
-
 RealStamper::RealStamper(const Circuit& c, linalg::Matrix& a,
                          linalg::Vector& b, const linalg::Vector& x)
-    : circuit_(&c), dense_(&a), b_(&b), x_(&x) {}
+    : branch_base_(first_branch_row(c)),
+      dense_(&a),
+      b_(&b),
+      x_(&x) {}
 
 RealStamper::RealStamper(const Circuit& c, linalg::SparseMatrixD& a,
                          linalg::Vector& b, const linalg::Vector& x,
                          linalg::SlotMemo* memo)
-    : circuit_(&c), sparse_(&a), memo_(memo), b_(&b), x_(&x) {}
+    : branch_base_(first_branch_row(c)),
+      sparse_(&a),
+      memo_(memo),
+      b_(&b),
+      x_(&x) {}
 
 RealStamper::RealStamper(const Circuit& c, linalg::BatchedSparseMatrixD& a,
                          std::size_t lane, linalg::Vector& b,
                          const linalg::Vector& x, linalg::SlotMemo* memo)
-    : circuit_(&c), batched_(&a), lane_(lane), memo_(memo), b_(&b), x_(&x) {}
+    : branch_base_(first_branch_row(c)),
+      batched_(&a),
+      lane_(lane),
+      memo_(memo),
+      b_(&b),
+      x_(&x) {}
 
 RealStamper::RealStamper(const Circuit& c, linalg::PatternBuilder& rec,
                          linalg::Vector& b, const linalg::Vector& x)
-    : circuit_(&c), record_(&rec), b_(&b), x_(&x) {}
+    : branch_base_(first_branch_row(c)),
+      record_(&rec),
+      b_(&b),
+      x_(&x) {}
 
-void RealStamper::add(int r, int c, double v) {
-  if (scope_) {
-    if (!(*scope_)[static_cast<std::size_t>(r)]) return;  // frozen equation
-    if (!(*scope_)[static_cast<std::size_t>(c)]) {
-      // Out-of-scope column: the unknown is held at its last solved
-      // value, so its contribution is a known current — condense it.
-      (*b_)[static_cast<std::size_t>(r)] -=
-          v * (*x_)[static_cast<std::size_t>(c)];
-      return;
-    }
-  }
-  if (dense_) {
-    (*dense_)(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += v;
-  } else if (sparse_) {
-    sparse_->add(r, c, v, memo_);
-  } else if (batched_) {
+void RealStamper::add_lane_or_record(int r, int c, double v) {
+  if (batched_)
     batched_->add(r, c, lane_, v, memo_);
-  } else {
+  else
     record_->add(r, c);
-  }
-}
-
-int RealStamper::branch_index(int branch) const {
-  return static_cast<int>(circuit_->node_count()) - 1 + branch;
-}
-
-double RealStamper::voltage(NodeId n) const {
-  if (n == kGroundNode) return 0.0;
-  return (*x_)[static_cast<std::size_t>(n - 1)];
-}
-
-double RealStamper::branch_current(int branch) const {
-  return (*x_)[static_cast<std::size_t>(branch_index(branch))];
-}
-
-void RealStamper::conductance(NodeId a, NodeId b, double g) {
-  const int ia = node_index(a);
-  const int ib = node_index(b);
-  if (ia >= 0) add(ia, ia, g);
-  if (ib >= 0) add(ib, ib, g);
-  if (ia >= 0 && ib >= 0) {
-    add(ia, ib, -g);
-    add(ib, ia, -g);
-  }
-}
-
-void RealStamper::transconductance(NodeId out_p, NodeId out_m, NodeId cp,
-                                   NodeId cm, double g) {
-  const int ip = node_index(out_p);
-  const int im = node_index(out_m);
-  const int icp = node_index(cp);
-  const int icm = node_index(cm);
-  if (ip >= 0 && icp >= 0) add(ip, icp, g);
-  if (ip >= 0 && icm >= 0) add(ip, icm, -g);
-  if (im >= 0 && icp >= 0) add(im, icp, -g);
-  if (im >= 0 && icm >= 0) add(im, icm, g);
-}
-
-void RealStamper::current(NodeId p, NodeId m, double i) {
-  const int ip = node_index(p);
-  const int im = node_index(m);
-  if (ip >= 0 && row_in_scope(ip)) (*b_)[static_cast<std::size_t>(ip)] -= i;
-  if (im >= 0 && row_in_scope(im)) (*b_)[static_cast<std::size_t>(im)] += i;
 }
 
 void RealStamper::branch_voltage_row(int branch, NodeId p, NodeId m) {
@@ -165,7 +122,7 @@ void ComplexStamper::add(int r, int c, std::complex<double> v) {
 }
 
 int ComplexStamper::branch_index(int branch) const {
-  return static_cast<int>(circuit_->node_count()) - 1 + branch;
+  return first_branch_row(*circuit_) + branch;
 }
 
 void ComplexStamper::admittance(NodeId a, NodeId b, std::complex<double> y) {

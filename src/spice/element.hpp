@@ -45,16 +45,21 @@ class SolutionView {
   SolutionView(const Circuit& c, const linalg::Vector& x);
 
   /// Node voltage (0 for ground).
-  double voltage(NodeId n) const;
+  double voltage(NodeId n) const {
+    if (n == kGroundNode) return 0.0;
+    return (*x_)[static_cast<std::size_t>(n - 1)];
+  }
 
   /// Current through the element that owns `branch`.
-  double branch_current(int branch) const;
+  double branch_current(int branch) const {
+    return (*x_)[branch_base_ + static_cast<std::size_t>(branch)];
+  }
 
   const linalg::Vector& raw() const { return *x_; }
 
  private:
-  const Circuit* circuit_;
   const linalg::Vector* x_;
+  std::size_t branch_base_ = 0;  // node_count() - 1: first branch unknown
 };
 
 /// Accumulates real (DC / transient Newton) stamps.
@@ -71,6 +76,12 @@ class SolutionView {
 ///    lanes share one memo;
 ///  - record: collects the (row, col) touches into a PatternBuilder
 ///    during the engine's one-time discovery pass (values discarded).
+///
+/// The per-entry write path is defined here so it compiles into every
+/// device's stamp (DESIGN.md, "Stamp-partition contract"): add() tests
+/// the event engine's scope, then writes through the sparse slot memo
+/// or into the dense matrix, and calls out of line only for the batched
+/// lanes and the recorder.
 class RealStamper {
  public:
   RealStamper(const Circuit& c, linalg::Matrix& a, linalg::Vector& b,
@@ -92,19 +103,49 @@ class RealStamper {
   void set_scope(const std::vector<unsigned char>* scope) { scope_ = scope; }
 
   /// Voltage of node `n` in the current Newton iterate.
-  double voltage(NodeId n) const;
+  double voltage(NodeId n) const {
+    if (n == kGroundNode) return 0.0;
+    return (*x_)[static_cast<std::size_t>(n - 1)];
+  }
   /// Branch current in the current Newton iterate.
-  double branch_current(int branch) const;
+  double branch_current(int branch) const {
+    return (*x_)[static_cast<std::size_t>(branch_index(branch))];
+  }
 
   /// Conductance g between nodes a and b (two-terminal stamp).
-  void conductance(NodeId a, NodeId b, double g);
+  void conductance(NodeId a, NodeId b, double g) {
+    const int ia = node_index(a);
+    const int ib = node_index(b);
+    if (ia >= 0) add(ia, ia, g);
+    if (ib >= 0) add(ib, ib, g);
+    if (ia >= 0 && ib >= 0) {
+      add(ia, ib, -g);
+      add(ib, ia, -g);
+    }
+  }
   /// Transconductance: current g*(v(cp)-v(cm)) flowing from node `out_p`
   /// to node `out_m`.
   void transconductance(NodeId out_p, NodeId out_m, NodeId cp, NodeId cm,
-                        double g);
+                        double g) {
+    const int ip = node_index(out_p);
+    const int im = node_index(out_m);
+    const int icp = node_index(cp);
+    const int icm = node_index(cm);
+    if (ip >= 0 && icp >= 0) add(ip, icp, g);
+    if (ip >= 0 && icm >= 0) add(ip, icm, -g);
+    if (im >= 0 && icp >= 0) add(im, icp, -g);
+    if (im >= 0 && icm >= 0) add(im, icm, g);
+  }
   /// Independent current i flowing from node `p` into node `m` through
   /// the element (i.e. leaves p, enters m).
-  void current(NodeId p, NodeId m, double i);
+  void current(NodeId p, NodeId m, double i) {
+    const int ip = node_index(p);
+    const int im = node_index(m);
+    if (ip >= 0 && row_in_scope(ip))
+      (*b_)[static_cast<std::size_t>(ip)] -= i;
+    if (im >= 0 && row_in_scope(im))
+      (*b_)[static_cast<std::size_t>(im)] += i;
+  }
 
   // Branch-row helpers (voltage-defined elements).
   void branch_voltage_row(int branch, NodeId p, NodeId m);
@@ -115,13 +156,34 @@ class RealStamper {
 
  private:
   int node_index(NodeId n) const { return n - 1; }  // -1 for ground
-  int branch_index(int branch) const;
+  int branch_index(int branch) const { return branch_base_ + branch; }
   bool row_in_scope(int r) const {
     return !scope_ || (*scope_)[static_cast<std::size_t>(r)] != 0;
   }
-  void add(int r, int c, double v);
+  void add(int r, int c, double v) {
+    if (scope_) {
+      if (!(*scope_)[static_cast<std::size_t>(r)]) return;  // frozen equation
+      if (!(*scope_)[static_cast<std::size_t>(c)]) {
+        // Out-of-scope column: the unknown is held at its last solved
+        // value, so its contribution is a known current — condense it.
+        (*b_)[static_cast<std::size_t>(r)] -=
+            v * (*x_)[static_cast<std::size_t>(c)];
+        return;
+      }
+    }
+    if (sparse_) {
+      sparse_->add(r, c, v, memo_);
+    } else if (dense_) {
+      (*dense_)(static_cast<std::size_t>(r),
+                static_cast<std::size_t>(c)) += v;
+    } else {
+      add_lane_or_record(r, c, v);
+    }
+  }
+  /// The backends that stay out of line: batched lanes and discovery.
+  void add_lane_or_record(int r, int c, double v);
 
-  const Circuit* circuit_;
+  int branch_base_ = 0;  // node_count() - 1: row of branch 0
   linalg::Matrix* dense_ = nullptr;
   linalg::SparseMatrixD* sparse_ = nullptr;
   linalg::BatchedSparseMatrixD* batched_ = nullptr;

@@ -9,38 +9,6 @@ namespace si::spice {
 
 // ---------------------------------------------------------------- caps
 
-double CompanionCap::companion_g(const StampContext& ctx) const {
-  if (ctx.integrator == Integrator::kTrapezoidal) return 2.0 * c_ / ctx.dt;
-  return c_ / ctx.dt;
-}
-
-void CompanionCap::stamp(RealStamper& s, const StampContext& ctx, NodeId p,
-                         NodeId m) const {
-  if (ctx.mode == AnalysisMode::kDcOperatingPoint || c_ <= 0.0) return;
-  const double g = companion_g(ctx);
-  s.conductance(p, m, g);
-  // i = g*v + i_const; trapezoidal keeps the previous current term.
-  double i_const = -g * v_prev_;
-  if (ctx.integrator == Integrator::kTrapezoidal) i_const -= i_prev_;
-  s.current(p, m, i_const);
-}
-
-void CompanionCap::accept(const SolutionView& sol, const StampContext& ctx,
-                          NodeId p, NodeId m) {
-  const double v = sol.voltage(p) - sol.voltage(m);
-  if (ctx.mode == AnalysisMode::kDcOperatingPoint) {
-    v_prev_ = v;
-    i_prev_ = 0.0;
-    return;
-  }
-  if (c_ <= 0.0) return;
-  const double g = companion_g(ctx);
-  double i = g * (v - v_prev_);
-  if (ctx.integrator == Integrator::kTrapezoidal) i -= i_prev_;
-  v_prev_ = v;
-  i_prev_ = i;
-}
-
 void CompanionCap::stamp_ac(ComplexStamper& s, double omega, NodeId p,
                             NodeId m) const {
   if (c_ <= 0.0) return;

@@ -26,17 +26,44 @@ class CompanionCap {
   /// of the companion integrator is preserved.
   void set_capacitance(double c) { c_ = c; }
 
-  /// Stamps the integration companion (open circuit at DC).
-  void stamp(RealStamper& s, const StampContext& ctx, NodeId p, NodeId m) const;
+  /// Stamps the integration companion (open circuit at DC).  Defined
+  /// here, like the stamper's write path, so it compiles into the
+  /// MOSFET's per-iteration stamp.
+  void stamp(RealStamper& s, const StampContext& ctx, NodeId p,
+             NodeId m) const {
+    if (ctx.mode == AnalysisMode::kDcOperatingPoint || c_ <= 0.0) return;
+    const double g = companion_g(ctx);
+    s.conductance(p, m, g);
+    // i = g*v + i_const; trapezoidal keeps the previous current term.
+    double i_const = -g * v_prev_;
+    if (ctx.integrator == Integrator::kTrapezoidal) i_const -= i_prev_;
+    s.current(p, m, i_const);
+  }
 
   /// Updates stored voltage/current after an accepted step.
   void accept(const SolutionView& sol, const StampContext& ctx, NodeId p,
-              NodeId m);
+              NodeId m) {
+    const double v = sol.voltage(p) - sol.voltage(m);
+    if (ctx.mode == AnalysisMode::kDcOperatingPoint) {
+      v_prev_ = v;
+      i_prev_ = 0.0;
+      return;
+    }
+    if (c_ <= 0.0) return;
+    const double g = companion_g(ctx);
+    double i = g * (v - v_prev_);
+    if (ctx.integrator == Integrator::kTrapezoidal) i -= i_prev_;
+    v_prev_ = v;
+    i_prev_ = i;
+  }
 
   void stamp_ac(ComplexStamper& s, double omega, NodeId p, NodeId m) const;
 
  private:
-  double companion_g(const StampContext& ctx) const;
+  double companion_g(const StampContext& ctx) const {
+    if (ctx.integrator == Integrator::kTrapezoidal) return 2.0 * c_ / ctx.dt;
+    return c_ / ctx.dt;
+  }
 
   double c_;
   double v_prev_ = 0.0;

@@ -1007,16 +1007,33 @@ struct AbstractInterpreter::Impl {
     return cb.nominal * (it == k.source_scale.end() ? 1.0 : it->second);
   }
 
+  /// Per-call state of one concrete evaluation (one corner, one root):
+  /// the cycle guard and the memo of pair input currents.  A current is
+  /// memoised only when its evaluation hit no guard, and it is reused
+  /// only at the hold level that computed it or the next one, where no
+  /// guard it could reach is set (DESIGN.md, "Abstract domain & fixpoint
+  /// contract").
+  struct ConcState {
+    explicit ConcState(std::size_t pairs)
+        : guard(pairs, 0), iin(pairs, 0.0), iin_level(pairs, -2) {}
+    std::vector<int> guard;
+    std::vector<double> iin;
+    std::vector<int> iin_level;  // hold level that memoised iin[k]
+    int level = 0;               // hold descents below the root
+    std::size_t guard_hits = 0;
+    std::size_t evals = 0;       // pair input currents evaluated
+  };
+
   double conc_contrib(const Contribution& cb, std::size_t seg, const Corner& k,
-                      std::vector<int>& guard) const {
+                      ConcState& st) const {
     if (cb.forked) return kNan;
     switch (cb.kind) {
       case Contribution::kSource:
         return conc_source(cb, k);
       case Contribution::kPairHold:
-        return cb.factor * conc_pair_iin(cb.ref, k, guard);
+        return cb.factor * conc_pair_iin(cb.ref, k, st);
       case Contribution::kMirror: {
-        const double i_node = conc_diode_current(cb.ref, seg, k, guard);
+        const double i_node = conc_diode_current(cb.ref, seg, k, st);
         const double i_dev =
             std::max(diodes[cb.ref].nmos ? i_node : -i_node, 0.0);
         return cb.factor * i_dev;
@@ -1026,31 +1043,41 @@ struct AbstractInterpreter::Impl {
   }
 
   double conc_diode_current(std::size_t d, std::size_t seg, const Corner& k,
-                            std::vector<int>& guard) const {
+                            ConcState& st) const {
     double sum = 0.0;
     for (const Contribution& cb : diode_in[d][seg])
-      sum += conc_contrib(cb, seg, k, guard);
+      sum += conc_contrib(cb, seg, k, st);
     return sum;
   }
 
   double conc_pair_iin(std::size_t k, const Corner& corner,
-                       std::vector<int>& guard) const {
-    if (guard[k]) return kNan;
-    guard[k] = 1;
+                       ConcState& st) const {
+    if (st.guard[k]) {
+      ++st.guard_hits;
+      return kNan;
+    }
+    if (st.iin_level[k] + 1 >= st.level) return st.iin[k];
+    ++st.evals;
+    const std::size_t hits = st.guard_hits;
+    st.guard[k] = 1;
     const int seg = pair_extra[k].iin_seg;
     double sum = kNan;
     if (seg >= 0) {
       sum = 0.0;
       for (const Contribution& cb :
            pair_in[k][static_cast<std::size_t>(seg)])
-        sum += conc_contrib(cb, static_cast<std::size_t>(seg), corner, guard);
+        sum += conc_contrib(cb, static_cast<std::size_t>(seg), corner, st);
     }
-    guard[k] = 0;
+    st.guard[k] = 0;
+    if (st.guard_hits == hits) {
+      st.iin[k] = sum;
+      st.iin_level[k] = st.level;
+    }
     return sum;
   }
 
   PairOp conc_pair_op(std::size_t k, const Corner& corner,
-                      std::vector<int>& guard) const {
+                      ConcState& st) const {
     PairOp op;
     op.v_drain_hold = kNan;
     const PairAnalysis& P = pairs[k];
@@ -1060,7 +1087,7 @@ struct AbstractInterpreter::Impl {
     op.vt_p = P.mp->params().vt0 + corner.vt_p_shift;
     const double bn = P.mn->params().beta() * corner.beta_n_scale;
     const double bp = P.mp->params().beta() * corner.beta_p_scale;
-    op.i_in = conc_pair_iin(k, corner, guard);
+    op.i_in = conc_pair_iin(k, corner, st);
     if (!std::isfinite(op.i_in)) return op;
     op.v_drain = class_ab_drain_voltage(op.vdd, op.vt_n, op.vt_p, bn, bp,
                                         op.i_in);
@@ -1072,20 +1099,26 @@ struct AbstractInterpreter::Impl {
     op.i_p = 0.5 * bp * pp * pp;
     op.valid = true;
 
+    // The hold evaluations below run with guard[k] set: one hold level
+    // down.
     const PairExtra& x = pair_extra[k];
     if (x.hold_kind == 1 && !x.hold_forked) {
-      if (!guard[x.hold_ref]) {
-        guard[k] = 1;
-        const PairOp down = conc_pair_op(x.hold_ref, corner, guard);
-        guard[k] = 0;
+      if (!st.guard[x.hold_ref]) {
+        st.guard[k] = 1;
+        ++st.level;
+        const PairOp down = conc_pair_op(x.hold_ref, corner, st);
+        --st.level;
+        st.guard[k] = 0;
         if (down.valid) op.v_drain_hold = down.v_drain;
       }
     } else if (x.hold_kind == 2 && !x.hold_forked) {
       const DiodeGroup& g = diodes[x.hold_ref];
-      guard[k] = 1;
+      st.guard[k] = 1;
+      ++st.level;
       const double i_node = conc_diode_current(
-          x.hold_ref, static_cast<std::size_t>(x.hold_seg), corner, guard);
-      guard[k] = 0;
+          x.hold_ref, static_cast<std::size_t>(x.hold_seg), corner, st);
+      --st.level;
+      st.guard[k] = 0;
       if (std::isfinite(i_node)) {
         const double i_dev = std::max(g.nmos ? i_node : -i_node, 0.0);
         const double vt =
@@ -1140,10 +1173,13 @@ AbstractInterpreter::~AbstractInterpreter() { delete impl_; }
 AbsResult AbstractInterpreter::run() { return impl_->run(); }
 
 PairOp AbstractInterpreter::eval_pair(const AbsResult& r, std::size_t pair,
-                                      const Corner& corner) const {
+                                      const Corner& corner,
+                                      std::size_t* iin_evals) const {
   (void)r;
-  std::vector<int> guard(impl_->pairs.size(), 0);
-  return impl_->conc_pair_op(pair, corner, guard);
+  Impl::ConcState st(impl_->pairs.size());
+  const PairOp op = impl_->conc_pair_op(pair, corner, st);
+  if (iin_evals) *iin_evals += st.evals;
+  return op;
 }
 
 }  // namespace si::verify

@@ -118,9 +118,12 @@ class AbstractInterpreter {
   /// Runs the interval analysis to fixpoint.
   AbsResult run();
 
-  /// Concrete evaluation of pair `pair` of `r` at `corner`.
+  /// Concrete evaluation of pair `pair` of `r` at `corner`.  Adds the
+  /// number of pair input currents it evaluated to `*iin_evals` when
+  /// given.  Const and reentrant: all per-call state is local.
   PairOp eval_pair(const AbsResult& r, std::size_t pair,
-                   const Corner& corner) const;
+                   const Corner& corner,
+                   std::size_t* iin_evals = nullptr) const;
 
  private:
   struct Impl;

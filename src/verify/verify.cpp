@@ -170,6 +170,7 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {
 
   const double min_ov = opt.min_overdrive;
   std::size_t evals = 0;
+  std::size_t iin_evals = 0;
 
   for (std::size_t k = 0; k < ar.pairs.size(); ++k) {
     const PairAnalysis& P = ar.pairs[k];
@@ -216,12 +217,12 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {
         const auto vars = standard_vars(opt.abs, P.source_deps);
         const double m = corner_search(
             vars, corner, evals, [&](const Corner& cr) {
-              const PairOp op = ai.eval_pair(ar, k, cr);
+              const PairOp op = ai.eval_pair(ar, k, cr, &iin_evals);
               if (!op.valid) return kInf;
               return std::min(op.vov_n, op.vov_p) - min_ov;
             });
         if (m < 0.0 && std::isfinite(m)) {
-          const PairOp op = ai.eval_pair(ar, k, corner);
+          const PairOp op = ai.eval_pair(ar, k, corner, &iin_evals);
           Finding f;
           f.rule = "si.overdrive-margin";
           f.element = pair_label(P);
@@ -256,7 +257,7 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {
         const auto vars = standard_vars(opt.abs, P.source_deps);
         const double m = corner_search(
             vars, corner, evals, [&](const Corner& cr) {
-              const PairOp op = ai.eval_pair(ar, k, cr);
+              const PairOp op = ai.eval_pair(ar, k, cr, &iin_evals);
               if (!op.valid || !std::isfinite(op.v_drain_hold)) return kInf;
               const double mn = op.vov_n > 0.0
                                     ? op.v_drain_hold - op.vov_n
@@ -267,7 +268,7 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {
               return std::min(mn, mp);
             });
         if (m < 0.0 && std::isfinite(m)) {
-          const PairOp op = ai.eval_pair(ar, k, corner);
+          const PairOp op = ai.eval_pair(ar, k, corner, &iin_evals);
           Finding f;
           f.rule = "si.region-violation";
           f.element = pair_label(P);
@@ -294,7 +295,7 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {
         const double rail_margin = opt.abs.rail_margin;
         const double m = corner_search(
             vars, corner, evals, [&](const Corner& cr) {
-              const PairOp op = ai.eval_pair(ar, k, cr);
+              const PairOp op = ai.eval_pair(ar, k, cr, &iin_evals);
               if (!op.valid) return kInf;
               const double lo_win = -rail_margin;
               const double hi_win = op.vdd + rail_margin;
@@ -307,7 +308,7 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {
               return margin;
             });
         if (m < 0.0 && std::isfinite(m)) {
-          const PairOp op = ai.eval_pair(ar, k, corner);
+          const PairOp op = ai.eval_pair(ar, k, corner, &iin_evals);
           Finding f;
           f.rule = "si.range-overflow";
           f.element = pair_label(P);
@@ -343,12 +344,14 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {
   }
 
   out.stats.corners_evaluated = evals;
+  out.stats.pair_current_evals = iin_evals;
   obs::counter("verify.nodes_analyzed").add(out.stats.nodes);
   obs::counter("verify.segments").add(out.stats.segments);
   obs::counter("verify.pairs_analyzed").add(out.stats.pairs);
   obs::counter("verify.fixpoint_iterations").add(out.stats.iterations);
   obs::counter("verify.widenings").add(out.stats.widenings);
   obs::counter("verify.corners_evaluated").add(evals);
+  obs::counter("verify.pair_current_evals").add(iin_evals);
   obs::counter("verify.findings").add(out.findings.size());
   return out;
 }

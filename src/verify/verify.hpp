@@ -91,6 +91,10 @@ struct VerifyStats {
   std::size_t nodes_resolved = 0;
   std::size_t iterations = 0, widenings = 0;
   std::size_t corners_evaluated = 0;
+  /// Pair input currents evaluated by the witness corners, memoised
+  /// within each corner (DESIGN.md, "Abstract domain & fixpoint
+  /// contract").
+  std::size_t pair_current_evals = 0;
 };
 
 struct VerifyResult {

@@ -2,19 +2,24 @@
 // representation, dense-vs-sparse parity on transistor-level netlists
 // (DC, and the AcEngine sweep) with each circuit run as is and padded
 // past the threshold, symbolic-reuse accounting, pattern-cache
-// invalidation on circuit edits, and pattern-miss recovery.
+// invalidation on circuit edits, pattern-miss recovery, and the
+// stamper's write path agreeing bit for bit across its backends.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <complex>
 #include <numbers>
 #include <vector>
 
+#include "event/partition.hpp"
 #include "mna_fixtures.hpp"
 #include "obs/telemetry.hpp"
 #include "si/netlists.hpp"
 #include "spice/dc.hpp"
 #include "spice/mna.hpp"
+#include "spice/mosfet.hpp"
 #include "spice/transient.hpp"
 
 namespace {
@@ -292,6 +297,148 @@ TEST(MnaEngine, AutoPicksSparseForLargeNetlists) {
   EXPECT_EQ(engine.stats().pattern_builds, 1u);
   EXPECT_GE(engine.stats().symbolic_factors, 1u);
   EXPECT_EQ(engine.stats().dense_factors, 0u);
+}
+
+/// First entry where `a` and `b` differ in any bit, or "" when every
+/// bit agrees (so -0.0 and 0.0 differ, as a changed write order would).
+std::string bit_mismatch(const si::linalg::Matrix& a,
+                         const si::linalg::Matrix& b) {
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t k = 0; k < a.cols(); ++k)
+      if (std::bit_cast<std::uint64_t>(a(r, k)) !=
+          std::bit_cast<std::uint64_t>(b(r, k)))
+        return "A(" + std::to_string(r) + "," + std::to_string(k) + ")";
+  return "";
+}
+
+std::string bit_mismatch(const si::linalg::Vector& a,
+                         const si::linalg::Vector& b) {
+  for (std::size_t r = 0; r < a.size(); ++r)
+    if (std::bit_cast<std::uint64_t>(a[r]) !=
+        std::bit_cast<std::uint64_t>(b[r]))
+      return "b(" + std::to_string(r) + ")";
+  return "";
+}
+
+TEST(StamperBackends, SparseSlotMemoMatchesDenseBitForBit) {
+  // Every element of the 8-section modulator core stamped at a perturbed
+  // operating point in a transient context, through a dense stamper and
+  // through a sparse one with a slot memo: recording, replay, and replay
+  // after one MOSFET's drain and source swap (the memo patches its
+  // shifted sequence).  Then again under a scope that freezes every
+  // odd-numbered event block.  Matrix and RHS must agree in every bit.
+  Circuit c;
+  build_modulator_fixture(c, 8);
+  c.finalize();
+  const std::size_t n = c.system_size();
+  DcOptions dopt;
+  dopt.erc_gate = false;
+  si::linalg::Vector x0 = dc_operating_point(c, dopt).x;
+  for (std::size_t i = 0; i < n; ++i)
+    x0[i] += 1e-3 * std::sin(static_cast<double>(i) + 0.5);
+  StampContext ctx;
+  ctx.mode = AnalysisMode::kTransient;
+  ctx.dt = ModulatorCoreOptions{}.stage.pair.clock_period / 200.0;
+  ctx.time = 37.0 * ctx.dt;
+
+  const si::event::CircuitPartition part = si::event::partition_circuit(c);
+  std::vector<unsigned char> frozen_odd(n);
+  for (std::size_t i = 0; i < n; ++i)
+    frozen_odd[i] = part.unknown_block[i] % 2 == 0;
+
+  const std::vector<unsigned char>* scopes[] = {nullptr, &frozen_odd};
+  for (const std::vector<unsigned char>* scope : scopes) {
+    const std::string what = scope ? "scoped" : "unscoped";
+    // Discovery as MnaSystem::reset runs it: both modes, under the scope.
+    si::linalg::PatternBuilder rec(static_cast<int>(n));
+    {
+      si::linalg::Vector scratch_b(n, 0.0);
+      RealStamper r(c, rec, scratch_b, x0);
+      r.set_scope(scope);
+      StampContext dc_ctx = ctx;
+      dc_ctx.mode = AnalysisMode::kDcOperatingPoint;
+      for (const auto& e : c.elements()) e->stamp(r, dc_ctx);
+      for (const auto& e : c.elements()) e->stamp(r, ctx);
+    }
+    const auto pattern = rec.build(/*symmetrize=*/true);
+    si::linalg::SparseMatrixD as(pattern);
+    si::linalg::SlotMemo memo;
+
+    // A MOSFET with its drain row in scope: pulling its drain past its
+    // source swaps the device's effective drain and source.
+    const Mosfet* swap = nullptr;
+    for (const auto& e : c.elements()) {
+      const auto* m = dynamic_cast<const Mosfet*>(e.get());
+      if (m && m->drain() != c.ground() &&
+          (!scope || (*scope)[static_cast<std::size_t>(m->drain() - 1)])) {
+        swap = m;
+        break;
+      }
+    }
+    ASSERT_NE(swap, nullptr) << what;
+    si::linalg::Vector x_swapped = x0;
+    {
+      const SolutionView sol(c, x0);
+      const double toward = swap->type() == MosType::kNmos ? -0.25 : 0.25;
+      x_swapped[static_cast<std::size_t>(swap->drain() - 1)] =
+          sol.voltage(swap->source()) + toward;
+    }
+
+    std::vector<std::uint64_t> replayed_coords;
+    for (int pass = 0; pass < 3; ++pass) {
+      const si::linalg::Vector& x = pass < 2 ? x0 : x_swapped;
+      const std::string label = what + " pass " + std::to_string(pass);
+      si::linalg::Matrix ad(n, n);
+      si::linalg::Vector bd(n, 0.0);
+      {
+        RealStamper s(c, ad, bd, x);
+        s.set_scope(scope);
+        for (const auto& e : c.elements()) e->stamp(s, ctx);
+      }
+      as.set_zero();
+      si::linalg::Vector bs(n, 0.0);
+      if (pass == 0)
+        memo.start_record();
+      else
+        memo.start_replay();
+      {
+        RealStamper s(c, as, bs, x, &memo);
+        s.set_scope(scope);
+        for (const auto& e : c.elements()) e->stamp(s, ctx);
+      }
+      EXPECT_EQ(bit_mismatch(as.to_dense(), ad), "") << label;
+      EXPECT_EQ(bit_mismatch(bs, bd), "") << label;
+      if (pass == 1) replayed_coords = memo.coords;
+    }
+    // The swap shifted the recorded sequence, so the memo was patched.
+    EXPECT_NE(memo.coords, replayed_coords) << what;
+
+    // A replayed stamp outside the pattern still throws, located.
+    const int node_rows = static_cast<int>(c.node_count()) - 1;
+    auto stamped = [&](int i) {
+      return !scope || (*scope)[static_cast<std::size_t>(i)] != 0;
+    };
+    int row = -1, col = -1;
+    for (int r = 0; r < node_rows && row < 0; ++r)
+      for (int k = 0; k < node_rows && row < 0; ++k)
+        if (stamped(r) && stamped(k) && pattern->find(r, k) < 0) {
+          row = r;
+          col = k;
+        }
+    ASSERT_GE(row, 0) << what;
+    as.set_zero();
+    si::linalg::Vector bs(n, 0.0);
+    memo.start_replay();
+    RealStamper s(c, as, bs, x0, &memo);
+    s.set_scope(scope);
+    try {
+      s.transconductance(row + 1, c.ground(), col + 1, c.ground(), 1e-3);
+      ADD_FAILURE() << what << ": no PatternMissError";
+    } catch (const si::linalg::PatternMissError& miss) {
+      EXPECT_EQ(miss.row(), row) << what;
+      EXPECT_EQ(miss.col(), col) << what;
+    }
+  }
 }
 
 TEST(AcEngine, SparseSweepMatchesDense) {

@@ -345,6 +345,47 @@ TEST(Verify, TerminatesOnInconsistentSourceRing) {
   EXPECT_GE(r.stats.nodes, 3u);
 }
 
+/// The Table 2 modulator core (`sections` sections) on a 3.3 V
+/// supply with a 1 uA differential DC input.
+Circuit modulator_core(int sections) {
+  Circuit c;
+  c.add<spice::VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
+  cells::netlists::ModulatorCoreOptions opt;
+  const auto h =
+      cells::netlists::build_modulator_core(c, sections, opt, "mod_");
+  c.add<spice::CurrentSource>("Iinp", c.ground(), h.in_p, 1e-6);
+  c.add<spice::CurrentSource>("Iinm", c.ground(), h.in_m, -1e-6);
+  return c;
+}
+
+TEST(Verify, WitnessEvaluationsGrowLinearlyWithSections) {
+  // Each CMFF diode sums both differential halves, so without the
+  // per-call memo of pair input currents the witness evaluation doubled
+  // with every section (306x more evaluations per corner at 12 sections
+  // than at 6).  With it, each upstream pair is evaluated about once per
+  // corner.
+  obs::set_enabled(true);
+#if SI_OBS_ENABLED
+  const auto evals0 = obs::counter("verify.pair_current_evals").value();
+#endif
+  const verify::VerifyResult r6 = verify::analyze(modulator_core(6));
+  const verify::VerifyResult r12 = verify::analyze(modulator_core(12));
+#if SI_OBS_ENABLED
+  EXPECT_EQ(obs::counter("verify.pair_current_evals").value() - evals0,
+            r6.stats.pair_current_evals + r12.stats.pair_current_evals);
+#endif
+  obs::set_enabled(false);
+  ASSERT_GT(r6.stats.corners_evaluated, 0u);
+  ASSERT_GT(r12.stats.corners_evaluated, 0u);
+  const double per6 = static_cast<double>(r6.stats.pair_current_evals) /
+                      static_cast<double>(r6.stats.corners_evaluated);
+  const double per12 = static_cast<double>(r12.stats.pair_current_evals) /
+                       static_cast<double>(r12.stats.corners_evaluated);
+  EXPECT_GE(per6, 1.0);
+  EXPECT_LE(per12, 2.5 * per6) << "per corner: " << per6 << " at 6 sections, "
+                               << per12 << " at 12";
+}
+
 TEST(Verify, TelemetryCountersRecorded) {
   obs::set_enabled(true);
   const auto runs0 = obs::counter("verify.runs").value();
