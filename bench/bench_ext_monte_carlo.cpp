@@ -2,14 +2,11 @@
 // draws — turning the paper's single-chip measurement into the question
 // a production team asks: what fraction of parts make 10 bits?
 //
-// The transistor-level mismatch ensemble at the end runs through the
-// batched structure-shared DC driver (analysis::monte_carlo_dc); the
-// lane count comes from --batch=N (or SI_MC_BATCH), where --batch=1 is
-// the scalar structure-shared fallback.  Samples are bit-identical at
-// every batch width.
+// The transistor-level mismatch ensemble at the end runs through
+// analysis::monte_carlo_dc, once serially and once on the runtime pool.
+// Samples are bit-identical at every thread count.
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "analysis/mc_batch.hpp"
@@ -48,12 +45,7 @@ double modulator_sndr(std::uint64_t seed, double mismatch_scale) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::size_t batch = 0;  // 0 = SI_MC_BATCH env or the default width
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--batch=", 8) == 0)
-      batch = static_cast<std::size_t>(std::strtoul(argv[i] + 8, nullptr, 10));
-
+int main() {
   analysis::print_banner(std::cout,
                          "Extension E5 - Monte-Carlo yield (60 dies each)");
 
@@ -122,17 +114,16 @@ int main(int argc, char** argv) {
 
   // Transistor-level mismatch ensemble: differential output offset of
   // the Table 2 modulator core under per-device kp / Vt0 draws, solved
-  // through the batched structure-shared DC driver.  The scalar run
-  // (batch = 1) re-solves the identical ensemble; samples must agree
-  // bitwise, so the only difference worth printing is trials/sec.
+  // through analysis::monte_carlo_dc.  The pooled run re-solves the
+  // identical ensemble; samples must agree bitwise, so the only
+  // difference worth printing is trials/sec.
   {
-    const std::size_t lanes = analysis::mc_batch_lanes(batch);
     const int runs = 96;
     const auto w = analysis::modulator_mismatch_workload(2);
-    auto time_run = [&](std::size_t b) {
-      analysis::McBatchOptions o;
+    auto time_run = [&](bool parallel) {
+      analysis::McOptions o;
       o.seed0 = 5;
-      o.batch = b;
+      o.parallel = parallel;
       const auto t0 = std::chrono::steady_clock::now();
       const auto st = analysis::monte_carlo_dc(runs, w, o);
       const auto t1 = std::chrono::steady_clock::now();
@@ -140,19 +131,19 @@ int main(int argc, char** argv) {
                             runs / std::chrono::duration<double>(t1 - t0)
                                        .count());
     };
-    const auto [scalar, scalar_tps] = time_run(1);
-    const auto [batched, batched_tps] =
-        lanes > 1 ? time_run(lanes) : std::make_pair(scalar, scalar_tps);
+    const auto [serial, serial_tps] = time_run(false);
+    const auto [pooled, pooled_tps] = time_run(true);
     std::cout << "\nTransistor-level offset ensemble (" << runs
               << " dies, 2-section core):\n  offset mean = "
-              << analysis::fmt(scalar.mean * 1e3, 3) << " mV, sigma = "
-              << analysis::fmt(scalar.sigma * 1e3, 3)
-              << " mV\n  scalar (batch=1): " << analysis::fmt(scalar_tps, 0)
-              << " trials/s; batched (batch=" << lanes
-              << "): " << analysis::fmt(batched_tps, 0) << " trials/s ("
-              << analysis::fmt(batched_tps / scalar_tps, 2) << "x)\n"
-              << "  samples bit-identical across widths: "
-              << (batched.samples == scalar.samples ? "yes" : "NO") << "\n";
+              << analysis::fmt(serial.mean * 1e3, 3) << " mV, sigma = "
+              << analysis::fmt(serial.sigma * 1e3, 3)
+              << " mV\n  serial: " << analysis::fmt(serial_tps, 0)
+              << " trials/s; pool (" << runtime::thread_count()
+              << " threads): " << analysis::fmt(pooled_tps, 0)
+              << " trials/s (" << analysis::fmt(pooled_tps / serial_tps, 2)
+              << "x)\n"
+              << "  samples bit-identical across thread counts: "
+              << (pooled.samples == serial.samples ? "yes" : "NO") << "\n";
   }
 
   const auto cache = runtime::series_cache().stats();

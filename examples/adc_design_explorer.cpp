@@ -5,8 +5,7 @@
 // Uses the linear model (quantization limit), the noise budget (the SI
 // thermal floor that actually limits the paper's chip), and the power /
 // supply models — then spot-checks one candidate by full simulation.
-#include <cstdlib>
-#include <cstring>
+#include <cmath>
 #include <iostream>
 
 #include "analysis/mc_batch.hpp"
@@ -19,13 +18,8 @@
 #include "si/power_area.hpp"
 #include "si/supply.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace si;
-
-  std::size_t batch = 0;  // 0 = SI_MC_BATCH env or the default width
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--batch=", 8) == 0)
-      batch = static_cast<std::size_t>(std::strtoul(argv[i] + 8, nullptr, 10));
 
   const double band = 9.6e3;       // paper's signal bandwidth
   const double full_scale = 6e-6;  // 0-dB level
@@ -93,18 +87,14 @@ int main(int argc, char** argv) {
 
   // Mismatch yield at transistor level: the candidate design's SI
   // delay-line signal path under per-device kp / Vt0 process draws,
-  // solved through the batched structure-shared Monte-Carlo driver
-  // (--batch=N or SI_MC_BATCH picks the lane count; --batch=1 is the
-  // scalar fallback with bit-identical samples).  The chain's output
-  // bias point must stay inside the memory cells' gate-drive window for
-  // the die to meet its settling spec, so the spread against a +-50 mV
+  // solved through analysis::monte_carlo_dc.  The chain's output bias
+  // point must stay inside the memory cells' gate-drive window for the
+  // die to meet its settling spec, so the spread against a +-50 mV
   // window is the yield question.
   {
-    const std::size_t lanes = analysis::mc_batch_lanes(batch);
     const int dies = 64;
-    analysis::McBatchOptions mo;
+    analysis::McOptions mo;
     mo.seed0 = 17;
-    mo.batch = lanes;
     const auto w = analysis::delay_line_mismatch_workload(2, /*sigma=*/0.02);
     const auto st = analysis::monte_carlo_dc(dies, w, mo);
     const double budget = 50e-3;  // |shift from ensemble median|, volts
@@ -112,8 +102,7 @@ int main(int argc, char** argv) {
     std::size_t pass = 0;
     for (double s : st.samples) pass += std::abs(s - median) <= budget;
     std::cout << "\nMismatch yield (transistor level, " << dies
-              << " dies, 2 % sigma, batch=" << lanes
-              << "): bias spread sigma = " << analysis::fmt(st.sigma * 1e3, 2)
+              << " dies, 2 % sigma): bias spread sigma = " << analysis::fmt(st.sigma * 1e3, 2)
               << " mV, yield(|shift| <= 50 mV) = "
               << analysis::fmt(100.0 * static_cast<double>(pass) / dies, 0)
               << " %\n";

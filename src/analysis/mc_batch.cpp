@@ -1,174 +1,136 @@
 #include "analysis/mc_batch.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "runtime/env.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/result_cache.hpp"
 #include "runtime/rng_stream.hpp"
 #include "si/netlists.hpp"
 #include "spice/elements.hpp"
-#include "spice/mna_batch.hpp"
+#include "spice/mna.hpp"
 #include "spice/mosfet.hpp"
 
 namespace si::analysis {
 
-std::size_t mc_batch_lanes(std::size_t requested) {
-  if (requested > 0) return requested;
-  // Strict parse (see runtime/env.hpp): junk and non-positive values
-  // throw instead of silently running single-lane.  Values above the
-  // documented 64-lane limit still clamp — a large ask is a valid ask.
-  if (const auto v = runtime::parse_env_long("SI_MC_BATCH", 1,
-                                             std::numeric_limits<long>::max()))
-    return std::min<std::size_t>(static_cast<std::size_t>(*v), 64);
-  return 8;
-}
+std::size_t mc_batch_lanes(std::size_t) { return 1; }
 
 namespace {
 
-// One worker execution context: circuit, trial functors, engine (and
-// with it the pattern + nominal-symbolic caches), per-batch scratch.
-// Heap-allocated and never moved — the engine holds a reference to the
-// circuit next to it.
+/// Trials per chunk when McOptions::grain is 0.
+constexpr std::size_t kDefaultGrain = 8;
+
+/// One damped Newton solve on `engine` from the nominal point into `x`;
+/// false when it does not converge.
+bool newton_from(spice::MnaEngine& engine, const linalg::Vector& nominal,
+                 linalg::Vector& x, const spice::NewtonOptions& newton) {
+  spice::StampContext ctx;
+  ctx.mode = spice::AnalysisMode::kDcOperatingPoint;
+  ctx.gmin = newton.gmin;
+  x = nominal;
+  try {
+    engine.newton(ctx, x, newton);
+    return true;
+  } catch (const spice::ConvergenceError&) {
+    return false;
+  }
+}
+
+/// The full gmin-stepping dc_operating_point ladder on a throwaway
+/// engine: the nominal solve, and the per-trial last resort.
+linalg::Vector ladder_solve(spice::Circuit& c,
+                            const spice::NewtonOptions& newton) {
+  spice::DcOptions dopt;
+  dopt.newton = newton;
+  dopt.erc_gate = false;
+  return spice::dc_operating_point(c, dopt).x;
+}
+
+// One worker execution context: circuit, trial functors, and an engine
+// primed by one Newton solve of the pristine circuit from the nominal
+// point, so its only pivoting factor is that of the nominal
+// first-iteration matrix.  An unprimed context (no nominal, or the
+// priming solve failed) sends every trial to the ladder.  Heap-allocated
+// and never moved — the engine holds a reference to the circuit next to
+// it.
 struct TrialContext {
-  TrialContext(const McDcWorkload& w, std::size_t lanes,
-               const linalg::Vector& nominal)
+  TrialContext(const McDcWorkload& w, const linalg::Vector& nominal)
       : fns(w.build(c)),
-        engine(c, lanes,
-               [&w, &nominal] {
-                 spice::BatchedDcEngine::Options o;
-                 o.newton = w.newton;
-                 o.batch_drift_tol = w.batch_drift_tol;
-                 o.nominal_seed = nominal;
-                 return o;
-               }()),
-        seeds(lanes),
-        results(lanes) {}
+        engine(c),
+        primed(!nominal.empty() && newton_from(engine, nominal, x, w.newton)),
+        primed_factors(engine.stats().symbolic_factors) {}
 
   spice::Circuit c;
   McDcTrialFns fns;
-  spice::BatchedDcEngine engine;
-  std::vector<std::uint64_t> seeds;
-  std::vector<spice::BatchedLaneResult> results;
+  spice::MnaEngine engine;
   linalg::Vector x;
+  bool primed;
+  std::uint64_t primed_factors;
 };
 
 std::vector<double> run_dc_trials(int runs, const McDcWorkload& w,
-                                  const McBatchOptions& opts) {
+                                  const McOptions& opts) {
   const std::size_t n = static_cast<std::size_t>(runs);
-  const std::size_t lanes = mc_batch_lanes(opts.batch);
   std::vector<double> samples(n);
 
   // The nominal gmin-ladder solve is a pure function of the pristine
   // build, so run it once here and hand it to every context instead of
   // paying one ladder per worker.  If the nominal itself cannot
-  // converge, leave it empty: each engine then reports the failure on
-  // first use and the driver falls back to the per-trial ladder.
+  // converge, leave it empty: every trial then takes the ladder.
   linalg::Vector nominal;
   try {
     spice::Circuit proto;
     (void)w.build(proto);
-    spice::DcOptions dopt;
-    dopt.newton = w.newton;
-    dopt.erc_gate = false;
-    nominal = spice::dc_operating_point(proto, dopt).x;
+    nominal = ladder_solve(proto, w.newton);
   } catch (const spice::ConvergenceError&) {
     nominal.clear();
   }
 
-  // Contexts are pooled and reused across chunks, so the expensive
-  // prepare() — the nominal gmin-ladder solve plus the shared symbolic
-  // factorization — runs once per *concurrent worker*, not once per
-  // chunk.  Context identity cannot affect results: every context
-  // derives the same nominal from the same pristine build(), and every
-  // trial is a pure function of its seed.
+  // Contexts are pooled and reused across chunks, so building and
+  // priming one runs once per *concurrent worker*, not once per chunk.
+  // Context identity cannot affect results: every context primes the
+  // same engine from the same pristine build(), and every trial is a
+  // pure function of its seed.
   std::mutex ctx_mu;
   std::vector<std::unique_ptr<TrialContext>> ctx_pool;
   auto acquire = [&]() -> std::unique_ptr<TrialContext> {
     {
       const std::lock_guard<std::mutex> lock(ctx_mu);
       if (!ctx_pool.empty()) {
-        auto ctx = std::move(ctx_pool.back());
+        auto t = std::move(ctx_pool.back());
         ctx_pool.pop_back();
-        return ctx;
+        return t;
       }
     }
-    return std::make_unique<TrialContext>(w, lanes, nominal);
+    return std::make_unique<TrialContext>(w, nominal);
   };
 
   auto body = [&](std::size_t begin, std::size_t end) {
-    auto ctx = acquire();
-    spice::Circuit& c = ctx->c;
-    McDcTrialFns& fns = ctx->fns;
-    spice::BatchedDcEngine& engine = ctx->engine;
+    auto t = acquire();
+    for (std::size_t k = begin; k < end; ++k) {
+      t->fns.apply(runtime::trial_seed(opts.seed0, k));
+      // The ladder runs on its own engine and leaves the context's alone.
+      if (!(t->primed && newton_from(t->engine, nominal, t->x, w.newton)))
+        t->x = ladder_solve(t->c, w.newton);
+      samples[k] = t->fns.measure(spice::SolutionView(t->c, t->x));
 
-    // Last-resort per-trial solve: the full gmin-stepping ladder (the
-    // pre-batching Monte-Carlo path), used when even the scalar
-    // shared-symbolic solve cannot converge or the draw stamps outside
-    // the frozen pattern.
-    auto ladder = [&](std::uint64_t seed) {
-      fns.apply(seed);
-      spice::DcOptions dopt;
-      dopt.newton = w.newton;
-      dopt.erc_gate = false;
-      return spice::dc_operating_point(c, dopt).x;
-    };
-
-    for (std::size_t k0 = begin; k0 < end;) {
-      const std::size_t m = std::min(lanes, end - k0);
-      for (std::size_t j = 0; j < m; ++j)
-        ctx->seeds[j] = runtime::trial_seed(opts.seed0, k0 + j);
-      bool batched = false;
-      if (lanes > 1) {
-        try {
-          engine.solve_batch(ctx->seeds.data(), m, fns.apply,
-                             ctx->results.data());
-          batched = true;
-        } catch (const linalg::PatternMissError&) {
-          batched = false;  // resolve the whole group trial by trial
-        } catch (const spice::ConvergenceError&) {
-          batched = false;  // e.g. the nominal prepare() itself failed
-        }
-      }
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::uint64_t seed = ctx->seeds[j];
-        const linalg::Vector* sol;
-        if (batched && ctx->results[j].converged) {
-          sol = &engine.lane_solution(j);
-        } else {
-          // Ejected lane / scalar mode: deterministic scalar re-run.
-          try {
-            engine.solve_scalar(seed, fns.apply, ctx->x);
-          } catch (const spice::ConvergenceError&) {
-            ctx->x = ladder(seed);
-          } catch (const linalg::PatternMissError&) {
-            ctx->x = ladder(seed);
-          }
-          sol = &ctx->x;
-        }
-        // Re-apply so element parameters match the lane when measure()
-        // inspects devices, not just node voltages.
-        fns.apply(seed);
-        samples[k0 + j] = fns.measure(spice::SolutionView(c, *sol));
-      }
-      k0 += m;
+      // Rebuild rule: a re-pivot or a pattern miss left a factor of this
+      // trial's own values in the engine.  The next trial must see only
+      // the nominal factor, or its sample would depend on which trials
+      // ran before it in this context.
+      if (t->engine.stats().symbolic_factors != t->primed_factors)
+        t = std::make_unique<TrialContext>(w, nominal);
     }
 
     const std::lock_guard<std::mutex> lock(ctx_mu);
-    ctx_pool.push_back(std::move(ctx));
+    ctx_pool.push_back(std::move(t));
   };
 
-  // Auto grain: one batch per chunk keeps the pool's load balancing at
-  // its finest; the context pool above makes small chunks cheap.  Chunk
-  // boundaries cannot change results: every trial is a pure function of
-  // its seed.
-  const std::size_t grain =
-      opts.grain > 0 ? std::max(opts.grain, lanes) : lanes;
+  // Chunk boundaries cannot change results: every trial is a pure
+  // function of its seed.
+  const std::size_t grain = opts.grain > 0 ? opts.grain : kDefaultGrain;
   if (opts.parallel)
     runtime::parallel_for(n, body, grain);
   else
@@ -181,13 +143,12 @@ std::vector<double> run_dc_trials(int runs, const McDcWorkload& w,
 }  // namespace
 
 McStatistics monte_carlo_dc(int runs, const McDcWorkload& workload,
-                            const McBatchOptions& opts) {
+                            const McOptions& opts) {
   if (runs < 1) throw std::invalid_argument("monte_carlo_dc: runs >= 1");
   if (opts.cache_key != 0) {
-    // Deliberately independent of opts.batch and the thread count:
-    // batched and scalar runs are bit-identical, so they MUST share one
-    // cache entry (a batched run warms the cache for a scalar rerun and
-    // vice versa).
+    // Deliberately independent of the thread count and the grain:
+    // serial and parallel runs are bit-identical, so they MUST share one
+    // cache entry.
     const std::uint64_t key = runtime::Fnv1a()
                                   .str("analysis.mc_dc")
                                   .u64(opts.cache_key)

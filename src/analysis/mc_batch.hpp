@@ -1,17 +1,21 @@
-// Batched Monte-Carlo DC driver: N parameter draws of one circuit
-// topology solved together through spice::BatchedDcEngine (shared
-// symbolic factorization, SoA value lanes, SIMD-friendly inner loops),
-// with each pool thread owning whole batches.
+// Structure-shared Monte-Carlo DC analysis: N parameter draws of one
+// circuit topology, each solved by a damped Newton iteration on a
+// spice::MnaEngine that a pooled worker context keeps warm across
+// trials (pattern, slot memos, workspaces and the symbolic factor of
+// the nominal circuit are shared; only values change per trial).
 //
-// Contract: samples are bit-identical to the serial scalar reference at
-// ANY batch size and thread count.  Seeding stays the pure function
-// runtime::trial_seed(seed0, k); the batched kernels mirror the scalar
-// arithmetic lane-for-lane; lanes whose pivots drift (or that fail to
-// converge inside the batch) are ejected and re-run on the scalar
-// re-pivot path, whose result is again a pure function of the trial.
-// Because of that, batched and scalar runs share ONE series-cache entry
-// (the memo key folds cache_key, seed0, and runs — deliberately not the
-// batch size or thread count).
+// Contract: samples are bit-identical at ANY thread count and chunk
+// size.  Seeding stays the pure function runtime::trial_seed(seed0, k);
+// every trial starts from the shared nominal operating point on an
+// engine whose only pivoting factor is that of the nominal
+// first-iteration matrix, and a context whose trial re-pivoted (or
+// regrew its pattern) is replaced by a freshly primed one, so no trial
+// can see the factor another trial left behind.  Because of that, serial
+// and parallel runs share ONE series-cache entry (the memo key folds
+// cache_key, seed0 and runs — deliberately not the thread count or the
+// grain).
+//
+// Kept at this path for perfbench/src, which includes it.
 #pragma once
 
 #include "analysis/monte_carlo.hpp"
@@ -20,44 +24,38 @@
 namespace si::analysis {
 
 /// The two per-trial closures a DC Monte-Carlo workload provides.
-/// `apply(seed)` re-applies that trial's parameter draw to the circuit
+/// `apply(seed)` applies that trial's parameter draw to the circuit
 /// (values only — no topology edits) and must be a pure function of the
-/// seed: the engine invokes it before every stamping pass of the lane.
-/// `measure` maps the converged solution to the sample metric; apply()
-/// is guaranteed to have run for the same seed immediately before.
+/// seed: monte_carlo_dc calls it once per trial, before the solve.
+/// `measure` maps the converged solution to the sample metric, with the
+/// trial's parameters still in place.
 struct McDcTrialFns {
   std::function<void(std::uint64_t)> apply;
   std::function<double(const spice::SolutionView&)> measure;
 };
 
-/// A batched DC workload: `build` populates an empty per-thread Circuit
-/// and returns the trial closures bound to it.  Each pool thread builds
-/// its own circuit + engine, so `build` must be deterministic.
+/// A DC Monte-Carlo workload: `build` populates an empty per-worker
+/// Circuit and returns the trial closures bound to it.  Each worker
+/// context builds its own circuit + engine, so `build` must be
+/// deterministic.
 struct McDcWorkload {
   std::function<McDcTrialFns(spice::Circuit&)> build;
   spice::NewtonOptions newton;
-  /// Forwarded to BatchedDcEngine::Options::batch_drift_tol.
-  double batch_drift_tol = 0.0;
 };
 
-/// McOptions plus the batch width.  batch = 0 resolves through the
-/// SI_MC_BATCH environment variable, defaulting to 8; batch = 1 is the
-/// scalar fallback (per-trial solve_scalar, no SoA kernels).
-struct McBatchOptions : McOptions {
-  std::size_t batch = 0;
-};
+/// Kept for perfbench/src, which compiles against this name.
+using McBatchOptions = McOptions;
 
-/// Resolves a requested batch width: nonzero passes through, zero reads
-/// SI_MC_BATCH (clamped to [1, 64]), else 8.
+/// Kept for perfbench/src: there are no lanes any more; always 1.
 std::size_t mc_batch_lanes(std::size_t requested);
 
 /// Runs `runs` DC trials of the workload and aggregates the metric.
-/// Bit-identical across batch sizes and thread counts (see file
-/// comment); trials the batched path ejects are re-solved scalar, and
-/// trials the shared-symbolic scalar path cannot converge fall back to
-/// the full gmin-stepping dc_operating_point ladder.
+/// Bit-identical across thread counts and grains (see file comment);
+/// trials the shared engine cannot converge fall back to the full
+/// gmin-stepping dc_operating_point ladder.  opts.grain = 0 runs chunks
+/// of 8 trials.
 McStatistics monte_carlo_dc(int runs, const McDcWorkload& workload,
-                            const McBatchOptions& opts = {});
+                            const McOptions& opts = {});
 
 /// Canonical workload: an N-section SI modulator core under per-device
 /// kp / vt0 mismatch (relative sigma on kp, absolute sigma * vt0 on

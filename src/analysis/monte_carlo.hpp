@@ -66,10 +66,10 @@ struct McOptions {
   /// Nonzero enables memoization of the whole run in the shared
   /// si::runtime series cache: the sorted sample vector is stored under
   /// FNV-1a(domain tag, cache_key, seed0, runs) — the full seeding
-  /// configuration is part of the key, never the thread count or (for
-  /// the batched driver) the batch width, because those cannot change
-  /// the samples.  The caller owns the rest of the key hygiene: the key
-  /// must identify the trial functor and all its parameters.
+  /// configuration is part of the key, never the thread count or the
+  /// grain, because those cannot change the samples.  The caller owns
+  /// the rest of the key hygiene: the key must identify the trial
+  /// functor and all its parameters.
   std::uint64_t cache_key = 0;
 };
 

@@ -153,9 +153,7 @@ struct SlotMemo {
   }
 
   /// Slot of (r, c) in `p` through the memo: replayed writes are direct
-  /// indexed lookups; a shifted sequence is patched in place.  Shared by
-  /// the scalar SparseMatrix and the batched SoA matrix so both stamp
-  /// through one memo.
+  /// indexed lookups; a shifted sequence is patched in place.
   int lookup(const SparsePattern& p, int r, int c) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) << 32) |
@@ -303,8 +301,6 @@ class SparseLu {
   std::size_t symbolic_builds() const { return symbolic_builds_; }
 
  private:
-  friend class BatchedSparseLu;  // adopts the frozen symbolic structure
-
   void build_symbolic(const SparseMatrix<T>& a);
   void refactor_values(const SparseMatrix<T>& a, bool fresh_pivot);
 

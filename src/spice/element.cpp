@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "linalg/batch.hpp"
 #include "spice/circuit.hpp"
 
 namespace si::spice {
@@ -38,16 +37,6 @@ RealStamper::RealStamper(const Circuit& c, linalg::SparseMatrixD& a,
       b_(&b),
       x_(&x) {}
 
-RealStamper::RealStamper(const Circuit& c, linalg::BatchedSparseMatrixD& a,
-                         std::size_t lane, linalg::Vector& b,
-                         const linalg::Vector& x, linalg::SlotMemo* memo)
-    : branch_base_(first_branch_row(c)),
-      batched_(&a),
-      lane_(lane),
-      memo_(memo),
-      b_(&b),
-      x_(&x) {}
-
 RealStamper::RealStamper(const Circuit& c, linalg::PatternBuilder& rec,
                          linalg::Vector& b, const linalg::Vector& x)
     : branch_base_(first_branch_row(c)),
@@ -55,12 +44,7 @@ RealStamper::RealStamper(const Circuit& c, linalg::PatternBuilder& rec,
       b_(&b),
       x_(&x) {}
 
-void RealStamper::add_lane_or_record(int r, int c, double v) {
-  if (batched_)
-    batched_->add(r, c, lane_, v, memo_);
-  else
-    record_->add(r, c);
-}
+void RealStamper::record(int r, int c) { record_->add(r, c); }
 
 void RealStamper::branch_voltage_row(int branch, NodeId p, NodeId m) {
   const int row = branch_index(branch);

@@ -12,10 +12,6 @@
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 
-namespace si::linalg {
-class BatchedSparseMatrixD;
-}  // namespace si::linalg
-
 namespace si::spice {
 
 using NodeId = int;
@@ -64,33 +60,26 @@ class SolutionView {
 
 /// Accumulates real (DC / transient Newton) stamps.
 ///
-/// Four interchangeable backends keep the Element interface unchanged
+/// Three interchangeable backends keep the Element interface unchanged
 /// while the MNA engine picks the representation:
 ///  - dense: writes into a DenseMatrix (the seed behavior);
 ///  - sparse: indexed writes into a SparseMatrix's nonzero array,
 ///    optionally through a SlotMemo so replayed Newton iterations skip
 ///    the slot search entirely (pattern-cached stamping);
-///  - batched lane: indexed writes into one SoA lane of a
-///    BatchedSparseMatrixD (the batched Monte-Carlo path; the RHS stays
-///    a per-lane scalar vector), with the same SlotMemo semantics so all
-///    lanes share one memo;
 ///  - record: collects the (row, col) touches into a PatternBuilder
 ///    during the engine's one-time discovery pass (values discarded).
 ///
 /// The per-entry write path is defined here so it compiles into every
 /// device's stamp (DESIGN.md, "Stamp-partition contract"): add() tests
 /// the event engine's scope, then writes through the sparse slot memo
-/// or into the dense matrix, and calls out of line only for the batched
-/// lanes and the recorder.
+/// or into the dense matrix, and calls out of line only for the
+/// recorder.
 class RealStamper {
  public:
   RealStamper(const Circuit& c, linalg::Matrix& a, linalg::Vector& b,
               const linalg::Vector& x);
   RealStamper(const Circuit& c, linalg::SparseMatrixD& a, linalg::Vector& b,
               const linalg::Vector& x, linalg::SlotMemo* memo = nullptr);
-  RealStamper(const Circuit& c, linalg::BatchedSparseMatrixD& a,
-              std::size_t lane, linalg::Vector& b, const linalg::Vector& x,
-              linalg::SlotMemo* memo = nullptr);
   RealStamper(const Circuit& c, linalg::PatternBuilder& rec,
               linalg::Vector& b, const linalg::Vector& x);
 
@@ -177,17 +166,15 @@ class RealStamper {
       (*dense_)(static_cast<std::size_t>(r),
                 static_cast<std::size_t>(c)) += v;
     } else {
-      add_lane_or_record(r, c, v);
+      record(r, c);
     }
   }
-  /// The backends that stay out of line: batched lanes and discovery.
-  void add_lane_or_record(int r, int c, double v);
+  /// The one backend that stays out of line: discovery.
+  void record(int r, int c);
 
   int branch_base_ = 0;  // node_count() - 1: row of branch 0
   linalg::Matrix* dense_ = nullptr;
   linalg::SparseMatrixD* sparse_ = nullptr;
-  linalg::BatchedSparseMatrixD* batched_ = nullptr;
-  std::size_t lane_ = 0;
   linalg::PatternBuilder* record_ = nullptr;
   linalg::SlotMemo* memo_ = nullptr;
   const std::vector<unsigned char>* scope_ = nullptr;

@@ -1,229 +1,93 @@
-// Batched Monte-Carlo contracts: the SoA LU kernels are bit-identical
-// to the scalar SparseLu reference lane-for-lane, pivot drift ejects
-// exactly the drifting lane, and the batched DC driver reproduces the
-// serial sample vector at every batch size and thread count.
+// Structure-shared Monte-Carlo contracts: monte_carlo_dc reproduces
+// the serial sample vector at every thread count and grain, on the
+// dense and on the sparse representation, including trials that
+// re-pivot; and serial and parallel runs share one series-cache entry.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
+#include <memory>
 
 #include "analysis/mc_batch.hpp"
-#include "linalg/batch.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/rng_stream.hpp"
-#include "spice/mna_batch.hpp"
 
 namespace {
 
 using namespace si;
 
-// Dense-ish 4x4 test pattern with an asymmetric structure.
-std::shared_ptr<const linalg::SparsePattern> make_pattern() {
-  linalg::PatternBuilder pb(4);
-  for (int i = 0; i < 4; ++i) pb.add(i, i);
-  pb.add(0, 1);
-  pb.add(1, 0);
-  pb.add(1, 2);
-  pb.add(2, 3);
-  pb.add(3, 0);
-  pb.add(3, 2);
-  return pb.build(/*symmetrize=*/true);
-}
-
-// Fills `a` with a deterministic well-conditioned value set for `seed`.
-void fill_values(linalg::SparseMatrixD& a, std::uint64_t seed) {
-  runtime::RngStream rng(seed);
-  auto& v = a.values();
-  for (std::size_t s = 0; s < v.size(); ++s) v[s] = rng.uniform() - 0.5;
-  const auto& diag = a.pattern().diag_slots();
-  for (int i = 0; i < a.dim(); ++i)
-    v[static_cast<std::size_t>(diag[i])] += 4.0;  // diagonally dominant
-}
-
-TEST(BatchedSparseLu, BitIdenticalToScalarPerLane) {
-  const auto pattern = make_pattern();
-  const std::size_t kLanes = 5;
-
-  linalg::SparseMatrixD nominal(pattern);
-  fill_values(nominal, 1);
-  linalg::SparseLuD ref;
-  ref.factor(nominal);
-
-  linalg::BatchedSparseLu blu;
-  blu.adopt_symbolic(ref, kLanes);
-  ASSERT_TRUE(blu.adopted());
-
-  linalg::BatchedSparseMatrixD ba(pattern, kLanes);
-  std::vector<linalg::SparseMatrixD> lane_a(kLanes,
-                                            linalg::SparseMatrixD(pattern));
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    fill_values(lane_a[k], 100 + k);
-    for (std::size_t s = 0; s < pattern->nnz(); ++s)
-      ba.values()[s * kLanes + k] = lane_a[k].values()[s];
-  }
-
-  std::vector<unsigned char> live(kLanes, 1);
-  EXPECT_EQ(blu.refactor(ba, live), 0u);
-
-  const std::size_t n = 4;
-  std::vector<double> b_soa(n * kLanes), x_soa(n * kLanes);
-  std::vector<std::vector<double>> lane_b(kLanes, std::vector<double>(n));
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    runtime::RngStream rng(900 + k);
-    for (std::size_t i = 0; i < n; ++i) {
-      lane_b[k][i] = rng.uniform();
-      b_soa[i * kLanes + k] = lane_b[k][i];
-    }
-  }
-  blu.solve(b_soa, x_soa);
-
-  // Scalar reference: the SAME shared symbolic (factor on nominal, then
-  // numeric-only refactor per lane), compared bitwise.
-  linalg::SparseLuD slu;
-  slu.factor(nominal);
-  std::vector<double> x;
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    slu.refactor(lane_a[k]);
-    slu.solve(lane_b[k], x);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(x[i], x_soa[i * kLanes + k]) << "lane " << k << " row " << i;
-  }
-}
-
-TEST(BatchedSparseLu, DriftEjectsOnlyTheDriftingLane) {
-  // 2x2 system where lane 1's values make the FROZEN pivot order bad
-  // (a(0,0) collapses to 1e-12 of the row scale) while the matrix
-  // itself stays perfectly well-conditioned — the re-pivoting recovery
-  // path must solve it.  Lane 0 stays healthy throughout.
-  linalg::PatternBuilder pb(2);
-  pb.add(0, 0);
-  pb.add(0, 1);
-  pb.add(1, 0);
-  pb.add(1, 1);
-  const auto pattern = pb.build();
-
-  linalg::SparseMatrixD nominal(pattern);
-  nominal.add(0, 0, 2.0);  // pivoting freezes row order (0, 1)
-  nominal.add(0, 1, 1.0);
-  nominal.add(1, 0, 1.0);
-  nominal.add(1, 1, 1.0);
-  linalg::SparseLuD ref;
-  ref.factor(nominal);
-
-  const std::size_t kLanes = 2;
-  linalg::BatchedSparseLu blu;
-  blu.adopt_symbolic(ref, kLanes);
-
-  linalg::BatchedSparseMatrixD ba(pattern, kLanes);
-  // Lane 0: the nominal values.  Lane 1: a(0,0) = 1e-12, so the frozen
-  // leading pivot sits far below drift_tol * rmax even though the
-  // matrix is fine under row exchange.
-  for (std::size_t s = 0; s < pattern->nnz(); ++s)
-    ba.values()[s * kLanes + 0] = nominal.values()[s];
-  linalg::SparseMatrixD drifty(pattern);
-  drifty.add(0, 0, 1e-12);
-  drifty.add(0, 1, 1.0);
-  drifty.add(1, 0, 1.0);
-  drifty.add(1, 1, 1.0);
-  for (std::size_t s = 0; s < pattern->nnz(); ++s)
-    ba.values()[s * kLanes + 1] = drifty.values()[s];
-
-  std::vector<unsigned char> live(kLanes, 1);
-  EXPECT_EQ(blu.refactor(ba, live), 1u);
-  EXPECT_EQ(live[0], 1);
-  EXPECT_EQ(live[1], 0);
-
-  // The scalar reference agrees that this trial drifts...
-  linalg::SparseLuD slu;
-  slu.factor(nominal);
-  EXPECT_THROW(slu.refactor(drifty), linalg::PivotDriftError);
-
-  // ...and the recovery path (full re-pivoting factor on the trial's
-  // own values) solves it.
-  slu.factor(drifty);
-  std::vector<double> b = {1.0, 1.0}, x;
-  slu.solve(b, x);
-  EXPECT_NEAR(drifty.get(0, 0) * x[0] + drifty.get(0, 1) * x[1], 1.0, 1e-6);
-
-  // Lane 0 is untouched by its neighbor's ejection: solution still
-  // bitwise-matches the scalar shared-symbolic path.
-  std::vector<double> b_soa = {1.0, 1.0, 1.0, 1.0};  // row-major SoA
-  std::vector<double> x_soa(4);
-  blu.solve(b_soa, x_soa);
-  linalg::SparseLuD s0;
-  s0.factor(nominal);
-  s0.refactor(nominal);
-  std::vector<double> x0;
-  s0.solve(b, x0);
-  EXPECT_EQ(x_soa[0 * 2 + 0], x0[0]);
-  EXPECT_EQ(x_soa[1 * 2 + 0], x0[1]);
-}
-
-TEST(McBatch, LaneResolverHonorsEnvAndDefault) {
-  EXPECT_EQ(analysis::mc_batch_lanes(5), 5u);
-  unsetenv("SI_MC_BATCH");
-  EXPECT_EQ(analysis::mc_batch_lanes(0), 8u);
-  setenv("SI_MC_BATCH", "3", 1);
-  EXPECT_EQ(analysis::mc_batch_lanes(0), 3u);
-  setenv("SI_MC_BATCH", "9999", 1);
-  EXPECT_EQ(analysis::mc_batch_lanes(0), 64u);
-  unsetenv("SI_MC_BATCH");
-}
-
+// The "batch size" of the name is the grain: trials per pool chunk.
 TEST(McBatch, SamplesBitIdenticalAcrossBatchSizesAndThreads) {
-  const auto w = analysis::modulator_mismatch_workload(1);
+  obs::set_enabled(true);
   const int kRuns = 33;
+  // The 1-section core runs dense (below the 32-unknown threshold), the
+  // 2-section core sparse.
+  for (int sections : {1, 2}) {
+    const auto w = analysis::modulator_mismatch_workload(sections);
+    const auto dense0 = obs::counter("mna.dense_factors").value();
+    const auto symbolic0 = obs::counter("mna.symbolic_factors").value();
 
-  analysis::McBatchOptions ref_opts;
-  ref_opts.seed0 = 42;
-  ref_opts.batch = 1;
-  ref_opts.parallel = false;  // the serial scalar reference
-  const auto ref = analysis::monte_carlo_dc(kRuns, w, ref_opts);
-  ASSERT_EQ(ref.count(), static_cast<std::size_t>(kRuns));
+    analysis::McOptions ref_opts;
+    ref_opts.seed0 = 42;
+    ref_opts.parallel = false;  // the serial reference
+    const auto ref = analysis::monte_carlo_dc(kRuns, w, ref_opts);
+    ASSERT_EQ(ref.count(), static_cast<std::size_t>(kRuns));
+    if (sections == 1)
+      EXPECT_EQ(obs::counter("mna.symbolic_factors").value(), symbolic0);
+    else
+      EXPECT_EQ(obs::counter("mna.dense_factors").value(), dense0);
 
-  for (std::size_t batch : {1u, 3u, 4u, 8u, 17u}) {
-    for (unsigned threads : {1u, 2u, 8u}) {
-      runtime::set_thread_count(threads);
-      analysis::McBatchOptions opts;
-      opts.seed0 = 42;
-      opts.batch = batch;
-      const auto st = analysis::monte_carlo_dc(kRuns, w, opts);
-      EXPECT_EQ(st.samples, ref.samples)
-          << "batch=" << batch << " threads=" << threads;
-      EXPECT_EQ(st.mean, ref.mean);
-      EXPECT_EQ(st.sigma, ref.sigma);
+    for (std::size_t grain : {0u, 1u, 3u}) {
+      for (unsigned threads : {1u, 2u, 8u}) {
+        runtime::set_thread_count(threads);
+        analysis::McOptions opts;
+        opts.seed0 = 42;
+        opts.grain = grain;
+        const auto st = analysis::monte_carlo_dc(kRuns, w, opts);
+        EXPECT_EQ(st.samples, ref.samples) << "sections=" << sections
+                                           << " grain=" << grain
+                                           << " threads=" << threads;
+        EXPECT_EQ(st.mean, ref.mean);
+        EXPECT_EQ(st.sigma, ref.sigma);
+      }
     }
   }
   runtime::set_thread_count(0);
 }
 
-TEST(McBatch, EjectedLanesRecoverTheReferenceResult) {
+TEST(McBatch, RepivotedTrialsStayThreadInvariant) {
+  // A 20 % draw on the 2-section core moves some trials' operating
+  // points far enough that a frozen pivot of the nominal factor
+  // collapses, so the engine re-pivots on those trials' own values.
+  // The context is rebuilt after each such trial; without that, later
+  // trials in the same context would refactor with another trial's
+  // pivots and their samples would follow the scheduling.
   obs::set_enabled(true);
-  const int kRuns = 12;
+  const int kRuns = 32;
+  const auto w = analysis::modulator_mismatch_workload(2, 0.2);
 
-  auto w = analysis::modulator_mismatch_workload(1);
-  analysis::McBatchOptions ref_opts;
-  ref_opts.seed0 = 7;
-  ref_opts.batch = 1;
+  const auto repivots0 = obs::counter("mna.pivot_repivots").value();
+  analysis::McOptions ref_opts;
+  ref_opts.seed0 = 3;
   ref_opts.parallel = false;
   const auto ref = analysis::monte_carlo_dc(kRuns, w, ref_opts);
+  ASSERT_EQ(ref.count(), static_cast<std::size_t>(kRuns));
+  EXPECT_GT(obs::counter("mna.pivot_repivots").value(), repivots0);
 
-  // An absurd ejection threshold (pivot < 10 * row max) throws every
-  // lane off the batched path; each trial must come back through the
-  // scalar recovery solve with the identical sample.
-  w.batch_drift_tol = 10.0;
-  const auto before = obs::counter("mc.batch.lane_ejections").value();
-  analysis::McBatchOptions opts;
-  opts.seed0 = 7;
-  opts.batch = 4;
-  opts.parallel = false;
-  const auto st = analysis::monte_carlo_dc(kRuns, w, opts);
-  EXPECT_EQ(st.samples, ref.samples);
-  EXPECT_GT(obs::counter("mc.batch.lane_ejections").value(), before);
+  for (unsigned threads : {2u, 8u}) {
+    runtime::set_thread_count(threads);
+    analysis::McOptions opts;
+    opts.seed0 = 3;
+    opts.grain = 1;
+    const auto st = analysis::monte_carlo_dc(kRuns, w, opts);
+    EXPECT_EQ(st.samples, ref.samples) << "threads=" << threads;
+  }
+  runtime::set_thread_count(0);
 }
 
 TEST(McBatch, BatchedAndScalarRunsShareOneCacheEntry) {
+  // Serial and parallel runs (any grain) are bit-identical, so they
+  // share the entry of their key.
   auto applies = std::make_shared<std::atomic<int>>(0);
   auto base = analysis::modulator_mismatch_workload(1);
   analysis::McDcWorkload w;
@@ -238,21 +102,22 @@ TEST(McBatch, BatchedAndScalarRunsShareOneCacheEntry) {
     return fns;
   };
 
-  analysis::McBatchOptions opts;
+  analysis::McOptions opts;
   opts.seed0 = 11;
   opts.cache_key = 0x5150c0ffee;  // unique to this test
   opts.parallel = false;
-  opts.batch = 8;
-  const auto batched = analysis::monte_carlo_dc(10, w, opts);
-  const int after_batched = applies->load();
-  EXPECT_GT(after_batched, 0);
+  const auto serial = analysis::monte_carlo_dc(10, w, opts);
+  const int after_serial = applies->load();
+  EXPECT_GT(after_serial, 0);
 
-  // Same key, scalar path: bit-identical results mean the batched run
-  // already owns the cache entry — no trial may execute.
-  opts.batch = 1;
-  const auto scalar = analysis::monte_carlo_dc(10, w, opts);
-  EXPECT_EQ(applies->load(), after_batched);
-  EXPECT_EQ(scalar.samples, batched.samples);
+  // Same key, parallel path at another grain: no trial may execute.
+  runtime::set_thread_count(4);
+  opts.parallel = true;
+  opts.grain = 3;
+  const auto parallel = analysis::monte_carlo_dc(10, w, opts);
+  runtime::set_thread_count(0);
+  EXPECT_EQ(applies->load(), after_serial);
+  EXPECT_EQ(parallel.samples, serial.samples);
 }
 
 TEST(McStatistics, HistogramLoadsSamplesIntoRegistry) {
