@@ -382,6 +382,7 @@ si::spice::TransientResult run_modulator_engine(
   si::spice::Transient tr(c, topt);
   tr.probe_voltage(c.node_name(h.out_p));
   tr.probe_voltage(c.node_name(h.out_m));
+  c.finalize();  // system_size() counts branch unknowns once finalized
   *unknowns = c.system_size();
   return tr.run();
 }
@@ -462,6 +463,7 @@ McDcRow time_mc_dc_row(int sections, unsigned threads, int runs) {
   {
     si::spice::Circuit c;
     (void)w.build(c);
+    c.finalize();  // system_size() counts branch unknowns once finalized
     r.unknowns = c.system_size();
   }
   auto rebuild = [&] {

@@ -1,11 +1,11 @@
 // sim_stats: run the paper's two transistor-level workloads (Table 1
 // delay-line chain, Table 2 modulator core) with solver telemetry
 // enabled and report what the engines actually did — Newton iterations,
-// factorizations vs symbolic reuses, re-pivots and pattern misses, step
-// accept/reject/clamp statistics — as a table or JSON.
+// factorizations vs symbolic reuses, re-pivots and pattern misses, grid
+// steps taken — as a table or JSON.
 //
 //   sim_stats [--json] [--stages=N] [--sections=N] [--periods=P]
-//             [--adaptive] [--engine=event|monolithic]
+//             [--engine=event|monolithic]
 //
 // With --engine=event the runs go through the event-driven multi-rate
 // engine (src/event) and the report gains the partition statistics:
@@ -13,8 +13,7 @@
 //
 // Every flag is parsed strictly: an unknown flag or a malformed value
 // ("--stages=2x", "--engine=evnt") exits 2 naming the accepted values.
-// Exit status 1 means a run had to accept dt_min-clamped steps above
-// lte_tol (adaptive mode), stamped outside a discovered sparsity
+// Exit status 1 means a run stamped outside a discovered sparsity
 // pattern (mna.pattern_misses), or — under the event engine — that
 // partitioning degraded: the circuit collapsed into a single block, or
 // a scoped solve failed to converge and forced a full activation.
@@ -41,8 +40,6 @@ struct RunSummary {
   std::size_t unknowns = 0;
   std::size_t points = 0;
   std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t clamped = 0;
   // Event-engine fields (all zero under the monolithic engine).
   std::uint64_t blocks = 0;
   std::uint64_t block_solves = 0;
@@ -62,8 +59,6 @@ RunSummary summarize(const char* workload, const Circuit& c,
   s.unknowns = c.system_size();
   s.points = r.time.size();
   s.accepted = r.steps_accepted;
-  s.rejected = r.steps_rejected;
-  s.clamped = r.lte_clamped_steps;
   s.blocks = r.event_blocks;
   s.block_solves = r.event_block_solves;
   s.block_skips = r.event_block_skips;
@@ -71,8 +66,7 @@ RunSummary summarize(const char* workload, const Circuit& c,
   return s;
 }
 
-RunSummary run_delay_line(int stages, double periods, bool adaptive,
-                          TransientEngine engine) {
+RunSummary run_delay_line(int stages, double periods, TransientEngine engine) {
   Circuit c;
   c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
   nets::DelayStageOptions opt;
@@ -84,7 +78,6 @@ RunSummary run_delay_line(int stages, double periods, bool adaptive,
   TransientOptions topt;
   topt.t_stop = periods * T;
   topt.dt = T / 200.0;
-  topt.adaptive = adaptive;
   topt.erc_gate = false;
   topt.engine = engine;
   Transient tr(c, topt);
@@ -93,8 +86,7 @@ RunSummary run_delay_line(int stages, double periods, bool adaptive,
   return summarize("table1_delay_line", c, r);
 }
 
-RunSummary run_modulator(int sections, double periods, bool adaptive,
-                         TransientEngine engine) {
+RunSummary run_modulator(int sections, double periods, TransientEngine engine) {
   Circuit c;
   c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
   nets::ModulatorCoreOptions opt;
@@ -109,7 +101,6 @@ RunSummary run_modulator(int sections, double periods, bool adaptive,
   TransientOptions topt;
   topt.t_stop = periods * T;
   topt.dt = T / 200.0;
-  topt.adaptive = adaptive;
   topt.erc_gate = false;
   topt.engine = engine;
   Transient tr(c, topt);
@@ -143,7 +134,7 @@ bool parse_positive(const char* s, double& out) {
 int usage_error(const char* what, const char* arg) {
   std::fprintf(stderr,
                "sim_stats: %s: '%s'\n"
-               "usage: sim_stats [--json] [--adaptive] [--stages=N] "
+               "usage: sim_stats [--json] [--stages=N] "
                "[--sections=N] [--periods=P] [--engine=event|monolithic]\n"
                "  N: integer >= 1; P: number > 0\n",
                what, arg);
@@ -151,13 +142,9 @@ int usage_error(const char* what, const char* arg) {
 }
 
 void print_summary(const RunSummary& s, bool event_engine) {
-  std::printf(
-      "%-18s unknowns=%-4zu points=%-6zu accepted=%llu rejected=%llu "
-      "lte_clamped=%llu",
-      s.workload.c_str(), s.unknowns, s.points,
-      static_cast<unsigned long long>(s.accepted),
-      static_cast<unsigned long long>(s.rejected),
-      static_cast<unsigned long long>(s.clamped));
+  std::printf("%-18s unknowns=%-4zu points=%-6zu accepted=%llu",
+              s.workload.c_str(), s.unknowns, s.points,
+              static_cast<unsigned long long>(s.accepted));
   if (event_engine)
     std::printf(" blocks=%llu block_skips=%llu steps_skipped=%llu "
                 "latency=%.3f",
@@ -172,17 +159,14 @@ void print_summary(const RunSummary& s, bool event_engine) {
 
 int main(int argc, char** argv) {
   bool json = false;
-  bool adaptive = false;
   int stages = 4;
   int sections = 2;
   double periods = 1.0;
-  TransientEngine engine = TransientEngine::kAuto;
+  TransientEngine engine = TransientEngine::kMonolithic;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--json") == 0) {
       json = true;
-    } else if (std::strcmp(a, "--adaptive") == 0) {
-      adaptive = true;
     } else if (std::strncmp(a, "--stages=", 9) == 0) {
       if (!parse_count(a + 9, stages)) return usage_error("bad --stages", a);
     } else if (std::strncmp(a, "--sections=", 11) == 0) {
@@ -200,18 +184,12 @@ int main(int argc, char** argv) {
     }
   }
   const bool event_engine = engine == TransientEngine::kEvent;
-  if (event_engine && adaptive) {
-    std::fprintf(stderr,
-                 "sim_stats: --engine=event runs a fixed grid; drop "
-                 "--adaptive\n");
-    return 2;
-  }
 
   si::obs::set_enabled(true);
   si::obs::reset();
 
-  const RunSummary dl = run_delay_line(stages, periods, adaptive, engine);
-  const RunSummary mod = run_modulator(sections, periods, adaptive, engine);
+  const RunSummary dl = run_delay_line(stages, periods, engine);
+  const RunSummary mod = run_modulator(sections, periods, engine);
 
   if (json) {
     std::printf("{\"runs\": [");
@@ -219,14 +197,11 @@ int main(int argc, char** argv) {
     for (const auto* s : {&dl, &mod}) {
       std::printf(
           "%s{\"workload\": \"%s\", \"unknowns\": %zu, \"points\": %zu, "
-          "\"steps_accepted\": %llu, \"steps_rejected\": %llu, "
-          "\"lte_clamped_steps\": %llu, \"event_blocks\": %llu, "
+          "\"steps_accepted\": %llu, \"event_blocks\": %llu, "
           "\"event_block_solves\": %llu, \"event_block_skips\": %llu, "
           "\"event_steps_skipped\": %llu, \"latency_ratio\": %.6f}",
           first ? "" : ", ", s->workload.c_str(), s->unknowns, s->points,
           static_cast<unsigned long long>(s->accepted),
-          static_cast<unsigned long long>(s->rejected),
-          static_cast<unsigned long long>(s->clamped),
           static_cast<unsigned long long>(s->blocks),
           static_cast<unsigned long long>(s->block_solves),
           static_cast<unsigned long long>(s->block_skips),
@@ -242,13 +217,9 @@ int main(int argc, char** argv) {
   }
 
   const std::uint64_t misses = si::obs::counter("mna.pattern_misses").value();
-  const std::uint64_t clamped = dl.clamped + mod.clamped;
-  if (misses > 0 || clamped > 0) {
-    std::fprintf(stderr,
-                 "sim_stats: degraded run — pattern_misses=%llu, "
-                 "lte_clamped_steps=%llu\n",
-                 static_cast<unsigned long long>(misses),
-                 static_cast<unsigned long long>(clamped));
+  if (misses > 0) {
+    std::fprintf(stderr, "sim_stats: degraded run — pattern_misses=%llu\n",
+                 static_cast<unsigned long long>(misses));
     return 1;
   }
   if (event_engine) {

@@ -64,13 +64,6 @@ struct ErcOptions {
   /// Relative tolerance on the memory-pair beta match
   /// (si.classab-asymmetry).
   double pair_beta_tolerance = 0.05;
-  /// Time samples per clock period when testing switch phase overlap
-  /// with the legacy sampled scan (exact_clock_phase = false).
-  int clock_samples = 128;
-  /// Detect switch phase overlap exactly on breakpoint-derived ON
-  /// interval sets instead of time-sampling (catches overlaps narrower
-  /// than period / clock_samples).
-  bool exact_clock_phase = true;
   /// Enables the deep static-verification pack (src/verify/): interval
   /// abstract interpretation of node voltages plus the witness-backed
   /// si.supply-floor-worstcase / si.overdrive-margin /

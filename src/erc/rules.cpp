@@ -376,49 +376,24 @@ void check_clock_phases(Ctx& ctx, const std::vector<MemoryPair>& pairs) {
       const spice::Switch* sa = sampling_switch(a);
       const spice::Switch* sb = sampling_switch(b);
       if (!sa || !sb) continue;  // aperiodic (DC study) or diode cells
-      if (ctx.opt.exact_clock_phase) {
-        // Exact path: ON intervals from waveform breakpoints, overlap
-        // computed symbolically over the hyperperiod.  An overlap of
-        // any width — down to one representable instant — is caught.
-        const verify::OverlapReport rep = verify::phase_overlap(
-            verify::switch_phase(*sa), verify::switch_phase(*sb));
-        if (rep.overlap > 0.0) {
-          ctx.sink.report(
-              {Severity::kError, "si.clock-overlap",
-               "cascaded memory cells at nodes '" + ctx.c.node_name(a.drain) +
-                   "' and '" + ctx.c.node_name(b.drain) +
-                   "' sample on overlapping clock phases (" +
-                   fmt(rep.overlap * 1e9) + " ns of double-ON per " +
-                   fmt(rep.hyperperiod * 1e9) +
-                   " ns hyperperiod, non-overlap margin " +
-                   fmt(rep.margin * 1e9) + " ns): the chain is transparent, "
-                   "not a z^-1 delay",
-               ctx.line_of_element(sb->name()), sb->name(),
-               "clock the second cell on the opposite phase"});
-        }
-        continue;
-      }
-      // Legacy sampled scan (kept for exact_clock_phase = false): blind
-      // to overlaps narrower than period / clock_samples.
-      const double period =
-          std::max(sa->control().period(), sb->control().period());
-      const int samples = std::max(8, ctx.opt.clock_samples);
-      for (int k = 0; k < samples; ++k) {
-        const double t = (k + 0.5) * period / samples;
-        if (sa->is_on(t) && sb->is_on(t)) {
-          ctx.sink.report(
-              {Severity::kError, "si.clock-overlap",
-               "cascaded memory cells at nodes '" +
-                   ctx.c.node_name(a.drain) + "' and '" +
-                   ctx.c.node_name(b.drain) +
-                   "' sample on overlapping clock phases (both switches "
-                   "closed at t = " +
-                   fmt(t * 1e9) + " ns): the chain is transparent, not a "
-                   "z^-1 delay",
-               ctx.line_of_element(sb->name()), sb->name(),
-               "clock the second cell on the opposite phase"});
-          break;
-        }
+      // ON intervals from waveform breakpoints, overlap computed
+      // symbolically over the hyperperiod.  An overlap of any width —
+      // down to one representable instant — is caught.
+      const verify::OverlapReport rep = verify::phase_overlap(
+          verify::switch_phase(*sa), verify::switch_phase(*sb));
+      if (rep.overlap > 0.0) {
+        ctx.sink.report(
+            {Severity::kError, "si.clock-overlap",
+             "cascaded memory cells at nodes '" + ctx.c.node_name(a.drain) +
+                 "' and '" + ctx.c.node_name(b.drain) +
+                 "' sample on overlapping clock phases (" +
+                 fmt(rep.overlap * 1e9) + " ns of double-ON per " +
+                 fmt(rep.hyperperiod * 1e9) +
+                 " ns hyperperiod, non-overlap margin " +
+                 fmt(rep.margin * 1e9) + " ns): the chain is transparent, "
+                 "not a z^-1 delay",
+             ctx.line_of_element(sb->name()), sb->name(),
+             "clock the second cell on the opposite phase"});
       }
     }
   }

@@ -2,24 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
-#include "erc/check.hpp"
-#include "event/partition.hpp"
-#include "event/queue.hpp"
-#include "event/scoped_engine.hpp"
 #include "obs/telemetry.hpp"
-#include "spice/elements.hpp"
-#include "spice/mna.hpp"
 
 namespace si::event {
 
-using spice::AnalysisMode;
-using spice::NodeId;
 using spice::SolutionView;
 using spice::StampContext;
 using spice::TransientResult;
-using spice::VoltageSource;
 
 namespace {
 
@@ -43,297 +33,144 @@ struct EventTelemetry {
 
 }  // namespace
 
-EventTransient::EventTransient(spice::Circuit& c, spice::TransientOptions opt)
-    : circuit_(&c), opt_(opt) {
-  if (opt_.t_stop <= 0.0 || opt_.dt <= 0.0)
-    throw std::invalid_argument("EventTransient: t_stop and dt must be > 0");
-  if (opt_.adaptive)
-    throw std::invalid_argument(
-        "EventTransient: the event engine runs a fixed grid "
-        "(adaptive transients resolve to the monolithic engine)");
-}
-
-void EventTransient::probe_voltage(const std::string& node_name) {
-  voltage_probes_.push_back(node_name);
-}
-
-void EventTransient::probe_current(const std::string& vsource_name) {
-  current_probes_.push_back(vsource_name);
-}
-
-void EventTransient::set_initial_voltage(const std::string& node_name,
-                                         double volts) {
-  initial_voltages_.emplace_back(node_name, volts);
-  opt_.start_from_dc = false;
-}
-
-TransientResult EventTransient::run(
-    const std::function<void(double, const SolutionView&)>& on_step) {
-  spice::Circuit& c = *circuit_;
-  if (opt_.erc_gate) erc::enforce(c);
-  c.finalize();
-
-  EventTelemetry& tm = EventTelemetry::get();
-  obs::TraceSpan run_span("event.run");
-  tm.runs.add();
-
-  // Probe resolution, identical to spice::Transient (dedup repeats,
-  // reject label collisions).
-  std::vector<std::pair<std::string, NodeId>> v_probes;
-  for (const auto& n : voltage_probes_) {
-    const std::string label = "v(" + n + ")";
-    const NodeId node = c.node(n);
-    const auto it =
-        std::find_if(v_probes.begin(), v_probes.end(),
-                     [&](const auto& p) { return p.first == label; });
-    if (it != v_probes.end()) {
-      if (it->second != node)
-        throw std::invalid_argument(
-            "EventTransient: probe label collision on " + label);
-      continue;
-    }
-    v_probes.emplace_back(label, node);
-  }
-  std::vector<std::pair<std::string, const VoltageSource*>> i_probes;
-  for (const auto& n : current_probes_) {
-    const auto* vs = dynamic_cast<const VoltageSource*>(c.find(n));
-    if (!vs)
-      throw std::invalid_argument("EventTransient: no voltage source named " +
-                                  n);
-    const std::string label = "i(" + n + ")";
-    const auto it =
-        std::find_if(i_probes.begin(), i_probes.end(),
-                     [&](const auto& p) { return p.first == label; });
-    if (it != i_probes.end()) {
-      if (it->second != vs)
-        throw std::invalid_argument(
-            "EventTransient: probe label collision on " + label);
-      continue;
-    }
-    i_probes.emplace_back(label, vs);
-  }
-
-  // Partition once per run (the topology is frozen after finalize) and
-  // build the scheduler state over it.
-  const CircuitPartition partition = partition_circuit(c);
-  const std::size_t n_blocks = partition.block_count();
-  EventQueue queue(c, partition, opt_.t_stop);
-  ScopedMnaEngine scoped(c, partition);
-
-  // The DC operating point is solved by the monolithic engine so the
-  // event run starts from exactly the same state as the full solve.
-  linalg::Vector x(c.system_size(), 0.0);
-  if (opt_.start_from_dc) {
-    spice::MnaEngine dc_engine(c);
-    spice::DcOptions dco;
-    dco.newton = opt_.newton;
-    dco.erc_gate = false;  // already checked (or opted out) above
-    spice::DcResult op = dc_operating_point(c, dc_engine, dco);
-    x = std::move(op.x);
-  } else {
-    for (const auto& [name, volts] : initial_voltages_) {
-      const NodeId node = c.node(name);
-      if (node != spice::kGroundNode)
-        x[static_cast<std::size_t>(node - 1)] = volts;
-    }
-    StampContext ctx0;
-    ctx0.mode = AnalysisMode::kDcOperatingPoint;
-    SolutionView sol(c, x);
-    for (const auto& e : c.elements()) e->accept(sol, ctx0);
-  }
-
-  // Same fixed grid as the monolithic engine: full dt intervals plus an
-  // exact partial final step when t_stop is not a multiple of dt.
-  const double ratio = opt_.t_stop / opt_.dt;
-  const auto full_steps = static_cast<std::size_t>(ratio * (1.0 + 1e-12));
-  double remainder = opt_.t_stop - static_cast<double>(full_steps) * opt_.dt;
-  if (remainder <= 1e-9 * opt_.dt) remainder = 0.0;
-  const std::size_t steps = full_steps + (remainder > 0.0 ? 1 : 0);
-
-  TransientResult result;
-  result.event_blocks = n_blocks;
-  result.time.reserve(steps + 1);
-  std::vector<std::pair<NodeId, std::vector<double>*>> v_sinks;
-  v_sinks.reserve(v_probes.size());
-  for (const auto& [label, node] : v_probes) {
-    auto& vec = result.signals[label];
-    vec.reserve(steps + 1);
-    v_sinks.emplace_back(node, &vec);
-  }
-  std::vector<std::pair<int, std::vector<double>*>> i_sinks;
-  i_sinks.reserve(i_probes.size());
-  for (const auto& [label, vs] : i_probes) {
-    auto& vec = result.signals[label];
-    vec.reserve(steps + 1);
-    i_sinks.emplace_back(vs->branch(), &vec);
-  }
-  auto record = [&](double t, const SolutionView& sol) {
-    result.time.push_back(t);
-    for (const auto& [node, vec] : v_sinks) vec->push_back(sol.voltage(node));
-    for (const auto& [branch, vec] : i_sinks)
-      vec->push_back(sol.branch_current(branch));
-    if (on_step) on_step(t, sol);
-  };
-
-  {
-    SolutionView sol0(c, x);
-    record(0.0, sol0);
-  }
-
-  // Boundary switches, resolved to pointers for the propagation pass.
-  struct BoundarySwitch {
-    const spice::Switch* sw;
-    int block_a;
-    int block_b;
-  };
-  std::vector<BoundarySwitch> boundaries;
-  boundaries.reserve(partition.boundaries.size());
-  for (const auto& b : partition.boundaries)
-    boundaries.push_back(
+EventScheduler::EventScheduler(spice::Circuit& c,
+                               const spice::TransientOptions& opt)
+    : circuit_(&c),
+      opt_(&opt),
+      partition_(partition_circuit(c)),
+      queue_(c, partition_, opt.t_stop),
+      scoped_(c, partition_) {
+  EventTelemetry::get().runs.add();
+  boundaries_.reserve(partition_.boundaries.size());
+  for (const auto& b : partition_.boundaries)
+    boundaries_.push_back(
         {dynamic_cast<const spice::Switch*>(
              c.elements()[static_cast<std::size_t>(b.element)].get()),
          b.block_a, b.block_b});
 
-  // Scheduler state.  Every block starts active: the first steps settle
-  // the post-DC transient, and blocks earn latency by staying quiescent.
-  std::vector<unsigned char> active(n_blocks, 1);
-  std::vector<unsigned char> stimulated(n_blocks, 0);
-  std::vector<int> settle(n_blocks, 0);
-  std::vector<double> block_delta(n_blocks, 0.0);
-  std::vector<double> block_delta_prev(n_blocks, 0.0);
-  linalg::Vector x_prev(x.size(), 0.0);
-  const std::size_t n_latent_eligible = n_blocks > 0 ? n_blocks - 1 : 0;
+  const std::size_t n_blocks = partition_.block_count();
+  active_.assign(n_blocks, 1);
+  stimulated_.assign(n_blocks, 0);
+  settle_.assign(n_blocks, 0);
+  block_delta_.assign(n_blocks, 0.0);
+  block_delta_prev_.assign(n_blocks, 0.0);
+  x_prev_.assign(c.system_size(), 0.0);
+}
 
-  StampContext ctx;
-  ctx.mode = AnalysisMode::kTransient;
-  ctx.dt = opt_.dt;
-  ctx.gmin = opt_.newton.gmin;
-  ctx.integrator = opt_.integrator;
+void EventScheduler::advance(double t_prev, const StampContext& ctx,
+                             linalg::Vector& x, TransientResult& result) {
+  EventTelemetry& tm = EventTelemetry::get();
+  const std::size_t n_blocks = partition_.block_count();
 
-  double t_prev = 0.0;
-  for (std::size_t k = 1; k <= steps; ++k) {
-    const bool last = k == steps;
-    if (last && remainder > 0.0) ctx.dt = remainder;  // exact final step
-    ctx.time = last ? opt_.t_stop : static_cast<double>(k) * opt_.dt;
-
-    // 1. Dispatch stimulus events across (t_prev, t].
-    std::fill(stimulated.begin(), stimulated.end(), 0);
-    const DispatchCounts counts =
-        queue.step(t_prev, ctx.time, opt_.event_wave_tol, stimulated);
-    tm.events_dispatched.add(counts.breakpoints);
-    tm.value_changes.add(counts.value_changes);
-    for (std::size_t b = 1; b < n_blocks; ++b)
-      if (stimulated[b]) {
-        active[b] = 1;
-        settle[b] = 0;  // new excitation restarts the settling window
-        block_delta_prev[b] = 0.0;
-      }
-
-    // 2. Propagate activity through closed boundary switches until the
-    // active set is a fixpoint: an ON switch couples its two sides, so
-    // they must be solved together.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const auto& b : boundaries) {
-        const bool a_on = active[static_cast<std::size_t>(b.block_a)] != 0;
-        const bool b_on = active[static_cast<std::size_t>(b.block_b)] != 0;
-        if (a_on == b_on) continue;  // cheap test first: skips the
-                                     // control-waveform eval entirely on
-                                     // quiescent steps
-        if (!b.sw->is_on(ctx.time)) continue;
-        const auto off = static_cast<std::size_t>(a_on ? b.block_b : b.block_a);
-        active[off] = 1;
-        settle[off] = 0;
-        block_delta_prev[off] = 0.0;
-        changed = true;
-      }
+  // 1. Dispatch stimulus events across (t_prev, t].
+  std::fill(stimulated_.begin(), stimulated_.end(), 0);
+  const DispatchCounts counts =
+      queue_.step(t_prev, ctx.time, opt_->event_wave_tol, stimulated_);
+  tm.events_dispatched.add(counts.breakpoints);
+  tm.value_changes.add(counts.value_changes);
+  for (std::size_t b = 1; b < n_blocks; ++b)
+    if (stimulated_[b]) {
+      active_[b] = 1;
+      settle_[b] = 0;  // new excitation restarts the settling window
+      block_delta_prev_[b] = 0.0;
     }
 
-    std::size_t n_active = 0;
-    for (std::size_t b = 1; b < n_blocks; ++b) n_active += active[b] ? 1 : 0;
-    tm.active_blocks.record(static_cast<double>(n_active));
-    result.event_block_solves += n_active;
-    result.event_block_skips += n_latent_eligible - n_active;
-    tm.block_solves.add(n_active);
-    tm.block_skips.add(n_latent_eligible - n_active);
-
-    if (n_active == 0 && n_blocks > 1) {
-      // Every block latent: hold the whole state, skip the solve.
-      ++result.event_steps_skipped;
-      tm.steps_skipped.add();
-      SolutionView sol(c, x);
-      record(ctx.time, sol);
-      ++result.steps_accepted;
-      t_prev = ctx.time;
-      continue;
+  // 2. Propagate activity through closed boundary switches until the
+  // active set is a fixpoint: an ON switch couples its two sides, so
+  // they must be solved together.
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const auto& b : boundaries_) {
+      const bool a_on = active_[static_cast<std::size_t>(b.block_a)] != 0;
+      const bool b_on = active_[static_cast<std::size_t>(b.block_b)] != 0;
+      if (a_on == b_on) continue;  // cheap test first: skips the
+                                   // control-waveform eval entirely on
+                                   // quiescent steps
+      if (!b.sw->is_on(ctx.time)) continue;
+      const auto off = static_cast<std::size_t>(a_on ? b.block_b : b.block_a);
+      active_[off] = 1;
+      settle_[off] = 0;
+      block_delta_prev_[off] = 0.0;
+      changed = true;
     }
-
-    // 3. Scope-restricted solve.  On a convergence failure, retry once
-    // with every block active — the full system, bit-identical to the
-    // monolithic engine's — before giving up.
-    x_prev = x;
-    try {
-      scoped.newton(ctx, x, opt_.newton, active);
-    } catch (const spice::ConvergenceError&) {
-      std::fill(active.begin(), active.end(), 1);
-      std::fill(settle.begin(), settle.end(), 0);
-      tm.full_activations.add();
-      x = x_prev;
-      scoped.newton(ctx, x, opt_.newton, active);
-    }
-    SolutionView sol(c, x);
-    scoped.accept_scope(active, sol, ctx);
-    record(ctx.time, sol);
-    ++result.steps_accepted;
-
-    // 4. Quiescence detection: the largest per-step change over each
-    // active block's unknowns, held below tolerance for
-    // event_settle_steps consecutive solved steps, sends it latent.
-    std::fill(block_delta.begin(), block_delta.end(), 0.0);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const int blk = partition.unknown_block[i];
-      if (blk == 0 || !active[static_cast<std::size_t>(blk)]) continue;
-      block_delta[static_cast<std::size_t>(blk)] =
-          std::max(block_delta[static_cast<std::size_t>(blk)],
-                   std::abs(x[i] - x_prev[i]));
-    }
-    for (std::size_t b = 1; b < n_blocks; ++b) {
-      if (!active[b]) continue;
-      const double delta = block_delta[b];
-      const double prev = block_delta_prev[b];
-      block_delta_prev[b] = delta;
-      bool quiescent = delta < opt_.event_quiescent_tol;
-      if (quiescent && prev > delta && delta > 0.0) {
-        // The block may still be on a decaying settling tail.  Holding
-        // it would freeze in the remaining tail, which for a geometric
-        // decay with ratio r = delta/prev sums to delta * r / (1 - r) —
-        // about 16x the per-step delta for the memory pairs' C_gs/g_m
-        // time constant at 1 ns steps.  Latch only once that projected
-        // remainder is itself inside the tolerance.  The projection is
-        // capped: a hold is not permanent — the next clock edge
-        // (at most half a period away) re-solves the block and the
-        // contractive Newton solve pulls it back onto the true
-        // trajectory, so only the fast settling tail needs covering,
-        // not an unbounded horizon.  Near-unity ratios (slow drifts
-        // far below tolerance) would otherwise project to infinity and
-        // pin blocks active forever.
-        const double r = delta / prev;
-        const double tail = std::min(r / (1.0 - r), 32.0);
-        quiescent = delta * tail < opt_.event_quiescent_tol;
-      }
-      if (quiescent) {
-        if (++settle[b] >= opt_.event_settle_steps) {
-          active[b] = 0;
-          settle[b] = 0;
-        }
-      } else {
-        settle[b] = 0;
-      }
-    }
-    t_prev = ctx.time;
   }
-  return result;
+
+  const std::size_t n_latent_eligible = n_blocks > 0 ? n_blocks - 1 : 0;
+  std::size_t n_active = 0;
+  for (std::size_t b = 1; b < n_blocks; ++b) n_active += active_[b] ? 1 : 0;
+  tm.active_blocks.record(static_cast<double>(n_active));
+  result.event_block_solves += n_active;
+  result.event_block_skips += n_latent_eligible - n_active;
+  tm.block_solves.add(n_active);
+  tm.block_skips.add(n_latent_eligible - n_active);
+
+  if (n_active == 0 && n_blocks > 1) {
+    // Every block latent: hold the whole state, skip the solve.
+    ++result.event_steps_skipped;
+    tm.steps_skipped.add();
+    return;
+  }
+
+  // 3. Scope-restricted solve.  On a convergence failure, retry once
+  // with every block active — the full system, bit-identical to the
+  // monolithic engine's — before giving up.
+  x_prev_ = x;
+  try {
+    scoped_.newton(ctx, x, opt_->newton, active_);
+  } catch (const spice::ConvergenceError&) {
+    std::fill(active_.begin(), active_.end(), 1);
+    std::fill(settle_.begin(), settle_.end(), 0);
+    tm.full_activations.add();
+    x = x_prev_;
+    scoped_.newton(ctx, x, opt_->newton, active_);
+  }
+  scoped_.accept_scope(active_, SolutionView(*circuit_, x), ctx);
+
+  // 4. Quiescence detection: the largest per-step change over each
+  // active block's unknowns, held below tolerance for
+  // event_settle_steps consecutive solved steps, sends it latent.
+  std::fill(block_delta_.begin(), block_delta_.end(), 0.0);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const int blk = partition_.unknown_block[i];
+    if (blk == 0 || !active_[static_cast<std::size_t>(blk)]) continue;
+    block_delta_[static_cast<std::size_t>(blk)] =
+        std::max(block_delta_[static_cast<std::size_t>(blk)],
+                 std::abs(x[i] - x_prev_[i]));
+  }
+  for (std::size_t b = 1; b < n_blocks; ++b) {
+    if (!active_[b]) continue;
+    const double delta = block_delta_[b];
+    const double prev = block_delta_prev_[b];
+    block_delta_prev_[b] = delta;
+    bool quiescent = delta < opt_->event_quiescent_tol;
+    if (quiescent && prev > delta && delta > 0.0) {
+      // The block may still be on a decaying settling tail.  Holding
+      // it would freeze in the remaining tail, which for a geometric
+      // decay with ratio r = delta/prev sums to delta * r / (1 - r) —
+      // about 16x the per-step delta for the memory pairs' C_gs/g_m
+      // time constant at 1 ns steps.  Latch only once that projected
+      // remainder is itself inside the tolerance.  The projection is
+      // capped: a hold is not permanent — the next clock edge
+      // (at most half a period away) re-solves the block and the
+      // contractive Newton solve pulls it back onto the true
+      // trajectory, so only the fast settling tail needs covering,
+      // not an unbounded horizon.  Near-unity ratios (slow drifts
+      // far below tolerance) would otherwise project to infinity and
+      // pin blocks active forever.
+      const double r = delta / prev;
+      const double tail = std::min(r / (1.0 - r), 32.0);
+      quiescent = delta * tail < opt_->event_quiescent_tol;
+    }
+    if (quiescent) {
+      if (++settle_[b] >= opt_->event_settle_steps) {
+        active_[b] = 0;
+        settle_[b] = 0;
+      }
+    } else {
+      settle_[b] = 0;
+    }
+  }
 }
 
 }  // namespace si::event

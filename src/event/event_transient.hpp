@@ -1,8 +1,10 @@
-// Event-driven multi-rate transient engine.
+// Event-driven multi-rate stepping for spice::Transient.
 //
-// Runs the SAME fixed time grid as the monolithic spice::Transient but
-// solves, at each step, only the partition blocks that are active: a
-// block is re-excited by stimulus events (waveform breakpoints from the
+// spice::Transient::run owns the fixed time grid, the DC start, the
+// probes and the on_step calls for both engines.  Under
+// TransientEngine::kEvent it hands each grid step to an EventScheduler,
+// which solves only the partition blocks that are active: a block is
+// re-excited by stimulus events (waveform breakpoints from the
 // discrete-event queue, sampled-value changes) and by closed boundary
 // switches into other active blocks, and goes latent again after its
 // per-step solution change stays below the quiescence tolerance for a
@@ -13,38 +15,59 @@
 // semantics.
 #pragma once
 
-#include <functional>
-#include <string>
+#include <cstddef>
 #include <vector>
 
+#include "event/partition.hpp"
+#include "event/queue.hpp"
+#include "event/scoped_engine.hpp"
+#include "spice/elements.hpp"
 #include "spice/transient.hpp"
 
 namespace si::event {
 
-/// Drop-in event-driven counterpart of spice::Transient.  Construct,
-/// add probes, run.  spice::Transient::run() routes here when
-/// TransientOptions::engine resolves to TransientEngine::kEvent.
-class EventTransient {
+class EventScheduler {
  public:
-  EventTransient(spice::Circuit& c, spice::TransientOptions opt);
+  /// Partitions the finalized circuit once (the topology is frozen for
+  /// the run) and builds the queue and scoped engine over it.  Every
+  /// block starts active: the first steps settle the post-DC
+  /// transient, and blocks earn latency by staying quiescent.
+  EventScheduler(spice::Circuit& c, const spice::TransientOptions& opt);
+  EventScheduler(const EventScheduler&) = delete;
+  EventScheduler& operator=(const EventScheduler&) = delete;
 
-  void probe_voltage(const std::string& node_name);
-  void probe_current(const std::string& vsource_name);
-  void set_initial_voltage(const std::string& node_name, double volts);
+  /// Partition size, for TransientResult::event_blocks.
+  std::size_t block_count() const { return partition_.block_count(); }
 
-  /// Runs the analysis.  Same contract as spice::Transient::run — the
-  /// returned waveforms cover every grid point (held samples repeat the
-  /// frozen values) and the event_* statistics are filled in.
-  spice::TransientResult run(
-      const std::function<void(double, const spice::SolutionView&)>& on_step =
-          {});
+  /// Advances `x` across the grid step (t_prev, ctx.time]: dispatches
+  /// the stimulus events in the step, closes the active set over ON
+  /// boundary switches, then either holds the whole state (every block
+  /// latent) or runs the scoped solve and accepts the solved elements.
+  /// Adds the step's event_* statistics to `result`.
+  void advance(double t_prev, const spice::StampContext& ctx,
+               linalg::Vector& x, spice::TransientResult& result);
 
  private:
+  /// A switch between two blocks, resolved for the activation pass.
+  struct BoundarySwitch {
+    const spice::Switch* sw;
+    int block_a;
+    int block_b;
+  };
+
   spice::Circuit* circuit_;
-  spice::TransientOptions opt_;
-  std::vector<std::string> voltage_probes_;
-  std::vector<std::string> current_probes_;
-  std::vector<std::pair<std::string, double>> initial_voltages_;
+  const spice::TransientOptions* opt_;
+  CircuitPartition partition_;
+  EventQueue queue_;
+  ScopedMnaEngine scoped_;
+  std::vector<BoundarySwitch> boundaries_;
+
+  std::vector<unsigned char> active_;
+  std::vector<unsigned char> stimulated_;
+  std::vector<int> settle_;
+  std::vector<double> block_delta_;
+  std::vector<double> block_delta_prev_;
+  linalg::Vector x_prev_;
 };
 
 }  // namespace si::event

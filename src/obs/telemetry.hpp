@@ -1,8 +1,9 @@
 // Solver telemetry: a process-wide registry of named Counters, Timers
 // and Histograms plus a preallocated TraceSpan event ring, wired into
-// the MNA engines, the transient steppers and the runtime pool so the
-// self-healing mechanisms (pattern misses, pivot re-pivot, dt_min
-// clamping, gmin ladders) are counted instead of recovering silently.
+// the MNA engines, the transient engines and the runtime pool so the
+// self-healing mechanisms (pattern misses, pivot re-pivot, gmin
+// ladders, event-engine full activations) are counted instead of
+// recovering silently.
 //
 // Overhead contract:
 //  - compile-time kill switch: building with SI_OBS=OFF defines

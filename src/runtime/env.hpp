@@ -8,7 +8,7 @@
 // silently parsing as 8 (strtol stopping at the junk) or =abc silently
 // falling back to the hardware default is precisely the class of
 // misconfiguration that benchmarks the wrong setup for a week before
-// anyone notices — reject it up front, like SI_TRANSIENT does.
+// anyone notices — reject it up front.
 //
 // Header-only on purpose: si_obs sits below si_runtime in the link
 // order but shares the same include root, so the telemetry layer can
@@ -19,7 +19,6 @@
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
-#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -70,24 +69,6 @@ inline std::optional<bool> parse_env_flag(const char* name) {
   if (s == "1" || s == "on" || s == "true") return true;
   if (s == "0" || s == "off" || s == "false") return false;
   env_detail::fail(name, raw, "valid values: 0, 1, on, off, true, false");
-}
-
-/// Parses an enumerated environment variable against an explicit choice
-/// list.  Unset or empty returns std::nullopt; a listed choice is
-/// returned verbatim; anything else throws naming every valid choice (a
-/// typo like SI_TRANSIENT=evnt must not silently select the default).
-inline std::optional<std::string> parse_env_choice(
-    const char* name, std::initializer_list<const char*> choices) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return std::nullopt;
-  const std::string s(raw);
-  std::string valid;
-  for (const char* c : choices) {
-    if (s == c) return s;
-    if (!valid.empty()) valid += ", ";
-    valid += c;
-  }
-  env_detail::fail(name, raw, "valid values: " + valid);
 }
 
 }  // namespace si::runtime

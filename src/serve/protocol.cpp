@@ -161,7 +161,6 @@ Json run_tran(const JobRequest& r, const spice::DeckRunOptions& opt) {
   out.set("time", std::move(time));
   out.set("signals", std::move(signals));
   out.set("steps_accepted", tr.steps_accepted);
-  out.set("lte_clamped_steps", tr.lte_clamped_steps);
   return out;
 }
 
@@ -169,12 +168,12 @@ Json run_mc(const JobRequest& r, const spice::DeckRunOptions& opt) {
   const std::string node_name = measure_node(r.mc_measure);
   spice::Circuit c = spice::parse_netlist(strip_directives(r.deck));
 
-  // Circuit::node() creates on first use; a typoed measure node must be
-  // an error, not a silently-floating extra unknown.
-  const std::size_t nodes_before = c.node_count();
-  const spice::NodeId probe = c.node(node_name);
-  if (c.node_count() != nodes_before)
+  // A typoed measure node must be an error, not a silently-floating
+  // extra unknown (Circuit::node() would create it).
+  const auto found = c.find_node(node_name);
+  if (!found)
     bad_request("mc_measure node \"" + node_name + "\" is not in the deck");
+  const spice::NodeId probe = *found;
 
   // Snapshot every MOSFET's nominal parameters once, then perturb
   // kp / Vt0 per trial — apply() is a pure function of the seed.

@@ -5,13 +5,18 @@
 namespace si::spice {
 
 NodeId Circuit::node(const std::string& name) {
-  if (name == "0" || name == "gnd" || name == "GND") return kGroundNode;
-  auto it = node_ids_.find(name);
-  if (it != node_ids_.end()) return it->second;
+  if (const auto found = find_node(name)) return *found;
   const NodeId id = static_cast<NodeId>(node_names_.size());
   node_names_.push_back(name);
   node_ids_.emplace(name, id);
   return id;
+}
+
+std::optional<NodeId> Circuit::find_node(const std::string& name) const {
+  if (name == "0" || name == "gnd" || name == "GND") return kGroundNode;
+  const auto it = node_ids_.find(name);
+  if (it == node_ids_.end()) return std::nullopt;
+  return it->second;
 }
 
 void Circuit::finalize() {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -26,6 +27,9 @@ class Circuit {
 
   /// Returns the id of the named node, creating it on first use.
   NodeId node(const std::string& name);
+
+  /// Finds a node by name without creating it; nullopt if absent.
+  std::optional<NodeId> find_node(const std::string& name) const;
 
   NodeId ground() const { return kGroundNode; }
 

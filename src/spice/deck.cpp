@@ -126,7 +126,6 @@ DeckRunResult run_deck(const std::string& deck, const DeckRunOptions& opt) {
     topt.t_stop = dir.t_stop;
     topt.newton = opt.newton;
     topt.erc_gate = false;
-    topt.engine = opt.engine;
     Transient tr(r.circuit, topt);
     for (const auto& [kind, name] : dir.probes) {
       if (kind == 'v')

@@ -47,8 +47,6 @@ struct DeckRunOptions {
   /// Run the pre-simulation ERC gate (set false when the deck was
   /// already linted through erc::check_deck).
   bool erc_gate = true;
-  /// Transient engine selection forwarded to TransientOptions::engine.
-  TransientEngine engine = TransientEngine::kAuto;
 };
 
 /// Parses and runs a full deck.  Throws ParseError for malformed

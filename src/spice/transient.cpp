@@ -1,15 +1,13 @@
 #include "spice/transient.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "erc/check.hpp"
 #include "event/event_transient.hpp"
 #include "obs/telemetry.hpp"
-#include "runtime/env.hpp"
 #include "spice/elements.hpp"
 #include "spice/mna.hpp"
 
@@ -17,14 +15,12 @@ namespace si::spice {
 
 namespace {
 
-/// Transient telemetry handles, hoisted once so the step loop records
-/// through preallocated atomics only.
+/// Monolithic-engine telemetry handles, hoisted once so the step loop
+/// records through preallocated atomics only (event runs count under
+/// event.*).
 struct TransientTelemetry {
   obs::Counter& steps_accepted = obs::counter("transient.steps_accepted");
-  obs::Counter& steps_rejected = obs::counter("transient.steps_rejected");
-  obs::Counter& lte_clamped = obs::counter("transient.lte_clamped");
   obs::Counter& runs = obs::counter("transient.runs");
-  obs::Histogram& dt_hist = obs::histogram("transient.dt");
 
   static TransientTelemetry& get() {
     static TransientTelemetry t;
@@ -33,25 +29,6 @@ struct TransientTelemetry {
 };
 
 }  // namespace
-
-TransientEngine transient_engine_from_env() {
-  // Strict parse: an unknown engine name used to fall back to kAuto
-  // silently, so SI_TRANSIENT=evnt benchmarked the monolithic engine
-  // while claiming event timings.  It now throws, naming the choices.
-  const auto v = runtime::parse_env_choice("SI_TRANSIENT",
-                                           {"auto", "event", "monolithic"});
-  if (!v || *v == "auto") return TransientEngine::kAuto;
-  return *v == "event" ? TransientEngine::kEvent
-                       : TransientEngine::kMonolithic;
-}
-
-TransientEngine resolve_engine(TransientEngine requested, bool adaptive) {
-  if (adaptive) return TransientEngine::kMonolithic;
-  if (requested != TransientEngine::kAuto) return requested;
-  const TransientEngine env = transient_engine_from_env();
-  if (env != TransientEngine::kAuto) return env;
-  return TransientEngine::kMonolithic;
-}
 
 const std::vector<double>& TransientResult::signal(
     const std::string& name) const {
@@ -84,20 +61,22 @@ void Transient::set_initial_voltage(const std::string& node_name,
 TransientResult Transient::run(
     const std::function<void(double, const SolutionView&)>& on_step) {
   Circuit& c = *circuit_;
-  if (resolve_engine(opt_.engine, opt_.adaptive) == TransientEngine::kEvent) {
-    event::EventTransient ev(c, opt_);
-    for (const auto& n : voltage_probes_) ev.probe_voltage(n);
-    for (const auto& n : current_probes_) ev.probe_current(n);
-    for (const auto& [name, volts] : initial_voltages_)
-      ev.set_initial_voltage(name, volts);
-    return ev.run(on_step);
-  }
   if (opt_.erc_gate) erc::enforce(c);
   c.finalize();
 
+  const bool event_engine = opt_.engine == TransientEngine::kEvent;
   TransientTelemetry& tm = TransientTelemetry::get();
-  obs::TraceSpan run_span("transient.run");
-  tm.runs.add();
+  obs::TraceSpan run_span(event_engine ? "event.run" : "transient.run");
+  if (!event_engine) tm.runs.add();
+
+  // Probes and presets must name nodes the netlist already has:
+  // Circuit::node() would add a misspelled name as a new floating
+  // unknown, outside the state vector sized below.
+  const auto existing_node = [&](const std::string& name) {
+    const auto node = c.find_node(name);
+    if (!node) throw std::invalid_argument("Transient: no node named " + name);
+    return *node;
+  };
 
   // Resolve probes up front, deduplicating repeats: a node (or source)
   // probed twice must collapse to ONE sink — two sinks feeding the same
@@ -107,7 +86,7 @@ TransientResult Transient::run(
   std::vector<std::pair<std::string, NodeId>> v_probes;
   for (const auto& n : voltage_probes_) {
     const std::string label = "v(" + n + ")";
-    const NodeId node = c.node(n);
+    const NodeId node = existing_node(n);
     const auto it =
         std::find_if(v_probes.begin(), v_probes.end(),
                      [&](const auto& p) { return p.first == label; });
@@ -136,12 +115,18 @@ TransientResult Transient::run(
     }
     i_probes.emplace_back(label, vs);
   }
+  std::vector<std::pair<NodeId, double>> presets;
+  for (const auto& [name, volts] : initial_voltages_)
+    presets.emplace_back(existing_node(name), volts);
 
   // One engine for the whole run (DC operating point included): the
   // sparsity pattern, symbolic factorization, stamp-slot memos, and
   // solve workspaces are built once and reused — the time loop
-  // allocates nothing.
+  // allocates nothing.  An event run takes its DC start from the same
+  // engine, so both engines step from exactly the same state.
   MnaEngine engine(c);
+  std::optional<event::EventScheduler> scheduler;
+  if (event_engine) scheduler.emplace(c, opt_);
 
   linalg::Vector x(c.system_size(), 0.0);
   if (opt_.start_from_dc) {
@@ -151,8 +136,7 @@ TransientResult Transient::run(
     DcResult op = dc_operating_point(c, engine, dco);
     x = std::move(op.x);
   } else {
-    for (const auto& [name, volts] : initial_voltages_) {
-      const NodeId node = c.node(name);
+    for (const auto& [node, volts] : presets) {
       if (node != kGroundNode)
         x[static_cast<std::size_t>(node - 1)] = volts;
     }
@@ -161,6 +145,9 @@ TransientResult Transient::run(
     SolutionView sol(c, x);
     for (const auto& e : c.elements()) e->accept(sol, ctx0);
   }
+  // x keeps its identity for the rest of the run, so one view serves
+  // every record and every accept.
+  const SolutionView sol(c, x);
 
   // Fixed grid: full_steps whole dt intervals plus, when t_stop is not
   // an integer multiple of dt, one exact partial step — the old
@@ -176,6 +163,7 @@ TransientResult Transient::run(
   const std::size_t steps = full_steps + (remainder > 0.0 ? 1 : 0);
 
   TransientResult result;
+  if (scheduler) result.event_blocks = scheduler->block_count();
   result.time.reserve(steps + 1);
   // Resolve each probe's signal vector once: the map lookups stay out
   // of the per-step hot path, and pointers into the node-based
@@ -195,18 +183,14 @@ TransientResult Transient::run(
     i_sinks.emplace_back(vs->branch(), &vec);
   }
 
-  auto record = [&](double t, const SolutionView& sol) {
+  auto record = [&](double t) {
     result.time.push_back(t);
     for (const auto& [node, vec] : v_sinks) vec->push_back(sol.voltage(node));
     for (const auto& [branch, vec] : i_sinks)
       vec->push_back(sol.branch_current(branch));
     if (on_step) on_step(t, sol);
   };
-
-  {
-    SolutionView sol0(c, x);
-    record(0.0, sol0);
-  }
+  record(0.0);
 
   StampContext ctx;
   ctx.mode = AnalysisMode::kTransient;
@@ -214,106 +198,20 @@ TransientResult Transient::run(
   ctx.gmin = opt_.newton.gmin;
   ctx.integrator = opt_.integrator;
 
-  if (!opt_.adaptive) {
-    for (std::size_t k = 1; k <= steps; ++k) {
-      const bool last = k == steps;
-      if (last && remainder > 0.0) ctx.dt = remainder;  // exact final step
-      ctx.time = last ? opt_.t_stop : static_cast<double>(k) * opt_.dt;
+  for (std::size_t k = 1; k <= steps; ++k) {
+    const bool last = k == steps;
+    if (last && remainder > 0.0) ctx.dt = remainder;  // exact final step
+    const double t_prev = ctx.time;
+    ctx.time = last ? opt_.t_stop : static_cast<double>(k) * opt_.dt;
+    if (scheduler) {
+      scheduler->advance(t_prev, ctx, x, result);
+    } else {
       engine.newton(ctx, x, opt_.newton);
-      SolutionView sol(c, x);
       for (const auto& e : c.elements()) e->accept(sol, ctx);
-      record(ctx.time, sol);
-      ++result.steps_accepted;
       tm.steps_accepted.add();
-      tm.dt_hist.record(ctx.dt);
     }
-    return result;
-  }
-
-  // Adaptive stepping.  Element reactive state only changes in
-  // accept(), so a step can be re-solved at a different dt freely.
-  const std::size_t n_nodes = c.node_count() - 1;
-  const double dt_min = opt_.dt_min > 0 ? opt_.dt_min : opt_.dt / 1024.0;
-  const double dt_max = opt_.dt_max > 0 ? opt_.dt_max : opt_.dt * 16.0;
-  double t = 0.0;
-  double dt = opt_.dt;
-  linalg::Vector x_trap;  // hoisted: the loop reuses their storage
-  linalg::Vector x_be;
-
-  // Stimulus waveforms whose breakpoints (pulse edges, PWL knots) the
-  // stepper must land on instead of stepping over: a clock edge inside
-  // an oversized step would otherwise be smeared across it, and the LTE
-  // estimate — evaluated only at step ends — cannot see the miss.
-  std::vector<const Waveform*> bp_waves;
-  if (opt_.honor_breakpoints) {
-    for (const auto& e : c.elements()) {
-      if (const auto* vs = dynamic_cast<const VoltageSource*>(e.get()))
-        bp_waves.push_back(&vs->waveform());
-      else if (const auto* is = dynamic_cast<const CurrentSource*>(e.get()))
-        bp_waves.push_back(&is->waveform());
-      else if (const auto* sw = dynamic_cast<const Switch*>(e.get()))
-        bp_waves.push_back(&sw->control());
-    }
-  }
-  std::vector<double> bp_scratch;
-
-  while (t < opt_.t_stop - 1e-18 * opt_.t_stop) {
-    dt = std::min(dt, opt_.t_stop - t);
-    // Clamp the step to the earliest breakpoint inside it (but never
-    // below dt_min: a breakpoint closer than that is hit on the next
-    // step's leading edge instead of forcing a denormal step).
-    double dt_step = dt;
-    if (!bp_waves.empty()) {
-      bp_scratch.clear();
-      for (const Waveform* w : bp_waves) w->breakpoints(t, t + dt, bp_scratch);
-      for (const double bt : bp_scratch)
-        dt_step = std::min(dt_step, std::max(bt - t, dt_min));
-    }
-    // When the remaining window is what clamped dt this is the final
-    // step: pin it to t_stop exactly instead of t + dt's rounded sum.
-    ctx.time = (opt_.t_stop - t) <= dt_step ? opt_.t_stop : t + dt_step;
-    ctx.dt = dt_step;
-
-    ctx.integrator = Integrator::kTrapezoidal;
-    x_trap = x;
-    engine.newton(ctx, x_trap, opt_.newton);
-    // The BE companion solve estimates the same step's LTE, so the
-    // converged trapezoidal solution is the best available warm start —
-    // it is typically within the error estimate of the BE answer.
-    ctx.integrator = Integrator::kBackwardEuler;
-    x_be = x_trap;
-    engine.newton(ctx, x_be, opt_.newton);
-
-    double err = 0.0;
-    for (std::size_t i = 0; i < n_nodes; ++i)
-      err = std::max(err, std::abs(x_trap[i] - x_be[i]));
-
-    if (err > opt_.lte_tol && dt_step > dt_min * 1.0001) {
-      dt = std::max(0.5 * dt_step, dt_min);
-      ++result.steps_rejected;
-      tm.steps_rejected.add();
-      continue;  // reject and retry with a smaller step
-    }
-    if (err > opt_.lte_tol) {
-      // dt already at dt_min: the step is accepted anyway, so the
-      // requested accuracy was NOT met here.  Report it instead of
-      // recovering silently.
-      ++result.lte_clamped_steps;
-      tm.lte_clamped.add();
-    }
-    // Accept the (more accurate) trapezoidal solution.
-    x = x_trap;
-    ctx.integrator = Integrator::kTrapezoidal;
-    SolutionView sol(c, x);
-    for (const auto& e : c.elements()) e->accept(sol, ctx);
-    t = ctx.time;
-    record(t, sol);
+    record(ctx.time);
     ++result.steps_accepted;
-    tm.steps_accepted.add();
-    tm.dt_hist.record(dt_step);
-    // Grow from the pre-clamp step size: a breakpoint landing should not
-    // permanently shrink the stride the controller had earned.
-    if (err < 0.25 * opt_.lte_tol) dt = std::min(2.0 * dt, dt_max);
   }
   return result;
 }

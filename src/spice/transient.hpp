@@ -1,6 +1,8 @@
-// Fixed-step transient analysis with Newton iteration per step.
-// Switched-current circuits are clocked, so a fixed step that resolves
-// the clock edges is simpler and more predictable than adaptive stepping.
+// Fixed-grid transient analysis with Newton iteration per step.
+// Switched-current circuits are clocked, so every run steps a fixed
+// grid that resolves the clock edges (200 steps per clock period in the
+// paper workloads; README "Transient step size" has the measured error
+// curve behind that choice).
 #pragma once
 
 #include <cstdint>
@@ -13,28 +15,18 @@
 
 namespace si::spice {
 
-/// Which stepping engine executes a transient run.
+/// How each grid step is solved.  Both engines run inside the same
+/// Transient::run loop: the same grid, DC start, probes and on_step
+/// calls.
 enum class TransientEngine {
-  kAuto,        ///< follow the SI_TRANSIENT env override, else monolithic
   kMonolithic,  ///< full-circuit Newton solve at every step (the default)
   kEvent,       ///< event-driven multi-rate engine (src/event): partitions
                 ///< the circuit at switch boundaries and skips latent blocks
 };
 
-/// Parses SI_TRANSIENT ("auto", "event", "monolithic"); kAuto when
-/// unset, empty, or "auto".  Any other value throws
-/// std::invalid_argument naming the valid choices — an unrecognized
-/// engine name must not silently benchmark the monolithic engine.
-TransientEngine transient_engine_from_env();
-
-/// Resolves a requested engine to a concrete one.  An explicit request
-/// wins; kAuto defers to SI_TRANSIENT, then to monolithic.  Adaptive
-/// runs always resolve monolithic (the event engine is fixed-grid).
-TransientEngine resolve_engine(TransientEngine requested, bool adaptive);
-
 struct TransientOptions {
   double t_stop = 0.0;   ///< end time [s]
-  double dt = 0.0;       ///< fixed step, or initial step when adaptive [s]
+  double dt = 0.0;       ///< grid step [s]
   Integrator integrator = Integrator::kTrapezoidal;
   NewtonOptions newton;
   bool start_from_dc = true;  ///< solve the t=0 operating point first
@@ -42,24 +34,10 @@ struct TransientOptions {
   /// throw erc::ErcError on error-severity findings (see DcOptions).
   bool erc_gate = true;
 
-  /// Adaptive stepping: each step is solved with both trapezoidal and
-  /// backward-Euler companions; their difference estimates the local
-  /// truncation error.  Steps are halved above `lte_tol` and doubled
-  /// when comfortably below it.  Clocked SI circuits usually prefer the
-  /// fixed grid; adaptive mode suits stiff settling studies.
-  bool adaptive = false;
-  double lte_tol = 1e-5;  ///< accepted trap-vs-BE node difference [V]
-  double dt_min = 0.0;    ///< defaults to dt / 1024
-  double dt_max = 0.0;    ///< defaults to dt * 16
-  /// Adaptive runs clamp each step so it lands exactly on the next
-  /// waveform breakpoint (pulse edges, PWL knots) instead of stepping
-  /// over a fast switch edge and smearing it across one oversized step.
-  bool honor_breakpoints = true;
-
   /// Engine selection (see TransientEngine).  The event engine produces
   /// waveforms %.6g-identical to the monolithic one on the parity suites
   /// while skipping Newton solves for latent blocks.
-  TransientEngine engine = TransientEngine::kAuto;
+  TransientEngine engine = TransientEngine::kMonolithic;
   /// Event engine: a stimulus counts as changed when its sampled value
   /// moved more than this since the attached block's last solve [V or A].
   double event_wave_tol = 1e-9;
@@ -73,19 +51,12 @@ struct TransientOptions {
 };
 
 /// Recorded waveforms: time base plus one sample vector per probe,
-/// with per-run stepping statistics so degraded-accuracy recoveries
-/// (dt_min-clamped steps that still violate lte_tol) are visible to
-/// callers instead of silent.
+/// with per-run stepping statistics.
 struct TransientResult {
   std::vector<double> time;
   std::map<std::string, std::vector<double>> signals;
 
-  std::uint64_t steps_accepted = 0;  ///< solved steps kept (excl. t = 0)
-  std::uint64_t steps_rejected = 0;  ///< adaptive retries at smaller dt
-  /// Steps accepted at dt_min whose trap-vs-BE error still exceeded
-  /// lte_tol: nonzero means the requested accuracy was NOT met and the
-  /// result is locally degraded.
-  std::uint64_t lte_clamped_steps = 0;
+  std::uint64_t steps_accepted = 0;  ///< grid steps taken (excl. t = 0)
 
   /// Event engine only (zero under the monolithic engine): block-level
   /// multi-rate statistics.  latency ratio = block_skips / (block_solves
@@ -105,7 +76,9 @@ class Transient {
  public:
   Transient(Circuit& c, TransientOptions opt);
 
-  /// Records the voltage of the named node each step.
+  /// Records the voltage of the named node each step.  Probe and preset
+  /// names must exist in the netlist: run() throws
+  /// std::invalid_argument otherwise.
   void probe_voltage(const std::string& node_name);
 
   /// Records the branch current of the named voltage source each step.
@@ -115,9 +88,11 @@ class Transient {
   /// start_from_dc = false; capacitor states initialize consistently).
   void set_initial_voltage(const std::string& node_name, double volts);
 
-  /// Runs the analysis.  `on_step`, if given, is called after each
-  /// accepted step — the hook the SI experiments use to sample held
-  /// output currents at clock-phase boundaries.
+  /// Runs the analysis on the fixed grid: whole dt steps, plus one
+  /// exact partial final step when t_stop is not a multiple of dt.
+  /// `on_step`, if given, is called at t = 0 and after each step — the
+  /// hook the SI experiments use to sample held output currents at
+  /// clock-phase boundaries.
   TransientResult run(
       const std::function<void(double, const SolutionView&)>& on_step = {});
 

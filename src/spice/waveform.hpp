@@ -32,9 +32,10 @@ class Waveform {
   /// Appends every breakpoint (slope discontinuity) of the waveform in
   /// the half-open interval (t0, t1], unordered and possibly with
   /// duplicates.  Pulse trains emit the exact four edge instants per
-  /// period (delay + k·T, rise end, fall start, fall end), so event
-  /// queues and adaptive steppers can land on fast switch edges instead
-  /// of stepping over them.  Smooth waveforms emit nothing.
+  /// period (delay + k·T, rise end, fall start, fall end), so the
+  /// event queue dispatches fast switch edges inside the step they fall
+  /// in and verify derives exact ON intervals.  Smooth waveforms emit
+  /// nothing.
   virtual void breakpoints(double t0, double t1,
                            std::vector<double>& out) const {
     (void)t0;

@@ -2,14 +2,12 @@
 // event-driven multi-rate engine (src/event) must reproduce the
 // monolithic engine's waveforms on the paper's Table 1 / Table 2
 // workloads byte-identically at the %.6g precision the bench tables
-// emit, honor the SI_TRANSIENT override, skip work on a quiescent
-// DC-hold run, fall back to the monolithic engine under adaptive
-// stepping, and recover from a stamp outside a scope's pattern.
+// emit, skip work on a quiescent DC-hold run, and recover from a stamp
+// outside a scope's pattern.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -119,46 +117,6 @@ TEST(EventParity, Table2ModulatorTransient) {
   const auto event = run_table2_modulator(TransientEngine::kEvent);
   EXPECT_GT(event.event_blocks, 2u);
   expect_engine_parity(mono, event);
-}
-
-/// SI_TRANSIENT selects the engine when the request is kAuto; an
-/// explicit request wins over the environment.
-TEST(EventEngine, EnvOverrideSelectsEngine) {
-  std::string saved;
-  bool had = false;
-  if (const char* v = std::getenv("SI_TRANSIENT")) {
-    saved = v;
-    had = true;
-  }
-
-  setenv("SI_TRANSIENT", "event", 1);
-  EXPECT_EQ(transient_engine_from_env(), TransientEngine::kEvent);
-  EXPECT_EQ(resolve_engine(TransientEngine::kAuto, false),
-            TransientEngine::kEvent);
-  EXPECT_EQ(resolve_engine(TransientEngine::kMonolithic, false),
-            TransientEngine::kMonolithic);
-  const auto via_env = run_table1_chain(TransientEngine::kAuto);
-  EXPECT_GT(via_env.event_blocks, 0u) << "kAuto must follow SI_TRANSIENT";
-
-  setenv("SI_TRANSIENT", "monolithic", 1);
-  EXPECT_EQ(transient_engine_from_env(), TransientEngine::kMonolithic);
-  const auto mono = run_table1_chain(TransientEngine::kAuto);
-  EXPECT_EQ(mono.event_blocks, 0u);
-
-  if (had)
-    setenv("SI_TRANSIENT", saved.c_str(), 1);
-  else
-    unsetenv("SI_TRANSIENT");
-}
-
-/// Adaptive runs are fixed to the monolithic engine: the event engine
-/// works a fixed grid, so resolve_engine must never hand it an adaptive
-/// request, even when SI_TRANSIENT asks for it.
-TEST(EventEngine, AdaptiveResolvesMonolithic) {
-  EXPECT_EQ(resolve_engine(TransientEngine::kEvent, true),
-            TransientEngine::kMonolithic);
-  EXPECT_EQ(resolve_engine(TransientEngine::kAuto, true),
-            TransientEngine::kMonolithic);
 }
 
 /// The latency-exploitation scenario: with DC inputs the modulator

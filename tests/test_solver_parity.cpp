@@ -109,7 +109,7 @@ TEST(SolverParity, Table2ModulatorTransient) {
   expect_signals_match(run_table2_modulator(false), run_table2_modulator(true));
 }
 
-TEST(SolverParity, AdaptiveTransientAgreesAcrossSolvers) {
+TEST(SolverParity, MemoryPairTransientAgreesAcrossSolvers) {
   auto run = [](bool sparse) {
     Circuit c;
     c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
@@ -120,7 +120,6 @@ TEST(SolverParity, AdaptiveTransientAgreesAcrossSolvers) {
     TransientOptions topt;
     topt.t_stop = 0.75 * opt.clock_period;
     topt.dt = opt.clock_period / 500.0;
-    topt.adaptive = true;
     Transient tr(c, topt);
     tr.probe_voltage("m_gn");
     return run_on(tr, sparse);
