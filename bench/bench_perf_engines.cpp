@@ -22,6 +22,7 @@
 #include "spice/mna.hpp"
 #include "spice/transient.hpp"
 #include "verify/verify.hpp"
+#include "host_stamp.hpp"
 
 #include <chrono>
 #include <cstdlib>
@@ -794,28 +795,11 @@ SolverRow time_solver_row(bool modulator, int size, int cycles) {
   return r;
 }
 
-/// Short commit hash of the checkout the bench runs in ("-dirty" when
-/// it has uncommitted changes), or "unknown" outside a git checkout.
-std::string current_commit() {
-  std::string out;
-  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
-    char buf[64];
-    while (std::fgets(buf, sizeof buf, p)) out += buf;
-    pclose(p);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-    out.pop_back();
-  return out.empty() ? "unknown" : out;
-}
-
-/// Host context every timed row carries: nproc, compiler, build type
-/// and commit, as JSON members.
-std::string host_stamp(const std::string& commit) {
-  return ", \"nproc\": " +
-         std::to_string(std::thread::hardware_concurrency()) +
-         ", \"compiler\": \"" SI_BENCH_COMPILER "\", \"build_type\": \"" +
-         std::string(SI_BENCH_BUILD_TYPE) + "\", \"commit\": \"" + commit +
-         "\"";
+/// The host stamp as JSON members, appended to every timed row.
+std::string host_members(const si::bench::HostStamp& h) {
+  return ", \"nproc\": " + std::to_string(h.nproc) + ", \"compiler\": \"" +
+         h.compiler + "\", \"build_type\": \"" + h.build_type +
+         "\", \"commit\": \"" + h.commit + "\"";
 }
 
 /// The telemetry snapshot without its raw span ring: the committed
@@ -900,7 +884,7 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   for (int sections : {8, 64})
     assembly_rows.push_back(time_assembly_row(sections));
 
-  const std::string host = host_stamp(current_commit());
+  const std::string host = host_members(si::bench::host_stamp());
   std::ofstream os(out_path);
   os << "{\n  \"solver_bench\": [\n";
   for (std::size_t i = 0; i < solver_rows.size(); ++i) {
@@ -923,7 +907,7 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
        << ", \"latency_ratio\": " << r.latency_ratio
        << ", \"steps_skipped\": " << r.steps_skipped
        << ", \"steps_total\": " << r.steps_total
-       << ", \"parity_maxerr\": " << r.parity_maxerr << "}"
+       << ", \"parity_maxerr\": " << r.parity_maxerr << host << "}"
        << (i + 1 < event_rows.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"verify_bench\": [\n";

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "host_stamp.hpp"
 #include "serve/job_server.hpp"
 
 namespace {
@@ -216,6 +217,11 @@ int main(int argc, char** argv) {
     row.set("lost", 0);
     row.set("duplicated", 0);
     row.set("cache_hits", expected_hits);
+    const si::bench::HostStamp host = si::bench::host_stamp();
+    row.set("nproc", static_cast<unsigned long>(host.nproc));
+    row.set("compiler", host.compiler);
+    row.set("build_type", host.build_type);
+    row.set("commit", host.commit);
     Json rows = Json::array();
     rows.push(std::move(row));
     doc.set("serve_bench", std::move(rows));

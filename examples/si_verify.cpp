@@ -23,8 +23,6 @@
 //
 // Exit status: 0 every deck proves clean, 1 at least one finding,
 // 2 usage / I/O / parse error.
-#include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -35,6 +33,7 @@
 
 #include "erc/diagnostics.hpp"
 #include "obs/telemetry.hpp"
+#include "spice/deck.hpp"
 #include "spice/parser.hpp"
 #include "verify/verify.hpp"
 
@@ -47,26 +46,6 @@ int usage(const char* argv0) {
                "[--min-overdrive=V]\n"
                "       [--rail-margin=V] deck.sp...\n";
   return 2;
-}
-
-/// Blanks out the analysis directives run_deck() understands so the
-/// element-card parser sees only cards it knows (line numbers kept).
-std::string strip_directives(const std::string& deck) {
-  std::ostringstream out;
-  std::istringstream in(deck);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const auto b = raw.find_first_not_of(" \t\r");
-    std::string low = (b == std::string::npos) ? "" : raw.substr(b);
-    std::transform(low.begin(), low.end(), low.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    const bool is_directive =
-        low.rfind(".tran", 0) == 0 || low.rfind(".ac", 0) == 0 ||
-        low.rfind(".noise", 0) == 0 || low.rfind(".probe", 0) == 0 ||
-        low.rfind(".op", 0) == 0;
-    out << (is_directive ? "*" : raw.c_str()) << "\n";
-  }
-  return out.str();
 }
 
 bool parse_double(const std::string& arg, const std::string& prefix,
@@ -131,7 +110,8 @@ int main(int argc, char** argv) {
     std::unique_ptr<si::spice::Circuit> circuit;
     try {
       circuit = std::make_unique<si::spice::Circuit>(
-          si::spice::parse_netlist(strip_directives(text.str()), &index));
+          si::spice::parse_netlist(si::spice::split_deck(text.str()).elements,
+                                    &index));
     } catch (const si::spice::ParseError& e) {
       std::cerr << "si_verify: " << path << ":" << e.line() << ": "
                 << e.what() << "\n";

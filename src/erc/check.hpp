@@ -36,6 +36,7 @@
 //                              cells close on overlapping clock phases
 #pragma once
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -44,6 +45,10 @@
 #include "si/supply.hpp"
 #include "spice/circuit.hpp"
 #include "spice/parser.hpp"
+
+namespace si::spice {
+struct DeckCards;
+}
 
 namespace si::erc {
 
@@ -111,6 +116,10 @@ void enforce(const spice::Circuit& c, const ErcOptions& opt = {});
 struct DeckReport {
   DiagnosticSink sink;
   bool parse_ok = true;  ///< false when the deck did not parse at all
+  /// The circuit the element cards parsed to (set when parse_ok).  A
+  /// caller that simulates the deck after linting it runs this circuit
+  /// rather than parsing the deck again.
+  std::optional<spice::Circuit> circuit;
 };
 
 /// Lints SPICE deck text: strips the analysis directives run_deck()
@@ -119,6 +128,10 @@ struct DeckReport {
 /// diagnostics), runs the circuit rules with deck line attribution, and
 /// checks .probe directives against the defined nodes / sources.
 DeckReport check_deck(const std::string& deck, const ErcOptions& opt = {});
+
+/// The same lint over a deck already split by spice::split_deck.
+DeckReport check_deck(const spice::DeckCards& cards,
+                      const ErcOptions& opt = {});
 
 /// Checks a behavioural supply design against the full Eq. (1)-(2)
 /// requirement (see cells::minimum_supply): files si.supply-min when

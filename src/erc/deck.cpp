@@ -2,32 +2,16 @@
 // line attribution, honours "* erc-disable" comment cards, and checks
 // .probe directives against the nodes / sources the element cards
 // actually define.
-#include <algorithm>
-#include <cctype>
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "erc/check.hpp"
+#include "spice/deck.hpp"
 #include "spice/elements.hpp"
 
 namespace si::erc {
 
 namespace {
-
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
-
-std::vector<std::string> split_ws(const std::string& line) {
-  std::istringstream in(line);
-  std::vector<std::string> out;
-  std::string t;
-  while (in >> t) out.push_back(t);
-  return out;
-}
 
 struct Probe {
   char kind = 'v';  ///< 'v' (node voltage) or 'i' (source current)
@@ -38,60 +22,34 @@ struct Probe {
 }  // namespace
 
 DeckReport check_deck(const std::string& deck, const ErcOptions& opt) {
+  return check_deck(spice::split_deck(deck), opt);
+}
+
+DeckReport check_deck(const spice::DeckCards& cards, const ErcOptions& opt) {
   DeckReport report;
   ErcOptions local = opt;
+  local.suppress.insert(local.suppress.end(), cards.erc_disable.begin(),
+                        cards.erc_disable.end());
 
-  // Pass 1 over the raw text: blank out the analysis directives
-  // run_deck() understands (keeping line numbers intact), collect probe
-  // targets, and honour "* erc-disable <rule-id>..." cards.
-  std::ostringstream element_deck;
+  // Probe tokens look like v(node) / i(source); malformed ones are
+  // reported here rather than at run time.
   std::vector<Probe> probes;
-  {
-    std::istringstream in(deck);
-    std::string raw;
-    std::size_t lineno = 0;
-    while (std::getline(in, raw)) {
-      ++lineno;
-      const auto b = raw.find_first_not_of(" \t\r");
-      const std::string trimmed = (b == std::string::npos) ? "" : raw.substr(b);
-      const std::string low = lower(trimmed);
-
-      if (low.rfind("* erc-disable", 0) == 0) {
-        const auto toks = split_ws(low);
-        // toks[0]="*", toks[1]="erc-disable", rest are rule ids.
-        for (std::size_t k = 2; k < toks.size(); ++k)
-          local.suppress.push_back(toks[k]);
-      }
-
-      const bool is_directive =
-          low.rfind(".tran", 0) == 0 || low.rfind(".ac", 0) == 0 ||
-          low.rfind(".noise", 0) == 0 || low.rfind(".probe", 0) == 0 ||
-          low.rfind(".op", 0) == 0;
-      if (!is_directive) {
-        element_deck << raw << "\n";
+  for (const spice::Directive& d : cards.directives) {
+    const bool is_noise = d.kind == spice::DirectiveKind::kNoise;
+    if (d.kind != spice::DirectiveKind::kProbe && !is_noise) continue;
+    const std::vector<std::string>& toks = d.tokens;
+    const std::size_t last = is_noise ? 2 : toks.size();
+    for (std::size_t k = 1; k < last && k < toks.size(); ++k) {
+      const std::string& tok = toks[k];
+      if (tok.size() < 4 || (tok[0] != 'v' && tok[0] != 'i') ||
+          tok[1] != '(' || tok.back() != ')') {
+        report.sink.report({Severity::kError, "spice.probe-unknown",
+                            "malformed probe '" + tok +
+                                "' (expected v(node) or i(source))",
+                            d.line, "", ""});
         continue;
       }
-      element_deck << "*\n";  // keep deck line numbering aligned
-
-      const auto toks = split_ws(low);
-      const bool is_probe = toks[0] == ".probe";
-      const bool is_noise = toks[0] == ".noise";
-      if (!is_probe && !is_noise) continue;
-      // Probe tokens look like v(node) / i(source); malformed ones are
-      // reported here rather than at run time.
-      const std::size_t first = 1, last = is_noise ? 2 : toks.size();
-      for (std::size_t k = first; k < last && k < toks.size(); ++k) {
-        const std::string& tok = toks[k];
-        if (tok.size() < 4 || (tok[0] != 'v' && tok[0] != 'i') ||
-            tok[1] != '(' || tok.back() != ')') {
-          report.sink.report({Severity::kError, "spice.probe-unknown",
-                              "malformed probe '" + tok +
-                                  "' (expected v(node) or i(source))",
-                              lineno, "", ""});
-          continue;
-        }
-        probes.push_back({tok[0], tok.substr(2, tok.size() - 3), lineno});
-      }
+      probes.push_back({tok[0], tok.substr(2, tok.size() - 3), d.line});
     }
   }
 
@@ -99,19 +57,21 @@ DeckReport check_deck(const std::string& deck, const ErcOptions& opt) {
   for (const auto& rule : local.suppress) report.sink.suppress(rule);
 
   spice::ParseIndex index;
-  std::optional<spice::Circuit> circuit;
   try {
-    circuit.emplace(spice::parse_netlist(element_deck.str(), &index));
+    report.circuit.emplace(spice::parse_netlist(cards.elements, &index));
   } catch (const spice::ParseError& e) {
     report.parse_ok = false;
     report.sink.report({Severity::kError, "spice.parse-error", e.what(),
                         e.line(), "", "fix the card so the deck parses"});
     return report;
   }
+  const spice::Circuit& circuit = *report.circuit;
 
   for (const Probe& p : probes) {
     if (p.kind == 'v') {
-      if (index.node(p.target) == 0 && p.target != "0") {
+      // Resolved as the simulator resolves a probe, ground aliases
+      // included.
+      if (!circuit.find_node(p.target)) {
         report.sink.report({Severity::kError, "spice.probe-unknown",
                             "probe v(" + p.target + ") references node '" +
                                 p.target + "' that no element card defines",
@@ -119,7 +79,7 @@ DeckReport check_deck(const std::string& deck, const ErcOptions& opt) {
                             "probe an existing node or fix the typo"});
       }
     } else {
-      const spice::Element* e = circuit->find(p.target);
+      const spice::Element* e = circuit.find(p.target);
       if (!e || !dynamic_cast<const spice::VoltageSource*>(e)) {
         report.sink.report({Severity::kError, "spice.probe-unknown",
                             "probe i(" + p.target +
@@ -132,7 +92,7 @@ DeckReport check_deck(const std::string& deck, const ErcOptions& opt) {
     }
   }
 
-  check(*circuit, report.sink, local, &index);
+  check(circuit, report.sink, local, &index);
   return report;
 }
 

@@ -459,6 +459,10 @@ void check_cmff_sizing(Ctx& ctx) {
 
 void check(const Circuit& c, DiagnosticSink& sink, const ErcOptions& opt,
            const spice::ParseIndex* index) {
+  // Counted so callers that chain analyses, or lint a deck and then
+  // simulate it, can show the circuit is linted once per run.
+  static obs::Counter& runs = obs::counter("erc.runs");
+  runs.add();
   sink.set_min_severity(opt.min_severity);
   for (const auto& rule : opt.suppress) sink.suppress(rule);
 
@@ -486,10 +490,6 @@ std::vector<Diagnostic> check(const Circuit& c, const ErcOptions& opt) {
 }
 
 void enforce(const Circuit& c, const ErcOptions& opt) {
-  // Counted so callers that chain analyses can show the circuit is
-  // linted once per run, not once per analysis.
-  static obs::Counter& runs = obs::counter("erc.runs");
-  runs.add();
   DiagnosticSink sink;
   check(c, sink, opt);
   if (!sink.ok()) {

@@ -41,23 +41,41 @@ Json error_body(const std::string& kind, const std::string& message) {
 }
 
 /// The one reply envelope every path goes through: exactly the schema
-/// documented in protocol.hpp.
+/// documented in protocol.hpp, written member by member in the sorted
+/// key order Json::dump() uses (cached, elapsed_ms, error, id, result,
+/// status, telemetry).  `result` is the payload's serialized text,
+/// spliced in verbatim: a fresh result is dumped once, and a cache hit
+/// replies with the stored text without re-parsing it.
 std::string envelope(const std::string& id, const char* status, bool cached,
-                     double elapsed_ms, Json* result, Json* error,
-                     bool want_telemetry) {
-  Json out = Json::object();
-  out.set("id", id);
-  out.set("status", status);
-  out.set("cached", cached);
-  out.set("elapsed_ms", elapsed_ms);
-  if (result) out.set("result", std::move(*result));
-  if (error) out.set("error", std::move(*error));
+                     double elapsed_ms, const std::string* result,
+                     const Json* error, bool want_telemetry) {
+  std::string out;
+  out.reserve(96 + (result ? result->size() : 0));
+  out += cached ? "{\"cached\":true" : "{\"cached\":false";
+  out += ",\"elapsed_ms\":";
+  Json(elapsed_ms).dump_to(out);
+  if (error) {
+    out += ",\"error\":";
+    error->dump_to(out);
+  }
+  out += ",\"id\":\"";
+  Json::escape_to(id, out);
+  out += '"';
+  if (result) {
+    out += ",\"result\":";
+    out += *result;
+  }
+  out += ",\"status\":\"";
+  out += status;
+  out += '"';
   if (want_telemetry) {
     // snapshot_json() is the obs contract and always valid JSON (the
-    // SI_OBS=OFF stub included); embed it structurally.
-    out.set("telemetry", Json::parse(obs::snapshot_json()));
+    // SI_OBS=OFF stub included); re-dump it so the reply stays compact.
+    out += ",\"telemetry\":";
+    Json::parse(obs::snapshot_json()).dump_to(out);
   }
-  return out.dump();
+  out += '}';
+  return out;
 }
 
 /// Best-effort id extraction so even a request that fails validation is
@@ -231,14 +249,13 @@ void JobServer::execute(Job job) {
   if (use_cache) {
     if (const auto hit = cache_.lookup(key)) {
       // Cache hit: the stored string is the serialized result payload;
-      // only the envelope (id, elapsed, telemetry) is rebuilt.
+      // only the envelope (id, elapsed, telemetry) is written around it.
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       completed_.fetch_add(1, std::memory_order_relaxed);
       tel.cache_hits.add();
       tel.completed.add();
-      Json result = Json::parse(*hit);
       reply_now(job, envelope(req.id, "ok", true,
-                              elapsed_ms_since(job.admitted), &result,
+                              elapsed_ms_since(job.admitted), hit.get(),
                               nullptr, req.want_telemetry));
       return;
     }
@@ -248,13 +265,15 @@ void JobServer::execute(Job job) {
   // may escape past here (satellite 3's contract).  Every branch ends
   // in exactly one reply_now().
   try {
-    Json result = run_job(req, job.token.get());
-    if (use_cache) cache_.store(key, result.dump());
+    // Serialized once: the cache and the reply share this text.
+    const auto payload =
+        std::make_shared<const std::string>(run_job(req, job.token.get()).dump());
+    if (use_cache) cache_.store_shared(key, payload);
     completed_.fetch_add(1, std::memory_order_relaxed);
     tel.completed.add();
     reply_now(job, envelope(req.id, "ok", false,
-                            elapsed_ms_since(job.admitted), &result, nullptr,
-                            req.want_telemetry));
+                            elapsed_ms_since(job.admitted), payload.get(),
+                            nullptr, req.want_telemetry));
   } catch (const runtime::CancelledError& e) {
     const bool expired = e.deadline_expired();
     (expired ? timed_out_ : cancelled_).fetch_add(1, std::memory_order_relaxed);

@@ -11,8 +11,9 @@
 //
 // Values are a small immutable-ish tree (object members kept in a
 // std::map so dump() output is deterministic — replies can be golden-
-// tested byte-for-byte).  dump() round-trips doubles via %.17g, so a
-// parse → mutate → dump cycle preserves every numeric bit; this is what
+// tested byte-for-byte).  dump() writes doubles as printf's %.17g
+// would (through std::to_chars), so a parse → mutate → dump cycle
+// preserves every numeric bit; this is what
 // lets bench_serve merge its rows into BENCH_solvers.json without
 // disturbing the solver rows already there.
 #pragma once

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <set>
-#include <sstream>
 #include <vector>
 
 #include "analysis/monte_carlo.hpp"
@@ -54,61 +52,31 @@ const std::string& string_field(const Json& v, const char* key) {
   return v.as_string();
 }
 
-/// True when a trimmed lowercase deck line starts a .tran directive.
-bool has_tran_directive(const std::string& deck) {
-  std::istringstream in(deck);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const auto b = raw.find_first_not_of(" \t\r");
-    if (b == std::string::npos) continue;
-    if (lower(raw.substr(b, 5)) == ".tran") return true;
-  }
-  return false;
+/// "auto" runs tran when the deck has a .tran card, else op.
+Analysis resolve_analysis(Analysis requested, const spice::DeckCards& cards) {
+  if (requested != Analysis::kAuto) return requested;
+  return cards.has(spice::DirectiveKind::kTran) ? Analysis::kTran
+                                                : Analysis::kOp;
 }
 
-/// Removes the analysis directives run_deck understands, leaving the
-/// element cards (used by the op / mc paths so directives in a reused
-/// deck do not trigger unrequested analyses).
-std::string strip_directives(const std::string& deck) {
-  std::ostringstream out;
-  std::istringstream in(deck);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const auto b = raw.find_first_not_of(" \t\r");
-    if (b != std::string::npos) {
-      const std::string low = lower(raw.substr(b));
-      if (low.rfind(".tran", 0) == 0 || low.rfind(".ac", 0) == 0 ||
-          low.rfind(".noise", 0) == 0 || low.rfind(".probe", 0) == 0 ||
-          low.rfind(".op", 0) == 0)
-        continue;
-    }
-    out << raw << "\n";
-  }
-  return out.str();
-}
-
-Analysis resolve_analysis(const JobRequest& r) {
-  if (r.analysis != Analysis::kAuto) return r.analysis;
-  return has_tran_directive(r.deck) ? Analysis::kTran : Analysis::kOp;
-}
-
-/// "v(node)" -> "node"; a bare node name passes through.
+/// "v(node)" -> "node"; a bare node name passes through.  Lower-cased,
+/// as the parser stores node names.
 std::string measure_node(const std::string& measure) {
   if (measure.size() >= 4 && lower(measure.substr(0, 2)) == "v(" &&
       measure.back() == ')')
-    return measure.substr(2, measure.size() - 3);
+    return lower(measure.substr(2, measure.size() - 3));
   if (!measure.empty() && measure.find('(') == std::string::npos)
-    return measure;
+    return lower(measure);
   bad_request("mc_measure must be \"v(<node>)\"");
 }
 
 /// ERC front gate shared by every analysis: error-severity findings
-/// (including parse failures) become a structured JobError; the solver
-/// paths then run with erc_gate = false so the deck is linted exactly
-/// once per job.
-void erc_gate(const std::string& deck) {
-  erc::DeckReport report = erc::check_deck(deck);
-  if (report.parse_ok && report.sink.ok()) return;
+/// (including parse failures) become a structured JobError.  The lint
+/// parses the element cards once; the job then simulates that circuit
+/// with erc_gate = false, so it is parsed and linted once per job.
+spice::Circuit erc_gate(const spice::DeckCards& cards) {
+  erc::DeckReport report = erc::check_deck(cards);
+  if (report.parse_ok && report.sink.ok()) return std::move(*report.circuit);
   report.sink.sort_by_line();
   // The sink's own JSON rendering is the diagnostic contract the CLI
   // already ships; embed it as structured data, not as a string.
@@ -137,15 +105,17 @@ Json op_payload(const spice::Circuit& c, const spice::DcResult& op) {
   return out;
 }
 
-Json run_op(const JobRequest& r, const spice::DeckRunOptions& opt) {
-  const auto res = spice::run_deck(strip_directives(r.deck), opt);
+Json run_op(spice::Circuit c, const spice::DeckRunOptions& opt) {
+  const auto res = spice::run_deck(std::move(c), spice::DeckAnalyses{}, opt);
   return op_payload(res.circuit, res.op);
 }
 
-Json run_tran(const JobRequest& r, const spice::DeckRunOptions& opt) {
-  if (!has_tran_directive(r.deck))
+Json run_tran(spice::Circuit c, const spice::DeckCards& cards,
+              const spice::DeckRunOptions& opt) {
+  if (!cards.has(spice::DirectiveKind::kTran))
     bad_request("analysis \"tran\" needs a .tran card in the deck");
-  const auto res = spice::run_deck(r.deck, opt);
+  const auto res = spice::run_deck(
+      std::move(c), spice::parse_directives(cards.directives), opt);
   const spice::TransientResult& tr = *res.tran;
 
   Json time = Json::array();
@@ -164,9 +134,9 @@ Json run_tran(const JobRequest& r, const spice::DeckRunOptions& opt) {
   return out;
 }
 
-Json run_mc(const JobRequest& r, const spice::DeckRunOptions& opt) {
+Json run_mc(const JobRequest& r, spice::Circuit c,
+            const spice::DeckRunOptions& opt) {
   const std::string node_name = measure_node(r.mc_measure);
-  spice::Circuit c = spice::parse_netlist(strip_directives(r.deck));
 
   // A typoed measure node must be an error, not a silently-floating
   // extra unknown (Circuit::node() would create it).
@@ -293,7 +263,11 @@ std::uint64_t request_cache_key(const JobRequest& r) {
   // Hash the *resolved* analysis so "auto" on a .tran deck and an
   // explicit "tran" on the same deck share one entry.  id / timeout /
   // want_telemetry / no_cache never affect the physics and are excluded.
-  const Analysis a = resolve_analysis(r);
+  // Only "auto" reads the deck's directives to resolve.
+  const Analysis a = r.analysis != Analysis::kAuto
+                         ? r.analysis
+                         : resolve_analysis(r.analysis,
+                                            spice::split_deck(r.deck));
   runtime::Fnv1a h;
   h.str("serve.job").str(r.deck).u64(static_cast<std::uint64_t>(a));
   h.u64(static_cast<std::uint64_t>(r.max_newton_iterations));
@@ -307,7 +281,10 @@ std::uint64_t request_cache_key(const JobRequest& r) {
 }
 
 Json run_job(const JobRequest& r, const runtime::CancelToken* cancel) {
-  erc_gate(r.deck);
+  // One split and one parse per job: the ERC gate parses the element
+  // cards and the analysis runs on that circuit.
+  const spice::DeckCards cards = spice::split_deck(r.deck);
+  spice::Circuit circuit = erc_gate(cards);
 
   spice::DeckRunOptions opt;
   opt.erc_gate = false;  // linted above, with deck-line attribution
@@ -316,13 +293,13 @@ Json run_job(const JobRequest& r, const runtime::CancelToken* cancel) {
     opt.newton.max_iterations = r.max_newton_iterations;
 
   try {
-    switch (resolve_analysis(r)) {
+    switch (resolve_analysis(r.analysis, cards)) {
       case Analysis::kOp:
-        return run_op(r, opt);
+        return run_op(std::move(circuit), opt);
       case Analysis::kTran:
-        return run_tran(r, opt);
+        return run_tran(std::move(circuit), cards, opt);
       case Analysis::kMc:
-        return run_mc(r, opt);
+        return run_mc(r, std::move(circuit), opt);
       case Analysis::kAuto:
         break;  // resolved away above
     }

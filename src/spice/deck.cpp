@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <sstream>
-#include <vector>
 
 #include "erc/check.hpp"
 #include "spice/parser.hpp"
@@ -12,18 +10,45 @@ namespace si::spice {
 
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
+bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+
+char lower_char(char c) {
+  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
 }
 
-std::vector<std::string> split_ws(const std::string& line) {
-  std::istringstream in(line);
+/// Whitespace-separated tokens of one card, lower-cased.
+std::vector<std::string> lower_tokens(std::string_view card) {
   std::vector<std::string> out;
-  std::string t;
-  while (in >> t) out.push_back(lower(t));
-  return out;
+  std::size_t k = 0;
+  while (true) {
+    while (k < card.size() && is_space(card[k])) ++k;
+    if (k == card.size()) return out;
+    std::string& tok = out.emplace_back();
+    while (k < card.size() && !is_space(card[k]))
+      tok.push_back(lower_char(card[k++]));
+  }
+}
+
+/// True when `card` begins with `prefix` (lower case), ignoring case.
+bool starts_with_nocase(std::string_view card, std::string_view prefix) {
+  if (card.size() < prefix.size()) return false;
+  for (std::size_t k = 0; k < prefix.size(); ++k)
+    if (lower_char(card[k]) != prefix[k]) return false;
+  return true;
+}
+
+/// The directive named by the whole first token of a trimmed card.
+std::optional<DirectiveKind> directive_kind(std::string_view card) {
+  if (card.empty() || card[0] != '.') return std::nullopt;
+  std::size_t n = 1;
+  while (n < card.size() && !is_space(card[n])) ++n;
+  static constexpr std::pair<std::string_view, DirectiveKind> kNames[] = {
+      {".op", DirectiveKind::kOp},       {".tran", DirectiveKind::kTran},
+      {".probe", DirectiveKind::kProbe}, {".ac", DirectiveKind::kAc},
+      {".noise", DirectiveKind::kNoise}};
+  for (const auto& [name, kind] : kNames)
+    if (n == name.size() && starts_with_nocase(card, name)) return kind;
+  return std::nullopt;
 }
 
 /// "v(node)" -> {'v', "node"}; "i(vs)" -> {'i', "vs"}.
@@ -37,82 +62,100 @@ std::pair<char, std::string> parse_probe_token(const std::string& tok,
   return {kind, tok.substr(2, tok.size() - 3)};
 }
 
-struct Directives {
-  bool have_tran = false;
-  double dt = 0.0, t_stop = 0.0;
-  std::vector<std::pair<char, std::string>> probes;
-  bool have_ac = false;
-  int ac_ppd = 10;
-  double ac_lo = 0.0, ac_hi = 0.0;
-  bool have_noise = false;
-  std::string noise_node;
-  int noise_ppd = 10;
-  double noise_lo = 0.0, noise_hi = 0.0;
-};
-
 }  // namespace
+
+bool DeckCards::has(DirectiveKind kind) const {
+  return std::any_of(directives.begin(), directives.end(),
+                     [kind](const Directive& d) { return d.kind == kind; });
+}
+
+DeckCards split_deck(std::string_view deck) {
+  DeckCards out;
+  out.elements.reserve(deck.size() + 1);
+  std::size_t lineno = 0, pos = 0;
+  while (pos < deck.size()) {
+    const std::size_t nl = deck.find('\n', pos);
+    const std::string_view raw =
+        deck.substr(pos, nl == std::string_view::npos ? nl : nl - pos);
+    pos = nl == std::string_view::npos ? deck.size() : nl + 1;
+    ++lineno;
+    const auto b = raw.find_first_not_of(" \t\r");
+    const std::string_view card =
+        b == std::string_view::npos ? std::string_view() : raw.substr(b);
+    if (const auto kind = directive_kind(card)) {
+      out.directives.push_back({*kind, lineno, lower_tokens(card)});
+      out.elements += "*\n";  // keeps the element cards' line numbers
+      continue;
+    }
+    if (starts_with_nocase(card, "* erc-disable")) {
+      // tokens: "*", "erc-disable", then the rule ids.
+      std::vector<std::string> toks = lower_tokens(card);
+      for (std::size_t k = 2; k < toks.size(); ++k)
+        out.erc_disable.push_back(std::move(toks[k]));
+    }
+    out.elements.append(raw);
+    out.elements += '\n';
+  }
+  return out;
+}
+
+DeckAnalyses parse_directives(const std::vector<Directive>& directives) {
+  DeckAnalyses dir;
+  for (const Directive& d : directives) {
+    const std::vector<std::string>& toks = d.tokens;
+    switch (d.kind) {
+      case DirectiveKind::kOp:
+        break;  // implied anyway
+      case DirectiveKind::kTran:
+        if (toks.size() != 3) throw ParseError(d.line, ".tran <dt> <tstop>");
+        dir.have_tran = true;
+        dir.dt = parse_value(toks[1]);
+        dir.t_stop = parse_value(toks[2]);
+        break;
+      case DirectiveKind::kProbe:
+        for (std::size_t k = 1; k < toks.size(); ++k)
+          dir.probes.push_back(parse_probe_token(toks[k], d.line));
+        break;
+      case DirectiveKind::kAc:
+        if (toks.size() != 5 || toks[1] != "dec")
+          throw ParseError(d.line, ".ac dec <ppd> <f_lo> <f_hi>");
+        dir.have_ac = true;
+        dir.ac_ppd = static_cast<int>(parse_value(toks[2]));
+        dir.ac_lo = parse_value(toks[3]);
+        dir.ac_hi = parse_value(toks[4]);
+        break;
+      case DirectiveKind::kNoise: {
+        if (toks.size() != 6 || toks[2] != "dec")
+          throw ParseError(d.line,
+                           ".noise v(<node>) dec <ppd> <f_lo> <f_hi>");
+        const auto probe = parse_probe_token(toks[1], d.line);
+        if (probe.first != 'v')
+          throw ParseError(d.line, ".noise output must be v(...)");
+        dir.have_noise = true;
+        dir.noise_node = probe.second;
+        dir.noise_ppd = static_cast<int>(parse_value(toks[3]));
+        dir.noise_lo = parse_value(toks[4]);
+        dir.noise_hi = parse_value(toks[5]);
+        break;
+      }
+    }
+  }
+  return dir;
+}
 
 DeckRunResult run_deck(const std::string& deck) {
   return run_deck(deck, DeckRunOptions{});
 }
 
 DeckRunResult run_deck(const std::string& deck, const DeckRunOptions& opt) {
-  // Separate analysis directives from element cards.
-  std::ostringstream element_deck;
-  Directives dir;
-  {
-    std::istringstream in(deck);
-    std::string raw;
-    std::size_t lineno = 0;
-    while (std::getline(in, raw)) {
-      ++lineno;
-      const auto b = raw.find_first_not_of(" \t\r");
-      const std::string trimmed =
-          (b == std::string::npos) ? "" : raw.substr(b);
-      const std::string low = lower(trimmed);
-      const bool is_directive = low.rfind(".tran", 0) == 0 ||
-                                low.rfind(".ac", 0) == 0 ||
-                                low.rfind(".noise", 0) == 0 ||
-                                low.rfind(".probe", 0) == 0 ||
-                                low.rfind(".op", 0) == 0;
-      if (!is_directive) {
-        element_deck << raw << "\n";
-        continue;
-      }
-      const auto toks = split_ws(low);
-      if (toks[0] == ".op") continue;  // implied anyway
-      if (toks[0] == ".tran") {
-        if (toks.size() != 3) throw ParseError(lineno, ".tran <dt> <tstop>");
-        dir.have_tran = true;
-        dir.dt = parse_value(toks[1]);
-        dir.t_stop = parse_value(toks[2]);
-      } else if (toks[0] == ".probe") {
-        for (std::size_t k = 1; k < toks.size(); ++k)
-          dir.probes.push_back(parse_probe_token(toks[k], lineno));
-      } else if (toks[0] == ".ac") {
-        if (toks.size() != 5 || toks[1] != "dec")
-          throw ParseError(lineno, ".ac dec <ppd> <f_lo> <f_hi>");
-        dir.have_ac = true;
-        dir.ac_ppd = static_cast<int>(parse_value(toks[2]));
-        dir.ac_lo = parse_value(toks[3]);
-        dir.ac_hi = parse_value(toks[4]);
-      } else {  // .noise
-        if (toks.size() != 6 || toks[2] != "dec")
-          throw ParseError(lineno,
-                           ".noise v(<node>) dec <ppd> <f_lo> <f_hi>");
-        const auto probe = parse_probe_token(toks[1], lineno);
-        if (probe.first != 'v')
-          throw ParseError(lineno, ".noise output must be v(...)");
-        dir.have_noise = true;
-        dir.noise_node = probe.second;
-        dir.noise_ppd = static_cast<int>(parse_value(toks[3]));
-        dir.noise_lo = parse_value(toks[4]);
-        dir.noise_hi = parse_value(toks[5]);
-      }
-    }
-  }
+  const DeckCards cards = split_deck(deck);
+  const DeckAnalyses analyses = parse_directives(cards.directives);
+  return run_deck(parse_netlist(cards.elements), analyses, opt);
+}
 
-  DeckRunResult r{parse_netlist(element_deck.str()), {}, {}, {}, {}};
+DeckRunResult run_deck(Circuit circuit, const DeckAnalyses& dir,
+                       const DeckRunOptions& opt) {
+  DeckRunResult r{std::move(circuit), {}, {}, {}, {}};
   // Lint once: every analysis below runs on the same unchanged circuit.
   if (opt.erc_gate) erc::enforce(r.circuit);
   DcOptions dco;

@@ -1,12 +1,14 @@
 #include "spice/parser.hpp"
 
-#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <map>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "spice/elements.hpp"
 #include "spice/mosfet.hpp"
 
@@ -14,20 +16,18 @@ namespace si::spice {
 
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
+char lower_char(char c) {
+  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
 }
 
-/// Splits a line into tokens; '(', ')', ',' and '=' act as separators
-/// but '=' is kept as its own token so "W=10u" -> {"w", "=", "10u"}.
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
+/// Appends the tokens of one line, lower-cased; '(', ')', ',' and '='
+/// act as separators but '=' is kept as its own token so "W=10u" ->
+/// {"w", "=", "10u"}.
+void tokenize_into(std::string_view line, std::vector<std::string>& out) {
   std::string cur;
   auto flush = [&] {
     if (!cur.empty()) {
-      out.push_back(lower(cur));
+      out.push_back(std::move(cur));
       cur.clear();
     }
   };
@@ -37,41 +37,56 @@ std::vector<std::string> tokenize(const std::string& line) {
       flush();
     } else if (c == '=') {
       flush();
-      out.push_back("=");
+      out.emplace_back("=");
     } else {
-      cur.push_back(c);
+      cur.push_back(lower_char(c));
     }
   }
   flush();
-  return out;
+}
+
+/// parse_value on a token that is already lower case; `token` is the
+/// text the error messages quote.
+double lowered_value(const std::string& t, const std::string& token) {
+  // strtod with std::stod's checks: no digits, or a value out of range
+  // (overflow or underflow), is not a number.
+  const char* begin = t.c_str();
+  char* end = nullptr;
+  const int saved_errno = errno;
+  errno = 0;
+  const double v = std::strtod(begin, &end);
+  const bool range_error = errno == ERANGE;
+  if (errno == 0) errno = saved_errno;
+  if (end == begin || range_error || !std::isfinite(v))
+    throw std::invalid_argument("bad numeric value: " + token);
+  const std::string_view suffix(end);
+  if (suffix.empty()) return v;
+  // "meg" must be matched before 'm'.
+  if (suffix == "meg") return v * 1e6;
+  // The suffix must be exactly one known scale letter: "10kz" used to
+  // silently parse as 10k, hiding typos.
+  if (suffix.size() == 1) {
+    switch (suffix[0]) {
+      case 'f': return v * 1e-15;
+      case 'p': return v * 1e-12;
+      case 'n': return v * 1e-9;
+      case 'u': return v * 1e-6;
+      case 'm': return v * 1e-3;
+      case 'k': return v * 1e3;
+      case 'g': return v * 1e9;
+      case 't': return v * 1e12;
+      default: break;
+    }
+  }
+  throw std::invalid_argument("bad value suffix: " + token);
 }
 
 }  // namespace
 
 double parse_value(const std::string& token) {
-  const std::string t = lower(token);
-  std::size_t pos = 0;
-  double v;
-  try {
-    v = std::stod(t, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad numeric value: " + token);
-  }
-  if (pos == 0 || !std::isfinite(v))
-    throw std::invalid_argument("bad numeric value: " + token);
-  const std::string suffix = t.substr(pos);
-  if (suffix.empty()) return v;
-  // "meg" must be matched before 'm'.
-  if (suffix == "meg") return v * 1e6;
-  static const std::map<char, double> scale = {
-      {'f', 1e-15}, {'p', 1e-12}, {'n', 1e-9}, {'u', 1e-6}, {'m', 1e-3},
-      {'k', 1e3},   {'g', 1e9},   {'t', 1e12}};
-  // The suffix must be exactly one known scale letter: "10kz" used to
-  // silently parse as 10k, hiding typos.
-  const auto it = suffix.size() == 1 ? scale.find(suffix[0]) : scale.end();
-  if (it == scale.end())
-    throw std::invalid_argument("bad value suffix: " + token);
-  return v * it->second;
+  std::string t = token;
+  for (char& c : t) c = lower_char(c);
+  return lowered_value(t, token);
 }
 
 namespace {
@@ -79,24 +94,23 @@ namespace {
 /// Cursor over the tokens of one logical line.
 class TokenCursor {
  public:
-  TokenCursor(std::vector<std::string> tokens, std::size_t line)
-      : tokens_(std::move(tokens)), line_(line) {}
+  TokenCursor(const std::vector<std::string>& tokens, std::size_t line)
+      : tokens_(tokens), line_(line) {}
 
   bool done() const { return pos_ >= tokens_.size(); }
-  std::size_t remaining() const { return tokens_.size() - pos_; }
 
   const std::string& peek() const {
     if (done()) throw ParseError(line_, "unexpected end of line");
     return tokens_[pos_];
   }
-  std::string next() {
+  const std::string& next() {
     if (done()) throw ParseError(line_, "unexpected end of line");
     return tokens_[pos_++];
   }
   double next_value() {
-    const std::string t = next();
+    const std::string& t = next();
     try {
-      return parse_value(t);
+      return lowered_value(t, t);
     } catch (const std::invalid_argument& e) {
       throw ParseError(line_, e.what());
     }
@@ -104,7 +118,7 @@ class TokenCursor {
   std::size_t line() const { return line_; }
 
  private:
-  std::vector<std::string> tokens_;
+  const std::vector<std::string>& tokens_;
   std::size_t pos_ = 0;
   std::size_t line_;
 };
@@ -113,7 +127,7 @@ class TokenCursor {
 std::map<std::string, double> parse_kv(TokenCursor& cur) {
   std::map<std::string, double> kv;
   while (!cur.done()) {
-    const std::string key = cur.next();
+    const std::string& key = cur.next();
     if (cur.done() || cur.peek() != "=")
       throw ParseError(cur.line(), "expected '=' after '" + key + "'");
     cur.next();  // consume '='
@@ -125,7 +139,7 @@ std::map<std::string, double> parse_kv(TokenCursor& cur) {
 /// Parses a stimulus specification: DC v | SIN(...) | PULSE(...) |
 /// PWL(...), or a bare number (treated as DC).
 std::unique_ptr<Waveform> parse_stimulus(TokenCursor& cur) {
-  const std::string kind = cur.peek();
+  const std::string& kind = cur.peek();
   if (kind == "dc") {
     cur.next();
     return std::make_unique<DcWave>(cur.next_value());
@@ -202,45 +216,59 @@ MosfetParams apply_model_kv(MosfetParams p,
   return p;
 }
 
+/// One logical card: its first deck line and its tokens, continuation
+/// lines included.
+struct Card {
+  std::size_t line;
+  std::vector<std::string> tokens;
+};
+
 }  // namespace
 
 Circuit parse_netlist(const std::string& deck, ParseIndex* index) {
-  // Join continuation lines ('+' prefix) and strip comments.
-  std::vector<std::pair<std::size_t, std::string>> lines;
+  // Counted so a caller can show it parses a deck once per job.
+  static obs::Counter& parses = obs::counter("spice.parses");
+  parses.add();
+
+  // Join continuation lines ('+' prefix), strip comments, and tokenize
+  // each card once for both passes below.
+  std::vector<Card> cards;
   {
-    std::istringstream in(deck);
-    std::string raw;
-    std::size_t lineno = 0;
-    while (std::getline(in, raw)) {
+    const std::string_view text(deck);
+    std::size_t lineno = 0, pos = 0;
+    while (pos < text.size()) {
+      const std::size_t nl = text.find('\n', pos);
+      std::string_view raw =
+          text.substr(pos, nl == std::string_view::npos ? nl : nl - pos);
+      pos = nl == std::string_view::npos ? text.size() : nl + 1;
       ++lineno;
       // Strip end-of-line comments (';' or '$').
       const auto cut = raw.find_first_of(";$");
-      if (cut != std::string::npos) raw.resize(cut);
+      if (cut != std::string_view::npos) raw = raw.substr(0, cut);
       // Trim.
       const auto b = raw.find_first_not_of(" \t\r");
-      if (b == std::string::npos) continue;
+      if (b == std::string_view::npos) continue;
       const auto e = raw.find_last_not_of(" \t\r");
-      std::string s = raw.substr(b, e - b + 1);
+      const std::string_view s = raw.substr(b, e - b + 1);
       if (s[0] == '*') continue;  // comment card
       if (s[0] == '+') {
-        if (lines.empty())
+        if (cards.empty())
           throw ParseError(lineno, "continuation with no previous card");
-        lines.back().second += " " + s.substr(1);
+        tokenize_into(s.substr(1), cards.back().tokens);
       } else {
-        lines.emplace_back(lineno, std::move(s));
+        tokenize_into(s, cards.emplace_back(Card{lineno, {}}).tokens);
       }
     }
   }
 
   // First pass: collect .model cards.
   std::map<std::string, ModelDef> models;
-  for (const auto& [lineno, text] : lines) {
-    auto toks = tokenize(text);
+  for (const auto& [lineno, toks] : cards) {
     if (toks.empty() || toks[0] != ".model") continue;
-    TokenCursor cur(std::move(toks), lineno);
+    TokenCursor cur(toks, lineno);
     cur.next();  // .model
-    const std::string name = cur.next();
-    const std::string type = cur.next();
+    const std::string& name = cur.next();
+    const std::string& type = cur.next();
     ModelDef def;
     if (type == "nmos") def.type = MosType::kNmos;
     else if (type == "pmos") def.type = MosType::kPmos;
@@ -256,19 +284,18 @@ Circuit parse_netlist(const std::string& deck, ParseIndex* index) {
   // Resolves a node name, recording its first deck line in the index.
   const auto node_at = [&](const std::string& n,
                            std::size_t lineno) -> NodeId {
-    if (index) index->node_line.emplace(n, lineno);
+    if (index) index->node_line.try_emplace(n, lineno);
     return c.node(n);
   };
-  for (const auto& [lineno, text] : lines) {
-    auto toks = tokenize(text);
+  for (const auto& [lineno, toks] : cards) {
     if (toks.empty()) continue;
     if (toks[0] == ".model") continue;
     if (toks[0] == ".end") break;
     if (toks[0][0] == '.')
       throw ParseError(lineno, "unsupported directive '" + toks[0] + "'");
 
-    TokenCursor cur(std::move(toks), lineno);
-    const std::string name = cur.next();
+    TokenCursor cur(toks, lineno);
+    const std::string& name = cur.next();
     const auto [prev, fresh] = defined.emplace(name, lineno);
     if (!fresh)
       throw ParseError(lineno, "duplicate element '" + name +
@@ -341,7 +368,7 @@ Circuit parse_netlist(const std::string& deck, ParseIndex* index) {
         // earlier in the deck.
         const NodeId op = node_at(cur.next(), lineno);
         const NodeId om = node_at(cur.next(), lineno);
-        const std::string sense_name = cur.next();
+        const std::string& sense_name = cur.next();
         const auto* sense =
             dynamic_cast<const VoltageSource*>(c.find(sense_name));
         if (!sense)
@@ -374,14 +401,14 @@ Circuit parse_netlist(const std::string& deck, ParseIndex* index) {
         const NodeId d = node_at(cur.next(), lineno);
         const NodeId g = node_at(cur.next(), lineno);
         const NodeId s = node_at(cur.next(), lineno);
-        std::string t4 = cur.next();
+        const std::string& t4 = cur.next();
         bool has_bulk = false;
         NodeId bnode = kGroundNode;
         std::string model_name = t4;
         if (!cur.done() && cur.peek() != "=") {
           // Peek ahead: if the next token is a model name (not k=v), t4
           // was the bulk node.
-          const std::string t5 = cur.peek();
+          const std::string& t5 = cur.peek();
           if (models.count(t5)) {
             has_bulk = true;
             bnode = node_at(t4, lineno);

@@ -375,11 +375,17 @@ TEST(ErcDeck, ErcDisableCommentSuppresses) {
 }
 
 TEST(ErcDeck, ParseFailureBecomesDiagnostic) {
-  const auto report = erc::check_deck("R1 in 0 10kz\n");
-  EXPECT_FALSE(report.parse_ok);
-  ASSERT_EQ(report.sink.errors(), 1u);
-  EXPECT_EQ(report.sink.diagnostics().front().rule, "spice.parse-error");
-  EXPECT_EQ(report.sink.diagnostics().front().line, 1u);
+  // A bad value, and cards that only start like a directive (names
+  // match as whole tokens, so these reach the element parser).
+  for (const std::string deck :
+       {"R1 in 0 10kz\n", ".options reltol=1e-3\nR1 in 0 1k\n",
+        ".opt\nR1 in 0 1k\n", ".tranx 1u 10u\nR1 in 0 1k\n"}) {
+    const auto report = erc::check_deck(deck);
+    EXPECT_FALSE(report.parse_ok) << deck;
+    ASSERT_EQ(report.sink.errors(), 1u) << deck;
+    EXPECT_EQ(report.sink.diagnostics().front().rule, "spice.parse-error");
+    EXPECT_EQ(report.sink.diagnostics().front().line, 1u);
+  }
 }
 
 TEST(ErcDeck, ProbeUnknownNodeFires) {
@@ -393,10 +399,11 @@ TEST(ErcDeck, ProbeUnknownNodeFires) {
 }
 
 TEST(ErcDeck, ValidProbesDoNotFire) {
+  // Ground probes through its aliases, as the transient does.
   const std::string deck =
       "V1 in 0 DC 1\n"
       "R1 in 0 1k\n"
-      ".probe v(in) i(v1)\n"
+      ".probe v(in) i(v1) v(0) v(gnd)\n"
       ".ac dec 10 1k 1meg\n";
   const auto report = erc::check_deck(deck);
   EXPECT_FALSE(has_rule(report.sink.diagnostics(), "spice.probe-unknown"));

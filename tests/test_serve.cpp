@@ -7,7 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <future>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -42,6 +48,57 @@ TEST(Json, NumbersDumpAtFullPrecision) {
   EXPECT_EQ(Json(-42.0).dump(), "-42");
   const double v = 0.1234567890123456789;
   EXPECT_DOUBLE_EQ(Json::parse(Json(v).dump()).as_number(), v);
+
+  // Reply bytes: every finite number prints exactly as printf's "%.0f"
+  // (integral values below 2^53) or "%.17g" (everything else) does.
+  const auto printf_form = [](double d) {
+    char buf[64];
+    if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15)
+      std::snprintf(buf, sizeof buf, "%.0f", d);
+    else
+      std::snprintf(buf, sizeof buf, "%.17g", d);
+    return std::string(buf);
+  };
+  const double two53 = 9007199254740992.0;
+  std::vector<double> corpus = {0.0,
+                                -0.0,
+                                1e22,
+                                -1e22,
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                1e-5,
+                                1e16,
+                                1e17,
+                                0.1,
+                                2.5,
+                                -0.5};
+  for (int k = -3; k <= 3; ++k) {
+    corpus.push_back(two53 + 2 * k);
+    corpus.push_back(-(two53 + 2 * k));
+    corpus.push_back(std::nextafter(two53 + 2 * k, 0.0));
+  }
+  std::mt19937_64 rng(20);
+  for (int k = 0; k < 50000; ++k) {
+    const std::uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) corpus.push_back(d);
+    // Subnormals, and integers up to 2^54 around the integral cut-off.
+    const std::uint64_t sub = bits & 0x800FFFFFFFFFFFFFull;
+    std::memcpy(&d, &sub, sizeof d);
+    corpus.push_back(d);
+    corpus.push_back(static_cast<double>(bits >> 10) * ((bits & 1) ? -1 : 1));
+  }
+  std::size_t mismatches = 0;
+  for (const double d : corpus) {
+    const std::string got = Json(d).dump(), want = printf_form(d);
+    if (got != want && ++mismatches <= 5)
+      ADD_FAILURE() << "dump " << got << " != printf " << want;
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << corpus.size() << " values";
 }
 
 TEST(Json, ParseErrorsCarryByteOffsets) {
@@ -130,6 +187,34 @@ TEST(Protocol, CacheKeyCoversPhysicsNotPlumbing) {
   e.set("max_newton_iterations", 7);
   EXPECT_NE(request_cache_key(parse_request(a)),
             request_cache_key(parse_request(e)));
+
+  // A card that only starts like ".tran" is not one: "auto" resolves
+  // to op.
+  const std::string tranx_deck = "Vdd a 0 DC 1\nR1 a 0 1k\n.tranx 1n 10n\n";
+  Json f = base_request(tranx_deck);
+  Json g = base_request(tranx_deck);
+  g.set("analysis", "op");
+  EXPECT_EQ(request_cache_key(parse_request(f)),
+            request_cache_key(parse_request(g)));
+}
+
+TEST(Protocol, DirectiveNamesMatchAsWholeTokens) {
+  // A card that only starts like a directive is an unsupported
+  // directive, reported by the ERC gate's parse at the card's line.
+  for (const char* card : {".options reltol=1e-3", ".opt", ".tranx 1n 10n"}) {
+    Json req = base_request(std::string("Vdd a 0 DC 1\nR1 a 0 1k\n") + card +
+                            "\n");
+    try {
+      run_job(parse_request(req), nullptr);
+      FAIL() << card << " must not run";
+    } catch (const JobError& e) {
+      EXPECT_EQ(e.kind(), "parse_error") << card;
+      const std::string diags = e.diagnostics().dump();
+      EXPECT_NE(diags.find("unsupported directive"), std::string::npos)
+          << diags;
+      EXPECT_NE(diags.find("\"line\":3"), std::string::npos) << diags;
+    }
+  }
 }
 
 // ------------------------------------------------------------- serving
@@ -180,6 +265,22 @@ TEST(Protocol, McJobBuildsOnePatternPerJob) {
   EXPECT_EQ(dense.value(), dense_before);
 #endif
   si::obs::set_enabled(false);
+}
+
+TEST(Protocol, McMeasureNodeIsCaseInsensitive) {
+  // The parser stores node names lower-cased; the measure node is
+  // looked up the same way.
+  std::string deck = kCellCards;
+  for (std::size_t p = deck.find(" d "); p != std::string::npos;
+       p = deck.find(" d ", p + 1))
+    deck[p + 1] = 'D';
+  Json req = base_request(deck);
+  req.set("analysis", "mc");
+  req.set("mc_trials", 4);
+  req.set("mc_measure", "v(D)");
+  const Json out = run_job(parse_request(req), nullptr);
+  EXPECT_EQ(out.find("measure")->as_string(), "v(d)");
+  EXPECT_EQ(out.find("trials")->as_number(), 4.0);
 }
 
 // A transient long enough to be mid-flight when a deadline or a cancel
@@ -399,6 +500,112 @@ TEST(JobServer, CacheHitsSkipResimulationAndHonourNoCache) {
   EXPECT_EQ(status_of(r4), "ok");
   EXPECT_FALSE(r4.find("cached")->as_bool());
   EXPECT_EQ(server.stats().cache_hits, 2u);
+}
+
+// One op, tran and mc request on each of the repo's example decks,
+// as the daemon serves them.
+std::vector<Json> example_deck_requests() {
+  struct Spec {
+    const char* file;
+    const char* measure;
+  };
+  const Spec specs[] = {{"memory_cell_ok.sp", "v(d)"},
+                        {"table1_delay_line.sp", "v(d2)"},
+                        {"table2_modulator.sp", "v(d2)"}};
+  std::vector<Json> out;
+  for (const Spec& spec : specs) {
+    std::ifstream in(std::string(SI_DECKS_DIR) + "/" + spec.file);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string deck = text.str();
+    EXPECT_FALSE(deck.empty()) << spec.file;
+    for (const char* analysis : {"op", "tran", "mc"}) {
+      Json req = Json::object();
+      req.set("id", std::string(spec.file) + "/" + analysis);
+      req.set("analysis", analysis);
+      if (std::string(analysis) == "tran") {
+        std::string tran = deck;
+        tran.insert(tran.find(".end"), ".tran 10n 2u\n");
+        req.set("deck", tran);
+      } else {
+        req.set("deck", deck);
+      }
+      if (std::string(analysis) == "mc") {
+        req.set("mc_trials", 8);
+        req.set("mc_measure", spec.measure);
+      }
+      out.push_back(std::move(req));
+    }
+  }
+  return out;
+}
+
+/// The raw text of a reply's "result" member (the envelope writes
+/// "status" next).
+std::string raw_result(const std::string& reply) {
+  const std::string key = "\"result\":";
+  const auto b = reply.find(key);
+  const auto e = reply.rfind(",\"status\":");
+  if (b == std::string::npos || e == std::string::npos || e < b) return "";
+  return reply.substr(b + key.size(), e - b - key.size());
+}
+
+TEST(JobServer, CacheHitRepliesWithTheMissPayloadBytes) {
+  JobServer server;
+  for (const Json& req : example_deck_requests()) {
+    const std::string miss = server.submit(req.dump()).get();
+    const std::string hit = server.submit(req.dump()).get();
+    const Json m = Json::parse(miss), h = Json::parse(hit);
+    ASSERT_EQ(status_of(m), "ok") << miss;
+    EXPECT_FALSE(m.find("cached")->as_bool());
+    EXPECT_TRUE(h.find("cached")->as_bool());
+    EXPECT_FALSE(raw_result(miss).empty());
+    EXPECT_EQ(raw_result(miss), raw_result(hit));
+    // The envelope is canonical JSON: its bytes are what dumping the
+    // parsed reply gives, sorted keys and number forms included.
+    EXPECT_EQ(m.dump(), miss);
+    EXPECT_EQ(h.dump(), hit);
+  }
+}
+
+TEST(JobServer, TelemetryReplyKeepsSortedKeysAroundTheResult) {
+  JobServer server;
+  Json req = Json::object();
+  req.set("id", "tel");
+  req.set("deck", op_deck(4));
+  req.set("want_telemetry", true);
+  for (int pass = 0; pass < 2; ++pass) {  // a miss, then a hit
+    const std::string reply = server.submit(req.dump()).get();
+    const Json r = Json::parse(reply);
+    EXPECT_EQ(status_of(r), "ok");
+    EXPECT_EQ(r.find("cached")->as_bool(), pass == 1);
+    ASSERT_NE(r.find("telemetry"), nullptr);
+    EXPECT_TRUE(r.find("telemetry")->is_object());
+    EXPECT_EQ(r.dump(), reply);
+  }
+}
+
+TEST(JobServer, EachServedJobParsesAndLintsItsDeckOnce) {
+  si::obs::set_enabled(true);
+#if SI_OBS_ENABLED
+  si::obs::Counter& parses = si::obs::counter("spice.parses");
+  si::obs::Counter& lints = si::obs::counter("erc.runs");
+  JobServer::Options opt;
+  opt.workers = 1;
+  opt.enable_cache = false;
+  JobServer server(opt);
+  for (const Json& req : example_deck_requests()) {
+    const std::uint64_t parses_before = parses.value();
+    const std::uint64_t lints_before = lints.value();
+    auto f = server.submit(req.dump());
+    const Json reply = reply_of(f);
+    EXPECT_EQ(status_of(reply), "ok") << reply.dump();
+    const std::string id = req.find("id")->as_string();
+    EXPECT_EQ(parses.value() - parses_before, 1u) << id;
+    EXPECT_EQ(lints.value() - lints_before, 1u) << id;
+  }
+#endif
+  si::obs::set_enabled(false);
 }
 
 TEST(JobServer, SixtyFourConcurrentMixedJobsNoLostNoDuplicated) {

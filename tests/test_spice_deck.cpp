@@ -130,6 +130,23 @@ TEST(Deck, DirectiveErrors) {
   EXPECT_THROW(run_deck(".ac lin 5 1 10"), ParseError);
   EXPECT_THROW(run_deck(".noise i(v1) dec 5 1 10\nR1 a 0 1k"), ParseError);
   EXPECT_THROW(run_deck(".probe x(a)\nR1 a 0 1k"), ParseError);
+  // Directive names match as whole tokens: a card that only starts
+  // like one is an unsupported directive at its own line, not a
+  // malformed .op / .tran card.
+  for (const char* card : {".options reltol=1e-3", ".opt", ".tranx 1u 10u"}) {
+    try {
+      run_deck(std::string("V1 a 0 DC 1\nR1 a 0 1k\n") + card + "\n");
+      FAIL() << card << " must not parse";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 3u) << card;
+      const std::string text = card;
+      const std::string name = text.substr(0, text.find(' '));
+      EXPECT_NE(std::string(e.what()).find("unsupported directive '" + name +
+                                           "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Deck, AcMagnitudeOnCurrentSource) {
