@@ -13,6 +13,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/signal.hpp"
 #include "dsp/spectrum.hpp"
+#include "erc/check.hpp"
 #include "linalg/lu.hpp"
 #include "serve/json.hpp"
 #include "si/delay_line.hpp"
@@ -223,6 +224,40 @@ si::spice::Circuit build_verify_modulator(int sections) {
   c.add<si::spice::CurrentSource>("Iinp", c.ground(), h.in_p, 1e-6);
   c.add<si::spice::CurrentSource>("Iinm", c.ground(), h.in_m, -1e-6);
   return c;
+}
+
+/// One erc_bench row: the ERC check of the verify modulator (the SI
+/// pack alone, the generic SPICE pack alone, then both, each with the
+/// topology index build it reads), best of `reps`.
+struct ErcRow {
+  int sections = 0;
+  std::size_t elements = 0, diagnostics = 0;
+  double si_ms = 0.0, spice_ms = 0.0, erc_ms = 0.0;
+};
+
+ErcRow time_erc_row(int sections, int reps) {
+  const auto c = build_verify_modulator(sections);
+  si::erc::ErcOptions si_only, spice_only;
+  si_only.spice_rules = false;
+  spice_only.si_rules = false;
+  ErcRow r;
+  r.sections = sections;
+  r.elements = c.elements().size();
+  const auto best_ms = [&](const si::erc::ErcOptions& opt) {
+    double best = 1e300;
+    for (int rep = 0; rep < reps; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      r.diagnostics = si::erc::check(c, opt).size();
+      const auto t1 = std::chrono::steady_clock::now();
+      best = std::min(
+          best, std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+    return best;
+  };
+  r.si_ms = best_ms(si_only);
+  r.spice_ms = best_ms(spice_only);
+  r.erc_ms = best_ms({});
+  return r;
 }
 
 void BM_VerifyModulator(benchmark::State& state) {
@@ -866,6 +901,13 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
     verify_rows.push_back(r);
   }
 
+  // ERC rows on the same modulator core, 8 to 128 sections.  The gate
+  // below checks that the check scales with the netlist: 128 sections
+  // <= 3x 64 sections.
+  std::vector<ErcRow> erc_rows;
+  for (int sections : {8, 16, 32, 64, 128})
+    erc_rows.push_back(time_erc_row(sections, /*reps=*/7));
+
   // Monte-Carlo DC rows: thread sweep (1/2/4/8) on a small and on the
   // largest Table 2 modulator.  The gate below checks the largest size
   // at one thread: structure-shared >= 2.5x the per-trial rebuild path.
@@ -918,6 +960,16 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
        << ", \"segments\": " << r.segments << ", \"findings\": " << r.findings
        << ", \"analyze_ms\": " << r.analyze_ms << host << "}"
        << (i + 1 < verify_rows.size() ? "," : "") << "\n";
+  }
+  os << "  ],\n  \"erc_bench\": [\n";
+  for (std::size_t i = 0; i < erc_rows.size(); ++i) {
+    const auto& r = erc_rows[i];
+    os << "    {\"workload\": \"erc_modulator\", \"sections\": " << r.sections
+       << ", \"elements\": " << r.elements
+       << ", \"diagnostics\": " << r.diagnostics
+       << ", \"si_ms\": " << r.si_ms << ", \"spice_ms\": " << r.spice_ms
+       << ", \"erc_ms\": " << r.erc_ms << host << "}"
+       << (i + 1 < erc_rows.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"mc_dc\": [\n";
   for (std::size_t i = 0; i < mc_rows.size(); ++i) {
@@ -1048,6 +1100,30 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
                    "FAIL: verify analysis %.2f ms at 16 sections > 4x the "
                    "%.2f ms at 8 sections\n",
                    r16->analyze_ms, r8->analyze_ms);
+      rc = 1;
+    }
+  }
+  for (const auto& r : erc_rows) {
+    std::printf(
+        "%-22s sections=%d elements=%zu diagnostics=%zu si=%.3fms "
+        "spice=%.3fms erc=%.3fms\n",
+        "erc_modulator", r.sections, r.elements, r.diagnostics, r.si_ms,
+        r.spice_ms, r.erc_ms);
+  }
+  // Gate: the check must scale with the netlist, not with its square
+  // (the nested-scan SI pack read 7-9x per doubling).
+  {
+    const ErcRow* r64 = nullptr;
+    const ErcRow* r128 = nullptr;
+    for (const auto& r : erc_rows) {
+      if (r.sections == 64) r64 = &r;
+      if (r.sections == 128) r128 = &r;
+    }
+    if (r64 && r128 && r128->erc_ms > 3.0 * r64->erc_ms) {
+      std::fprintf(stderr,
+                   "FAIL: ERC %.3f ms at 128 sections > 3x the %.3f ms at "
+                   "64 sections\n",
+                   r128->erc_ms, r64->erc_ms);
       rc = 1;
     }
   }

@@ -29,7 +29,11 @@ int main() {
     opt.process.vdd = vdd;
     opt.switches_always_on = true;
     const auto h = build_class_ab_memory_pair(c, opt, "m_");
-    spice::dc_operating_point(c);
+    // The sweep runs down to the Eq. (2) floor on purpose, so the ERC
+    // gate (si.supply-min) stays off for it.
+    spice::DcOptions dco;
+    dco.erc_gate = false;
+    spice::dc_operating_point(c, dco);
     auto region = [](spice::MosRegion r) {
       return r == spice::MosRegion::kSaturation
                  ? "saturation"

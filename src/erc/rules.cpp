@@ -8,13 +8,18 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "obs/telemetry.hpp"
 #include "spice/elements.hpp"
 #include "spice/mosfet.hpp"
 #include "verify/phase.hpp"
+#include "verify/topology.hpp"
 #include "verify/verify.hpp"
 
 namespace si::erc {
@@ -25,39 +30,39 @@ using spice::Circuit;
 using spice::Element;
 using spice::Mosfet;
 using spice::NodeId;
-using spice::Terminal;
 
-std::string fmt(double v) {
+std::string fmt(double v, int digits = 4) {
   std::ostringstream out;
-  out.precision(4);
+  out.precision(digits);
   out << v;
   return out.str();
 }
 
-/// Shared per-check state: the circuit, every element's terminals, and
-/// the per-node attachment lists.
+/// fmt of a and b, with as many more digits as it takes for two
+/// different values not to read equal.
+std::pair<std::string, std::string> fmt_apart(double a, double b) {
+  for (int digits = 4;; ++digits) {
+    std::string sa = fmt(a, digits), sb = fmt(b, digits);
+    if (sa != sb || a == b || digits >= 17) return {sa, sb};
+  }
+}
+
+/// si.supply-min fires only when the supply is this far below the pair
+/// floor [V], so a supply set exactly at Vt_n + Vt_p + Vov passes even
+/// where the sum rounds up (0.8 + 0.8 + 0.1 > 1.7 in doubles).
+constexpr double kSupplyFloorSlack = 1e-9;
+
+/// Shared per-check state: the circuit and its topology index.
 struct Ctx {
   const Circuit& c;
   const spice::ParseIndex* index;
   DiagnosticSink& sink;
   const ErcOptions& opt;
-  /// terminals[k] belongs to c.elements()[k].
-  std::vector<std::vector<Terminal>> terminals;
-  /// attached[n] lists (element index, terminal) pairs touching node n.
-  std::vector<std::vector<std::pair<std::size_t, Terminal>>> attached;
+  const verify::SiTopology topo;
 
   explicit Ctx(const Circuit& circuit, const spice::ParseIndex* idx,
                DiagnosticSink& s, const ErcOptions& o)
-      : c(circuit), index(idx), sink(s), opt(o) {
-    const auto& elems = c.elements();
-    terminals.reserve(elems.size());
-    attached.resize(c.node_count());
-    for (std::size_t k = 0; k < elems.size(); ++k) {
-      terminals.push_back(elems[k]->terminals());
-      for (const Terminal& t : terminals.back())
-        attached[static_cast<std::size_t>(t.node)].emplace_back(k, t);
-    }
-  }
+      : c(circuit), index(idx), sink(s), opt(o), topo(circuit) {}
 
   const Element& element(std::size_t k) const { return *c.elements()[k]; }
 
@@ -86,12 +91,12 @@ void check_connectivity(Ctx& ctx) {
   const auto unite = [&](std::size_t a, std::size_t b) {
     parent[find(a)] = find(b);
   };
-  for (const auto& terms : ctx.terminals)
+  for (const auto& terms : ctx.topo.terminals)
     for (std::size_t k = 1; k < terms.size(); ++k)
       unite(static_cast<std::size_t>(terms[k].node),
             static_cast<std::size_t>(terms[0].node));
 
-  if (!ctx.c.elements().empty() && ctx.attached[0].empty()) {
+  if (!ctx.c.elements().empty() && ctx.topo.attached[0].empty()) {
     ctx.sink.report({Severity::kError, "spice.no-ground",
                      "no element is connected to ground (node 0)", 0, "",
                      "reference the circuit to node 0 so the MNA system "
@@ -101,7 +106,7 @@ void check_connectivity(Ctx& ctx) {
   const std::size_t ground_root = find(0);
   std::map<std::size_t, std::vector<NodeId>> islands;
   for (std::size_t i = 1; i < n; ++i)
-    if (!ctx.attached[i].empty() && find(i) != ground_root)
+    if (!ctx.topo.attached[i].empty() && find(i) != ground_root)
       islands[find(i)].push_back(static_cast<NodeId>(i));
   for (const auto& [root, members] : islands) {
     std::ostringstream msg;
@@ -123,7 +128,7 @@ void check_connectivity(Ctx& ctx) {
 /// spice.unused-node: per-node terminal census.
 void check_node_usage(Ctx& ctx) {
   for (std::size_t i = 1; i < ctx.c.node_count(); ++i) {
-    const auto& at = ctx.attached[i];
+    const auto& at = ctx.topo.attached[i];
     const std::string& name = ctx.c.node_name(static_cast<NodeId>(i));
     if (at.empty()) {
       ctx.sink.report({Severity::kWarning, "spice.unused-node",
@@ -170,11 +175,11 @@ void check_node_usage(Ctx& ctx) {
 
 /// spice.duplicate-name: elements must be findable by name.
 void check_duplicate_names(Ctx& ctx) {
-  std::map<std::string, std::size_t> first;
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(ctx.c.elements().size());
   for (std::size_t k = 0; k < ctx.c.elements().size(); ++k) {
     const std::string& name = ctx.element(k).name();
-    const auto [it, fresh] = first.emplace(name, k);
-    if (!fresh) {
+    if (!seen.insert(name).second) {
       ctx.sink.report({Severity::kError, "spice.duplicate-name",
                        "element name '" + name + "' is defined twice",
                        ctx.line_of_element(name), name,
@@ -188,7 +193,7 @@ void check_duplicate_names(Ctx& ctx) {
 void check_elements(Ctx& ctx) {
   for (std::size_t k = 0; k < ctx.c.elements().size(); ++k) {
     const Element& e = ctx.element(k);
-    const auto& terms = ctx.terminals[k];
+    const auto& terms = ctx.topo.terminals[k];
     const std::size_t line = ctx.line_of_element(e.name());
 
     const bool out_shorted =
@@ -256,74 +261,21 @@ void check_elements(Ctx& ctx) {
 // SI pack (paper-specific: class-AB memory cells, CMFF — Figs. 1-2)
 // ---------------------------------------------------------------------
 
-/// A detected complementary class-AB memory pair: NMOS and PMOS sharing
-/// a drain, each gate tied to the drain directly (diode) or through a
-/// sampling switch (Fig. 1).
-struct MemoryPair {
-  const Mosfet* mn = nullptr;
-  const Mosfet* mp = nullptr;
-  NodeId drain = spice::kGroundNode;
-  const spice::Switch* sn = nullptr;  ///< n-gate sampling switch
-  const spice::Switch* sp = nullptr;  ///< p-gate sampling switch
-};
-
-/// The switch connecting `a` and `b`, if any.
-const spice::Switch* switch_between(const Ctx& ctx, NodeId a, NodeId b) {
-  for (std::size_t k = 0; k < ctx.c.elements().size(); ++k) {
-    const auto* sw = dynamic_cast<const spice::Switch*>(&ctx.element(k));
-    if (!sw) continue;
-    const auto& t = ctx.terminals[k];
-    if ((t[0].node == a && t[1].node == b) ||
-        (t[0].node == b && t[1].node == a))
-      return sw;
-  }
-  return nullptr;
-}
-
-std::vector<MemoryPair> find_memory_pairs(const Ctx& ctx) {
-  std::vector<const Mosfet*> nmos, pmos;
-  for (const auto& e : ctx.c.elements())
-    if (const auto* m = dynamic_cast<const Mosfet*>(e.get()))
-      (m->type() == spice::MosType::kNmos ? nmos : pmos).push_back(m);
-
-  std::vector<MemoryPair> pairs;
-  for (const Mosfet* n : nmos) {
-    for (const Mosfet* p : pmos) {
-      if (n->drain() != p->drain()) continue;
-      MemoryPair mp;
-      mp.mn = n;
-      mp.mp = p;
-      mp.drain = n->drain();
-      const bool n_diode = n->gate() == mp.drain;
-      const bool p_diode = p->gate() == mp.drain;
-      if (!n_diode) mp.sn = switch_between(ctx, n->gate(), mp.drain);
-      if (!p_diode) mp.sp = switch_between(ctx, p->gate(), mp.drain);
-      const bool n_tied = n_diode || mp.sn != nullptr;
-      const bool p_tied = p_diode || mp.sp != nullptr;
-      if (n_tied && p_tied) pairs.push_back(mp);
-    }
-  }
-  return pairs;
-}
+using verify::ClassAbCandidate;
 
 /// DC supply magnitude feeding node `n` via a grounded voltage source,
 /// or 0 when none is found.
 double supply_at(const Ctx& ctx, NodeId n) {
-  for (std::size_t k = 0; k < ctx.c.elements().size(); ++k) {
-    const auto* v = dynamic_cast<const spice::VoltageSource*>(&ctx.element(k));
-    if (!v) continue;
-    const auto& t = ctx.terminals[k];
-    if (t[0].node == n && t[1].node == spice::kGroundNode)
-      return v->waveform().dc_value();
-    if (t[1].node == n && t[0].node == spice::kGroundNode)
-      return -v->waveform().dc_value();
-  }
-  return 0.0;
+  const verify::GroundedSource& g =
+      ctx.topo.grounded_source[static_cast<std::size_t>(n)];
+  if (!g.source) return 0.0;
+  const double v = g.source->waveform().dc_value();
+  return g.reversed ? -v : v;
 }
 
 /// si.supply-min + si.classab-asymmetry over detected memory pairs.
-void check_memory_pairs(Ctx& ctx, const std::vector<MemoryPair>& pairs) {
-  for (const MemoryPair& mp : pairs) {
+void check_memory_pairs(Ctx& ctx) {
+  for (const ClassAbCandidate& mp : ctx.topo.class_ab) {
     if (mp.mn->source() != spice::kGroundNode) continue;
     const double vdd = supply_at(ctx, mp.mp->source());
     if (vdd == 0.0) continue;  // supply rail not identifiable
@@ -331,16 +283,17 @@ void check_memory_pairs(Ctx& ctx, const std::vector<MemoryPair>& pairs) {
     const double vt_n = std::abs(mp.mn->params().vt0);
     const double vt_p = std::abs(mp.mp->params().vt0);
     const double floor = vt_n + vt_p + ctx.opt.min_pair_overdrive;
-    if (vdd < floor) {
+    if (vdd < floor - kSupplyFloorSlack) {
+      const auto [vdd_text, floor_text] = fmt_apart(vdd, floor);
       ctx.sink.report(
           {Severity::kError, "si.supply-min",
-           "supply " + fmt(vdd) + " V is below the class-AB pair minimum " +
-               fmt(floor) + " V for '" + mp.mn->name() + "'/'" +
+           "supply " + vdd_text + " V is below the class-AB pair minimum " +
+               floor_text + " V for '" + mp.mn->name() + "'/'" +
                mp.mp->name() + "' (Vt_n + Vt_p + Vov = " + fmt(vt_n) +
                " + " + fmt(vt_p) + " + " + fmt(ctx.opt.min_pair_overdrive) +
                ", paper Eqs. (1)-(2))",
            ctx.line_of_element(mp.mp->name()), mp.mp->name(),
-           "raise the supply above " + fmt(floor) +
+           "raise the supply above " + floor_text +
                " V or use lower-Vt devices"});
     }
 
@@ -361,27 +314,58 @@ void check_memory_pairs(Ctx& ctx, const std::vector<MemoryPair>& pairs) {
 }
 
 /// si.clock-overlap: cascaded memory cells (drains joined by a transfer
-/// switch) must sample on non-overlapping phases.
-void check_clock_phases(Ctx& ctx, const std::vector<MemoryPair>& pairs) {
-  const auto sampling_switch = [](const MemoryPair& mp) {
-    const spice::Switch* sw = mp.sn ? mp.sn : mp.sp;
-    return (sw && sw->control().period() > 0.0) ? sw : nullptr;
+/// switch) must sample on non-overlapping phases.  Pairs (i, j), i < j,
+/// are visited in ascending order.
+void check_clock_phases(Ctx& ctx) {
+  const verify::SiTopology& topo = ctx.topo;
+  const std::vector<ClassAbCandidate>& pairs = topo.class_ab;
+  std::vector<std::vector<std::size_t>> pairs_at(ctx.c.node_count());
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    pairs_at[static_cast<std::size_t>(pairs[i].drain)].push_back(i);
+
+  // Each pair's periodic sampling switch (ordinal, -1 = none), with its
+  // ON pattern resolved at most once per switch.
+  std::vector<std::optional<verify::SwitchPhase>> phases(topo.switches.size());
+  const auto sampling_phase = [&](const ClassAbCandidate& mp)
+      -> const verify::SwitchPhase* {
+    const int s = mp.sn >= 0 ? mp.sn : mp.sp;
+    if (s < 0) return nullptr;
+    const spice::Switch& sw = *topo.switches[static_cast<std::size_t>(s)];
+    if (sw.control().period() <= 0.0) return nullptr;
+    auto& ph = phases[static_cast<std::size_t>(s)];
+    if (!ph) ph = verify::switch_phase(sw);
+    return &*ph;
   };
+
+  std::vector<std::size_t> cascaded;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    for (std::size_t j = i + 1; j < pairs.size(); ++j) {
-      const MemoryPair& a = pairs[i];
-      const MemoryPair& b = pairs[j];
-      if (a.drain == b.drain) continue;  // same cell seen twice
-      if (!switch_between(ctx, a.drain, b.drain)) continue;  // not cascaded
-      const spice::Switch* sa = sampling_switch(a);
-      const spice::Switch* sb = sampling_switch(b);
-      if (!sa || !sb) continue;  // aperiodic (DC study) or diode cells
+    const ClassAbCandidate& a = pairs[i];
+    // Pairs after i whose drain a switch joins to a's (a pair on a's own
+    // drain is the same cell seen twice).
+    cascaded.clear();
+    for (const auto& [k, term] :
+         topo.attached[static_cast<std::size_t>(a.drain)]) {
+      if (topo.switch_ordinal[k] < 0) continue;
+      const auto& t = topo.terminals[k];
+      const NodeId other = t[0].node == a.drain ? t[1].node : t[0].node;
+      if (other == a.drain) continue;
+      for (const std::size_t j : pairs_at[static_cast<std::size_t>(other)])
+        if (j > i) cascaded.push_back(j);
+    }
+    std::sort(cascaded.begin(), cascaded.end());
+    cascaded.erase(std::unique(cascaded.begin(), cascaded.end()),
+                   cascaded.end());
+    for (const std::size_t j : cascaded) {
+      const ClassAbCandidate& b = pairs[j];
+      const verify::SwitchPhase* pa = sampling_phase(a);
+      const verify::SwitchPhase* pb = sampling_phase(b);
+      if (!pa || !pb) continue;  // aperiodic (DC study) or diode cells
       // ON intervals from waveform breakpoints, overlap computed
       // symbolically over the hyperperiod.  An overlap of any width —
       // down to one representable instant — is caught.
-      const verify::OverlapReport rep = verify::phase_overlap(
-          verify::switch_phase(*sa), verify::switch_phase(*sb));
+      const verify::OverlapReport rep = verify::phase_overlap(*pa, *pb);
       if (rep.overlap > 0.0) {
+        const std::string& sb = pb->sw->name();
         ctx.sink.report(
             {Severity::kError, "si.clock-overlap",
              "cascaded memory cells at nodes '" + ctx.c.node_name(a.drain) +
@@ -392,7 +376,7 @@ void check_clock_phases(Ctx& ctx, const std::vector<MemoryPair>& pairs) {
                  " ns hyperperiod, non-overlap margin " +
                  fmt(rep.margin * 1e9) + " ns): the chain is transparent, "
                  "not a z^-1 delay",
-             ctx.line_of_element(sb->name()), sb->name(),
+             ctx.line_of_element(sb), sb,
              "clock the second cell on the opposite phase"});
       }
     }
@@ -416,41 +400,20 @@ void check_deep(Ctx& ctx) {
 /// si.cmff-half-size: the CMFF extraction devices must be half the size
 /// of the diode masters so Icm = (Id+ + Id-)/2 (Fig. 2).
 void check_cmff_sizing(Ctx& ctx) {
-  std::vector<const Mosfet*> nmos, pmos;
-  for (const auto& e : ctx.c.elements())
-    if (const auto* m = dynamic_cast<const Mosfet*>(e.get()))
-      (m->type() == spice::MosType::kNmos ? nmos : pmos).push_back(m);
-
-  const auto is_diode = [](const Mosfet* m) { return m->gate() == m->drain(); };
-
-  for (const Mosfet* master : nmos) {
-    if (!is_diode(master)) continue;
-    for (const Mosfet* ext : nmos) {
-      if (ext == master || ext->gate() != master->drain() ||
-          ext->drain() == master->drain() ||
-          ext->source() != master->source())
-        continue;
-      // The extraction drain must land on a PMOS diode (the mirror
-      // master returning -Icm), otherwise this is a plain mirror output.
-      const bool into_pmos_diode =
-          std::any_of(pmos.begin(), pmos.end(), [&](const Mosfet* p) {
-            return is_diode(p) && p->drain() == ext->drain();
-          });
-      if (!into_pmos_diode) continue;
-      const double master_ratio = master->params().w / master->params().l;
-      const double ext_ratio = ext->params().w / ext->params().l;
-      const double rel = ext_ratio / master_ratio - 0.5;
-      if (std::abs(rel) > 0.5 * ctx.opt.half_size_tolerance) {
-        ctx.sink.report(
-            {Severity::kWarning, "si.cmff-half-size",
-             "CMFF extraction device '" + ext->name() + "' is " +
-                 fmt(ext_ratio / master_ratio) + "x the master '" +
-                 master->name() +
-                 "' (expected 0.5x): the extracted common mode is off by " +
-                 fmt(rel / 0.5 * 100.0) + "%",
-             ctx.line_of_element(ext->name()), ext->name(),
-             "size the extraction pair at exactly half the master W/L"});
-      }
+  for (const auto& [master, ext] : ctx.topo.cmff) {
+    const double master_ratio = master->params().w / master->params().l;
+    const double ext_ratio = ext->params().w / ext->params().l;
+    const double rel = ext_ratio / master_ratio - 0.5;
+    if (std::abs(rel) > 0.5 * ctx.opt.half_size_tolerance) {
+      ctx.sink.report(
+          {Severity::kWarning, "si.cmff-half-size",
+           "CMFF extraction device '" + ext->name() + "' is " +
+               fmt(ext_ratio / master_ratio) + "x the master '" +
+               master->name() +
+               "' (expected 0.5x): the extracted common mode is off by " +
+               fmt(rel / 0.5 * 100.0) + "%",
+           ctx.line_of_element(ext->name()), ext->name(),
+           "size the extraction pair at exactly half the master W/L"});
     }
   }
 }
@@ -474,9 +437,8 @@ void check(const Circuit& c, DiagnosticSink& sink, const ErcOptions& opt,
     check_elements(ctx);
   }
   if (opt.si_rules) {
-    const std::vector<MemoryPair> pairs = find_memory_pairs(ctx);
-    check_memory_pairs(ctx, pairs);
-    check_clock_phases(ctx, pairs);
+    check_memory_pairs(ctx);
+    check_clock_phases(ctx);
     check_cmff_sizing(ctx);
   }
   if (opt.deep) check_deep(ctx);
@@ -502,13 +464,14 @@ void enforce(const Circuit& c, const ErcOptions& opt) {
 void check_supply(const cells::SupplyRequirement& req, double vdd,
                   DiagnosticSink& sink) {
   if (req.feasible_at(vdd)) return;
+  const auto [vdd_text, min_text] = fmt_apart(vdd, req.minimum_volts);
   sink.report({Severity::kError, "si.supply-min",
-               "supply " + fmt(vdd) + " V is below the Eq. (1)-(2) minimum " +
-                   fmt(req.minimum_volts) + " V (GGA branch needs " +
+               "supply " + vdd_text + " V is below the Eq. (1)-(2) minimum " +
+                   min_text + " V (GGA branch needs " +
                    fmt(req.eq1_volts) + " V, memory pair needs " +
                    fmt(req.eq2_volts) + " V)",
                0, "",
-               "raise the supply above " + fmt(req.minimum_volts) +
+               "raise the supply above " + min_text +
                    " V or reduce the modulation index"});
 }
 

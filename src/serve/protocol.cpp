@@ -114,6 +114,14 @@ Json run_tran(spice::Circuit c, const spice::DeckCards& cards,
               const spice::DeckRunOptions& opt) {
   if (!cards.has(spice::DirectiveKind::kTran))
     bad_request("analysis \"tran\" needs a .tran card in the deck");
+  // The reply carries the transient only, so a small-signal card would
+  // cost a second operating point and a sweep that nobody receives.
+  for (const spice::Directive& d : cards.directives)
+    if (d.kind == spice::DirectiveKind::kAc ||
+        d.kind == spice::DirectiveKind::kNoise)
+      bad_request("analysis \"tran\" does not run " + d.tokens.front() +
+                  " cards (deck line " + std::to_string(d.line) +
+                  "); remove the card");
   const auto res = spice::run_deck(
       std::move(c), spice::parse_directives(cards.directives), opt);
   const spice::TransientResult& tr = *res.tran;

@@ -62,6 +62,22 @@ std::pair<char, std::string> parse_probe_token(const std::string& tok,
   return {kind, tok.substr(2, tok.size() - 3)};
 }
 
+/// A directive argument read with parse_value: a malformed number is a
+/// ParseError at the card's line.
+double directive_value(const std::string& tok, std::size_t line) {
+  try {
+    return parse_value(tok);
+  } catch (const std::invalid_argument& e) {
+    throw ParseError(line, e.what());
+  }
+}
+
+/// The .ac / .noise sweep arguments log_space accepts.
+void check_sweep(int ppd, double lo, double hi, std::size_t line) {
+  if (ppd < 1 || !(lo > 0.0) || !(hi > lo))
+    throw ParseError(line, "sweep needs <ppd> >= 1 and 0 < <f_lo> < <f_hi>");
+}
+
 }  // namespace
 
 bool DeckCards::has(DirectiveKind kind) const {
@@ -109,8 +125,10 @@ DeckAnalyses parse_directives(const std::vector<Directive>& directives) {
       case DirectiveKind::kTran:
         if (toks.size() != 3) throw ParseError(d.line, ".tran <dt> <tstop>");
         dir.have_tran = true;
-        dir.dt = parse_value(toks[1]);
-        dir.t_stop = parse_value(toks[2]);
+        dir.dt = directive_value(toks[1], d.line);
+        dir.t_stop = directive_value(toks[2], d.line);
+        if (!(dir.dt > 0.0) || !(dir.t_stop > 0.0))
+          throw ParseError(d.line, ".tran needs <dt> > 0 and <tstop> > 0");
         break;
       case DirectiveKind::kProbe:
         for (std::size_t k = 1; k < toks.size(); ++k)
@@ -120,9 +138,10 @@ DeckAnalyses parse_directives(const std::vector<Directive>& directives) {
         if (toks.size() != 5 || toks[1] != "dec")
           throw ParseError(d.line, ".ac dec <ppd> <f_lo> <f_hi>");
         dir.have_ac = true;
-        dir.ac_ppd = static_cast<int>(parse_value(toks[2]));
-        dir.ac_lo = parse_value(toks[3]);
-        dir.ac_hi = parse_value(toks[4]);
+        dir.ac_ppd = static_cast<int>(directive_value(toks[2], d.line));
+        dir.ac_lo = directive_value(toks[3], d.line);
+        dir.ac_hi = directive_value(toks[4], d.line);
+        check_sweep(dir.ac_ppd, dir.ac_lo, dir.ac_hi, d.line);
         break;
       case DirectiveKind::kNoise: {
         if (toks.size() != 6 || toks[2] != "dec")
@@ -133,9 +152,10 @@ DeckAnalyses parse_directives(const std::vector<Directive>& directives) {
           throw ParseError(d.line, ".noise output must be v(...)");
         dir.have_noise = true;
         dir.noise_node = probe.second;
-        dir.noise_ppd = static_cast<int>(parse_value(toks[3]));
-        dir.noise_lo = parse_value(toks[4]);
-        dir.noise_hi = parse_value(toks[5]);
+        dir.noise_ppd = static_cast<int>(directive_value(toks[3], d.line));
+        dir.noise_lo = directive_value(toks[4], d.line);
+        dir.noise_hi = directive_value(toks[5], d.line);
+        check_sweep(dir.noise_ppd, dir.noise_lo, dir.noise_hi, d.line);
         break;
       }
     }
@@ -150,7 +170,16 @@ DeckRunResult run_deck(const std::string& deck) {
 DeckRunResult run_deck(const std::string& deck, const DeckRunOptions& opt) {
   const DeckCards cards = split_deck(deck);
   const DeckAnalyses analyses = parse_directives(cards.directives);
-  return run_deck(parse_netlist(cards.elements), analyses, opt);
+  Circuit circuit = parse_netlist(cards.elements);
+  // The gate honours the deck's "* erc-disable" cards, as erc_lint does.
+  DeckRunOptions gated = opt;
+  if (opt.erc_gate) {
+    erc::ErcOptions eo;
+    eo.suppress = cards.erc_disable;
+    erc::enforce(circuit, eo);
+    gated.erc_gate = false;
+  }
+  return run_deck(std::move(circuit), analyses, gated);
 }
 
 DeckRunResult run_deck(Circuit circuit, const DeckAnalyses& dir,

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "spice/waveform.hpp"
+#include "verify/topology.hpp"
 
 namespace si::verify {
 
@@ -75,6 +76,7 @@ double class_ab_drain_voltage(double vdd, double vt_n, double vt_p,
 struct AbstractInterpreter::Impl {
   const spice::Circuit& c;
   AbsOptions opt;
+  const SiTopology topo;
 
   // --- clock model -------------------------------------------------
   std::vector<const spice::Switch*> switches;
@@ -167,16 +169,15 @@ struct AbstractInterpreter::Impl {
   std::size_t widenings = 0;
   std::size_t iterations = 0;
 
-  Impl(const spice::Circuit& circ, const AbsOptions& o) : c(circ), opt(o) {}
+  Impl(const spice::Circuit& circ, const AbsOptions& o)
+      : c(circ), opt(o), topo(circ) {}
 
   int nid(spice::NodeId n) const { return static_cast<int>(n); }
 
   // ================= model construction =============================
 
   void build_clock_model() {
-    for (const auto& e : c.elements())
-      if (const auto* sw = dynamic_cast<const spice::Switch*>(e.get()))
-        switches.push_back(sw);
+    switches = topo.switches;
     sw_phases.reserve(switches.size());
     for (const auto* sw : switches) sw_phases.push_back(switch_phase(*sw));
     sw_unknown.assign(switches.size(), 0);
@@ -305,16 +306,16 @@ struct AbstractInterpreter::Impl {
     rail_window = {round_down(rail_lo - opt.rail_margin),
                    round_up(vdd_hi + opt.rail_margin)};
 
-    for (const auto& e : c.elements()) {
-      if (const auto* r = dynamic_cast<const spice::Resistor*>(e.get())) {
+    const auto& elems = c.elements();
+    for (std::size_t k = 0; k < elems.size(); ++k) {
+      const spice::Element* e = elems[k].get();
+      if (const auto* r = dynamic_cast<const spice::Resistor*>(e)) {
         if (r->resistance() > kSeriesResistanceMax) continue;
-        const auto terms = r->terminals();
+        const auto& terms = topo.terminals[k];
         joins.push_back({nid(terms[0].node), nid(terms[1].node),
                          r->resistance(), -1, Interval::point(0.0)});
-      } else if (const auto* sw =
-                     dynamic_cast<const spice::Switch*>(e.get())) {
-        const auto it = std::find(switches.begin(), switches.end(), sw);
-        const int idx = static_cast<int>(it - switches.begin());
+      } else if (const int idx = topo.switch_ordinal[k]; idx >= 0) {
+        const spice::Switch* sw = switches[static_cast<std::size_t>(idx)];
         if (sw_unknown[static_cast<std::size_t>(idx)]) continue;
         joins.push_back({nid(sw->p()), nid(sw->m()), sw->r_on(), idx,
                          Interval::point(0.0)});
@@ -338,89 +339,56 @@ struct AbstractInterpreter::Impl {
     return b;
   }
 
-  int switch_index(const spice::Switch* sw) const {
-    const auto it = std::find(switches.begin(), switches.end(), sw);
-    return it == switches.end() ? -1
-                                : static_cast<int>(it - switches.begin());
-  }
-
-  /// A switch whose two terminals are exactly {a, b}.
-  const spice::Switch* switch_between(int a, int b) const {
-    for (const auto* sw : switches) {
-      const int p = nid(sw->p()), m = nid(sw->m());
-      if ((p == a && m == b) || (p == b && m == a)) return sw;
-    }
-    return nullptr;
-  }
-
   void classify_devices() {
-    std::vector<const spice::Mosfet*> nmos, pmos;
-    for (const auto& e : c.elements())
-      if (const auto* m = dynamic_cast<const spice::Mosfet*>(e.get()))
-        (m->type() == spice::MosType::kNmos ? nmos : pmos).push_back(m);
-
     std::unordered_set<const spice::Mosfet*> used;
 
-    // Class-AB memory pairs: NMOS (source grounded) and PMOS (source at
-    // a pinned rail) sharing a drain, both gates tied to the drain
-    // either permanently (diode) or through a sampling switch.
-    for (const auto* mn : nmos) {
-      if (used.count(mn) || nid(mn->source()) != 0) continue;
-      for (const auto* mp : pmos) {
-        if (used.count(mp) || mn->drain() != mp->drain()) continue;
-        const int rail = nid(mp->source());
-        if (!pinned[static_cast<std::size_t>(rail)]) continue;
-        const int d = nid(mn->drain());
-        const spice::Switch* sn = nullptr;
-        const spice::Switch* sp = nullptr;
-        if (nid(mn->gate()) != d) {
-          sn = switch_between(nid(mn->gate()), d);
-          if (!sn) continue;
-        }
-        if (nid(mp->gate()) != d) {
-          sp = switch_between(nid(mp->gate()), d);
-          if (!sp) continue;
-        }
-        PairAnalysis P;
-        P.mn = mn;
-        P.mp = mp;
-        P.drain = d;
-        P.sn = sn;
-        P.sp = sp;
-        P.rail_node = rail;
-        P.rail_nominal = pin_nom[static_cast<std::size_t>(rail)];
-        P.vdd = pin[static_cast<std::size_t>(rail)];
-        P.vt_n = vt_iv(*mn);
-        P.vt_p = vt_iv(*mp);
-        P.beta_n = beta_iv(*mn);
-        P.beta_p = beta_iv(*mp);
-        const int in = sn ? switch_index(sn) : -1;
-        const int ip = sp ? switch_index(sp) : -1;
-        const bool unknown =
-            (in >= 0 && sw_unknown[static_cast<std::size_t>(in)]) ||
-            (ip >= 0 && sw_unknown[static_cast<std::size_t>(ip)]);
-        for (std::size_t s = 0; s < segments.size() && !unknown; ++s) {
-          const bool non = in < 0 || sw_on[static_cast<std::size_t>(in)][s];
-          const bool pon = ip < 0 || sw_on[static_cast<std::size_t>(ip)][s];
-          if (non && pon) P.sampling_segments.push_back(static_cast<int>(s));
-          if (sn && sp && !sw_on[static_cast<std::size_t>(in)][s] &&
-              !sw_on[static_cast<std::size_t>(ip)][s])
-            P.hold_segments.push_back(static_cast<int>(s));
-        }
-        P.resolved = !unknown && !P.sampling_segments.empty();
-        used.insert(mn);
-        used.insert(mp);
-        pair_at.emplace(d, pairs.size());
-        pairs.push_back(std::move(P));
-        break;
+    // Class-AB memory pairs: of the shared candidates (NMOS and PMOS
+    // sharing a drain, both gates tied to it permanently or through a
+    // sampling switch), those with the NMOS source grounded and the
+    // PMOS source at a pinned rail; each device joins its first match.
+    for (const ClassAbCandidate& cand : topo.class_ab) {
+      const spice::Mosfet* mn = cand.mn;
+      const spice::Mosfet* mp = cand.mp;
+      if (used.count(mn) || used.count(mp) || nid(mn->source()) != 0)
+        continue;
+      const int rail = nid(mp->source());
+      if (!pinned[static_cast<std::size_t>(rail)]) continue;
+      const int in = cand.sn, ip = cand.sp;
+      PairAnalysis P;
+      P.mn = mn;
+      P.mp = mp;
+      P.drain = nid(cand.drain);
+      P.sn = in >= 0 ? switches[static_cast<std::size_t>(in)] : nullptr;
+      P.sp = ip >= 0 ? switches[static_cast<std::size_t>(ip)] : nullptr;
+      P.rail_node = rail;
+      P.rail_nominal = pin_nom[static_cast<std::size_t>(rail)];
+      P.vdd = pin[static_cast<std::size_t>(rail)];
+      P.vt_n = vt_iv(*mn);
+      P.vt_p = vt_iv(*mp);
+      P.beta_n = beta_iv(*mn);
+      P.beta_p = beta_iv(*mp);
+      const bool unknown =
+          (in >= 0 && sw_unknown[static_cast<std::size_t>(in)]) ||
+          (ip >= 0 && sw_unknown[static_cast<std::size_t>(ip)]);
+      for (std::size_t s = 0; s < segments.size() && !unknown; ++s) {
+        const bool non = in < 0 || sw_on[static_cast<std::size_t>(in)][s];
+        const bool pon = ip < 0 || sw_on[static_cast<std::size_t>(ip)][s];
+        if (non && pon) P.sampling_segments.push_back(static_cast<int>(s));
+        if (P.sn && P.sp && !sw_on[static_cast<std::size_t>(in)][s] &&
+            !sw_on[static_cast<std::size_t>(ip)][s])
+          P.hold_segments.push_back(static_cast<int>(s));
       }
+      P.resolved = !unknown && !P.sampling_segments.empty();
+      used.insert(mn);
+      used.insert(mp);
+      pair_at.emplace(P.drain, pairs.size());
+      pairs.push_back(std::move(P));
     }
 
     // Diode-connected devices, grouped per node (parallel diodes share
     // the node current in proportion to beta).
-    for (const auto& e : c.elements()) {
-      const auto* m = dynamic_cast<const spice::Mosfet*>(e.get());
-      if (!m || used.count(m) || m->gate() != m->drain()) continue;
+    for (const spice::Mosfet* m : topo.diodes) {
+      if (used.count(m)) continue;
       const int node = nid(m->drain());
       const bool nmos_dev = m->type() == spice::MosType::kNmos;
       const auto it = diode_at.find(node);

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <random>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "erc/check.hpp"
@@ -16,6 +20,8 @@
 #include "spice/mosfet.hpp"
 #include "spice/parser.hpp"
 #include "spice/transient.hpp"
+#include "verify/absint.hpp"
+#include "verify/phase.hpp"
 
 namespace {
 
@@ -199,6 +205,52 @@ TEST(ErcSi, SupplyMinSilentAtPaperSupply) {
   const auto report = erc::check_deck(pair_deck(3.3));
   EXPECT_FALSE(has_rule(report.sink.diagnostics(), "si.supply-min"));
   EXPECT_TRUE(report.sink.ok());
+}
+
+/// A switch-sampled class-AB pair (Vt_n = Vt_p = 0.8 V) on a `vdd` rail.
+Circuit pair_on_supply(double vdd) {
+  Circuit c;
+  c.add<spice::VoltageSource>("Vdd", c.node("vdd"), spice::kGroundNode, vdd);
+  cells::netlists::MemoryPairOptions opt;
+  cells::netlists::build_class_ab_memory_pair(c, opt, "m_");
+  return c;
+}
+
+const Diagnostic* find_rule(const std::vector<Diagnostic>& diags,
+                            const std::string& rule) {
+  for (const Diagnostic& d : diags)
+    if (d.rule == rule) return &d;
+  return nullptr;
+}
+
+TEST(ErcSi, SupplyMinFiresOnlyBelowTheFloorMinusOneNanovolt) {
+  // The floor sums as 1.7000000000000002, one ULP above a 1.7 V supply.
+  const double floor = 0.8 + 0.8 + ErcOptions{}.min_pair_overdrive;
+  EXPECT_FALSE(has_rule(erc::check(pair_on_supply(1.7)), "si.supply-min"));
+  EXPECT_FALSE(
+      has_rule(erc::check(pair_on_supply(floor - 0.5e-9)), "si.supply-min"));
+
+  const auto diags = erc::check(pair_on_supply(floor - 2e-9));
+  const Diagnostic* d = find_rule(diags, "si.supply-min");
+  ASSERT_NE(d, nullptr);
+  // Enough digits that the two numbers never read equal.
+  EXPECT_NE(d->message.find("supply 1.699999998 V is below the class-AB "
+                            "pair minimum 1.7 V"),
+            std::string::npos)
+      << d->message;
+
+  // The behavioural check prints its two numbers apart as well.
+  const cells::SupplyRequirement req =
+      cells::minimum_supply(cells::SupplyDesign{}, 1.0);
+  DiagnosticSink sink;
+  erc::check_supply(req, req.minimum_volts - 1e-7, sink);
+  ASSERT_EQ(sink.errors(), 1u);
+  const std::string& msg = sink.diagnostics().front().message;
+  const std::size_t a = msg.find("supply ") + 7;
+  const std::size_t b = msg.find("minimum ") + 8;
+  EXPECT_NE(msg.substr(a, msg.find(' ', a) - a),
+            msg.substr(b, msg.find(' ', b) - b))
+      << msg;
 }
 
 TEST(ErcSi, ClassAbAsymmetryFires) {
@@ -470,6 +522,391 @@ TEST(ErcGate, AcOptOutRuns) {
 TEST(ErcGate, CleanCircuitPassesUnimpeded) {
   Circuit c = divider();
   EXPECT_NO_THROW(spice::dc_operating_point(c));
+}
+
+
+// ---------------------------------------------------------------------
+// Differential check of the SI topology index
+// ---------------------------------------------------------------------
+//
+// The SI pack and verify's pair classification read verify::SiTopology.
+// The reference below is the nested-scan form they replaced: every NMOS
+// x PMOS, a full element scan per switch or supply lookup, and every
+// pair of pairs.  Both must agree on the diagnostics (text and JSON, so
+// order included) and on the classified pairs.
+
+namespace reference {
+
+using spice::Mosfet;
+using spice::Switch;
+
+struct Pair {
+  const Mosfet* mn = nullptr;
+  const Mosfet* mp = nullptr;
+  NodeId drain = spice::kGroundNode;
+  const Switch* sn = nullptr;
+  const Switch* sp = nullptr;
+};
+
+const Switch* switch_between(const Circuit& c, NodeId a, NodeId b) {
+  for (const auto& e : c.elements()) {
+    const auto* sw = dynamic_cast<const Switch*>(e.get());
+    if (sw && ((sw->p() == a && sw->m() == b) ||
+               (sw->p() == b && sw->m() == a)))
+      return sw;
+  }
+  return nullptr;
+}
+
+void split_mosfets(const Circuit& c, std::vector<const Mosfet*>& nmos,
+                   std::vector<const Mosfet*>& pmos) {
+  for (const auto& e : c.elements())
+    if (const auto* m = dynamic_cast<const Mosfet*>(e.get()))
+      (m->type() == spice::MosType::kNmos ? nmos : pmos).push_back(m);
+}
+
+/// Gates tied to the shared drain directly or through a switch.
+bool tie(const Circuit& c, const Mosfet* n, const Mosfet* p, Pair& out) {
+  out = {n, p, n->drain(), nullptr, nullptr};
+  if (n->gate() != out.drain) out.sn = switch_between(c, n->gate(), out.drain);
+  if (p->gate() != out.drain) out.sp = switch_between(c, p->gate(), out.drain);
+  return (n->gate() == out.drain || out.sn) &&
+         (p->gate() == out.drain || out.sp);
+}
+
+/// ERC's pairs: every tied NMOS x PMOS sharing a drain.
+std::vector<Pair> erc_pairs(const Circuit& c) {
+  std::vector<const Mosfet*> nmos, pmos;
+  split_mosfets(c, nmos, pmos);
+  std::vector<Pair> pairs;
+  for (const Mosfet* n : nmos)
+    for (const Mosfet* p : pmos) {
+      Pair pr;
+      if (n->drain() == p->drain() && tie(c, n, p, pr)) pairs.push_back(pr);
+    }
+  return pairs;
+}
+
+/// Verify's pairs: NMOS source grounded, PMOS source on a grounded
+/// voltage source, and each device in its first match only.
+std::vector<Pair> verify_pairs(const Circuit& c) {
+  std::vector<unsigned char> pinned(c.node_count(), 0);
+  for (const auto& e : c.elements())
+    if (dynamic_cast<const spice::VoltageSource*>(e.get())) {
+      const auto t = e->terminals();
+      if (t[1].node == 0 && t[0].node != 0) pinned[t[0].node] = 1;
+      if (t[0].node == 0 && t[1].node != 0) pinned[t[1].node] = 1;
+    }
+  std::vector<const Mosfet*> nmos, pmos;
+  split_mosfets(c, nmos, pmos);
+  std::vector<const Mosfet*> used;
+  const auto is_used = [&](const Mosfet* m) {
+    return std::find(used.begin(), used.end(), m) != used.end();
+  };
+  std::vector<Pair> pairs;
+  for (const Mosfet* n : nmos) {
+    if (is_used(n) || n->source() != spice::kGroundNode) continue;
+    for (const Mosfet* p : pmos) {
+      Pair pr;
+      if (is_used(p) || n->drain() != p->drain() || !pinned[p->source()] ||
+          !tie(c, n, p, pr))
+        continue;
+      pairs.push_back(pr);
+      used.push_back(n);
+      used.push_back(p);
+      break;
+    }
+  }
+  return pairs;
+}
+
+double supply_at(const Circuit& c, NodeId n) {
+  for (const auto& e : c.elements()) {
+    const auto* v = dynamic_cast<const spice::VoltageSource*>(e.get());
+    if (!v) continue;
+    const auto t = v->terminals();
+    if (t[0].node == n && t[1].node == 0) return v->waveform().dc_value();
+    if (t[1].node == n && t[0].node == 0) return -v->waveform().dc_value();
+  }
+  return 0.0;
+}
+
+std::string fmt(double v, int digits = 4) {
+  std::ostringstream out;
+  out.precision(digits);
+  out << v;
+  return out.str();
+}
+
+std::pair<std::string, std::string> fmt_apart(double a, double b) {
+  for (int digits = 4;; ++digits) {
+    std::string sa = fmt(a, digits), sb = fmt(b, digits);
+    if (sa != sb || a == b || digits >= 17) return {sa, sb};
+  }
+}
+
+void si_pack(const Circuit& c, DiagnosticSink& sink) {
+  const ErcOptions opt;
+  const std::vector<Pair> pairs = erc_pairs(c);
+  for (const Pair& mp : pairs) {
+    if (mp.mn->source() != spice::kGroundNode) continue;
+    const double vdd = supply_at(c, mp.mp->source());
+    if (vdd == 0.0) continue;
+    const double vt_n = std::abs(mp.mn->params().vt0);
+    const double vt_p = std::abs(mp.mp->params().vt0);
+    const double floor = vt_n + vt_p + opt.min_pair_overdrive;
+    if (vdd < floor - 1e-9) {
+      const auto [vs, fs] = fmt_apart(vdd, floor);
+      sink.report({Severity::kError, "si.supply-min",
+                   "supply " + vs + " V is below the class-AB pair minimum " +
+                       fs + " V for '" + mp.mn->name() + "'/'" +
+                       mp.mp->name() + "' (Vt_n + Vt_p + Vov = " + fmt(vt_n) +
+                       " + " + fmt(vt_p) + " + " +
+                       fmt(opt.min_pair_overdrive) +
+                       ", paper Eqs. (1)-(2))",
+                   0, mp.mp->name(),
+                   "raise the supply above " + fs +
+                       " V or use lower-Vt devices"});
+    }
+    const double beta_n = mp.mn->params().beta();
+    const double beta_p = mp.mp->params().beta();
+    const double rel = std::abs(beta_n - beta_p) / std::max(beta_n, beta_p);
+    if (rel > opt.pair_beta_tolerance)
+      sink.report({Severity::kWarning, "si.classab-asymmetry",
+                   "class-AB pair '" + mp.mn->name() + "'/'" +
+                       mp.mp->name() + "' has unbalanced beta (" +
+                       fmt(beta_n * 1e6) + " vs " + fmt(beta_p * 1e6) +
+                       " uA/V^2, " + fmt(rel * 100.0) +
+                       "% apart): the quiescent point shifts off mid-rail",
+                   0, mp.mn->name(),
+                   "size W_p/W_n to compensate the KP_n/KP_p ratio"});
+  }
+  const auto sampling = [](const Pair& mp) -> const Switch* {
+    const Switch* sw = mp.sn ? mp.sn : mp.sp;
+    return sw && sw->control().period() > 0.0 ? sw : nullptr;
+  };
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    for (std::size_t j = i + 1; j < pairs.size(); ++j) {
+      const Pair& a = pairs[i];
+      const Pair& b = pairs[j];
+      if (a.drain == b.drain || !switch_between(c, a.drain, b.drain)) continue;
+      const Switch* sa = sampling(a);
+      const Switch* sb = sampling(b);
+      if (!sa || !sb) continue;
+      const verify::OverlapReport rep = verify::phase_overlap(
+          verify::switch_phase(*sa), verify::switch_phase(*sb));
+      if (rep.overlap > 0.0)
+        sink.report({Severity::kError, "si.clock-overlap",
+                     "cascaded memory cells at nodes '" +
+                         c.node_name(a.drain) + "' and '" +
+                         c.node_name(b.drain) +
+                         "' sample on overlapping clock phases (" +
+                         fmt(rep.overlap * 1e9) + " ns of double-ON per " +
+                         fmt(rep.hyperperiod * 1e9) +
+                         " ns hyperperiod, non-overlap margin " +
+                         fmt(rep.margin * 1e9) +
+                         " ns): the chain is transparent, not a z^-1 delay",
+                     0, sb->name(),
+                     "clock the second cell on the opposite phase"});
+    }
+  std::vector<const Mosfet*> nmos, pmos;
+  split_mosfets(c, nmos, pmos);
+  const auto diode = [](const Mosfet* m) { return m->gate() == m->drain(); };
+  for (const Mosfet* master : nmos) {
+    if (!diode(master)) continue;
+    for (const Mosfet* ext : nmos) {
+      if (ext == master || ext->gate() != master->drain() ||
+          ext->drain() == master->drain() ||
+          ext->source() != master->source() ||
+          std::none_of(pmos.begin(), pmos.end(), [&](const Mosfet* p) {
+            return diode(p) && p->drain() == ext->drain();
+          }))
+        continue;
+      const double ratio = (ext->params().w / ext->params().l) /
+                           (master->params().w / master->params().l);
+      const double rel = ratio - 0.5;
+      if (std::abs(rel) > 0.5 * opt.half_size_tolerance)
+        sink.report({Severity::kWarning, "si.cmff-half-size",
+                     "CMFF extraction device '" + ext->name() + "' is " +
+                         fmt(ratio) + "x the master '" + master->name() +
+                         "' (expected 0.5x): the extracted common mode is "
+                         "off by " +
+                         fmt(rel / 0.5 * 100.0) + "%",
+                     0, ext->name(),
+                     "size the extraction pair at exactly half the master "
+                     "W/L"});
+    }
+  }
+  sink.sort_by_line();
+}
+
+}  // namespace reference
+
+/// A seeded netlist dense in the SI pack's motifs: MOSFETs on a few
+/// shared nodes (many shared drains, some diodes), gates tied to drains
+/// through one or two switches on one of several clocks, switches
+/// between drains, CMFF extraction motifs (half-size or not), and
+/// grounded sources in both orientations, so some PMOS sources sit on
+/// no pinned rail and some nodes have two sources.
+Circuit random_si_netlist(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto one_of = [&](const std::vector<NodeId>& v) {
+    return v[pick(v.size())];
+  };
+  Circuit c;
+  std::vector<NodeId> nodes;
+  for (std::size_t k = 0, n = 3 + pick(8); k < n; ++k)
+    nodes.push_back(c.node("n" + std::to_string(k)));
+  int serial = 0;
+  const auto name = [&](const char* prefix) {
+    return prefix + std::to_string(serial++);
+  };
+
+  const double volts[] = {3.3, 2.2, 1.7, 1.6999999, 1.2};
+  std::vector<NodeId> rails;
+  for (std::size_t k = 0, n = 1 + pick(3); k < n; ++k) {
+    const double v = volts[pick(5)];
+    const NodeId r = one_of(nodes);
+    rails.push_back(r);
+    if (pick(2))
+      c.add<spice::VoltageSource>(name("v"), r, spice::kGroundNode, v);
+    else
+      c.add<spice::VoltageSource>(name("v"), spice::kGroundNode, r, -v);
+  }
+  const auto rail = [&] { return pick(4) ? one_of(rails) : one_of(nodes); };
+  const auto clock = [&]() -> std::unique_ptr<spice::Waveform> {
+    if (pick(6) == 0) return std::make_unique<spice::DcWave>(3.3);
+    return std::make_unique<spice::PulseWave>(
+        0.0, 3.3, pick(4) * 250e-9, 10e-9, 10e-9, (1 + pick(3)) * 200e-9,
+        1e-6);
+  };
+  const auto add_switch = [&](NodeId a, NodeId b) {
+    c.add<spice::Switch>(name("s"), a, b, clock(), 1e3, 1e12);
+  };
+  const auto mos = [&](bool n_type, NodeId d, NodeId g, NodeId s, double w) {
+    spice::MosfetParams p;
+    p.kp = n_type ? 100e-6 : 40e-6;
+    p.vt0 = pick(3) ? 0.8 : 0.9;
+    p.w = w;
+    p.l = 2e-6;
+    c.add<spice::Mosfet>(name("m"),
+                         n_type ? spice::MosType::kNmos : spice::MosType::kPmos,
+                         d, g, s, p);
+  };
+
+  std::vector<NodeId> drains;
+  for (std::size_t k = 0, n = 2 + pick(10); k < n; ++k) {
+    const bool n_type = pick(2) == 0;
+    const NodeId d = one_of(nodes);
+    const NodeId g = pick(3) == 0 ? d : one_of(nodes);
+    const NodeId s =
+        n_type ? (pick(4) ? spice::kGroundNode : one_of(nodes)) : rail();
+    mos(n_type, d, g, s, (1 + pick(12)) * 1e-6);
+    drains.push_back(d);
+    if (g != d && pick(3)) {
+      if (pick(2))
+        add_switch(g, d);
+      else
+        add_switch(d, g);
+      if (pick(3) == 0) add_switch(d, g);  // a second switch, other clock
+    }
+  }
+  for (std::size_t k = 0, n = pick(4); k < n; ++k)
+    add_switch(one_of(drains), one_of(drains));
+  for (std::size_t k = 0, n = pick(3); k < n; ++k) {
+    // CMFF: NMOS diode master at x, extraction NMOS gated by x, PMOS
+    // diode at the extraction drain y.
+    const NodeId x = one_of(nodes), y = one_of(nodes);
+    const double w = (2 + pick(8)) * 1e-6;
+    mos(true, x, x, spice::kGroundNode, w);
+    mos(true, y, x, spice::kGroundNode,
+        pick(2) ? 0.5 * w : (0.3 + 0.1 * pick(5)) * w);
+    mos(false, y, y, rail(), 2.5 * w);
+  }
+  return c;
+}
+
+void expect_same_as_reference(const Circuit& c, const std::string& label) {
+  ErcOptions si_only;
+  si_only.spice_rules = false;
+  DiagnosticSink got, want;
+  erc::check(c, got, si_only);
+  reference::si_pack(c, want);
+  EXPECT_EQ(got.text(), want.text()) << label;
+  EXPECT_EQ(got.json(), want.json()) << label;
+
+  const auto pairs = verify::AbstractInterpreter(c, {}).run().pairs;
+  const auto ref = reference::verify_pairs(c);
+  ASSERT_EQ(pairs.size(), ref.size()) << label;
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    EXPECT_EQ(pairs[k].mn, ref[k].mn) << label << " pair " << k;
+    EXPECT_EQ(pairs[k].mp, ref[k].mp) << label << " pair " << k;
+    EXPECT_EQ(pairs[k].drain, ref[k].drain) << label << " pair " << k;
+    EXPECT_EQ(pairs[k].sn, ref[k].sn) << label << " pair " << k;
+    EXPECT_EQ(pairs[k].sp, ref[k].sp) << label << " pair " << k;
+  }
+}
+
+TEST(ErcTopology, SiPackAndVerifyPairsMatchNestedScansOnRandomNetlists) {
+  std::size_t diags = 0, pairs = 0;
+  for (std::uint32_t seed = 1; seed <= 400; ++seed) {
+    const Circuit c = random_si_netlist(seed);
+    expect_same_as_reference(c, "seed " + std::to_string(seed));
+    ErcOptions si_only;
+    si_only.spice_rules = false;
+    diags += erc::check(c, si_only).size();
+    pairs += reference::verify_pairs(c).size();
+    if (HasFailure()) return;
+  }
+  // The generator must exercise the rules, not just agree on silence.
+  EXPECT_GT(diags, 400u);
+  EXPECT_GT(pairs, 100u);
+}
+
+TEST(ErcTopology, SiPackAndVerifyPairsMatchNestedScansOnBuilders) {
+  namespace nets = cells::netlists;
+  for (const int sections : {1, 2, 3})
+    for (const double vdd : {3.3, 1.7, 1.2}) {
+      Circuit c;
+      c.add<spice::VoltageSource>("Vdd", c.node("vdd"), spice::kGroundNode,
+                                  vdd);
+      const auto h = nets::build_modulator_core(c, sections, {}, "mod_");
+      c.add<spice::CurrentSource>("Iinp", spice::kGroundNode, h.in_p, 1e-6);
+      c.add<spice::CurrentSource>("Iinm", spice::kGroundNode, h.in_m, -1e-6);
+      expect_same_as_reference(c, "modulator " + std::to_string(sections));
+    }
+  {
+    Circuit c;
+    c.add<spice::VoltageSource>("Vdd", c.node("vdd"), spice::kGroundNode, 3.3);
+    const auto h = nets::build_delay_line_chain(c, 3, {}, "dl_");
+    c.add<spice::CurrentSource>("iin", spice::kGroundNode, h.in, 8e-6);
+    expect_same_as_reference(c, "delay line");
+  }
+  {
+    Circuit c;
+    nets::CmffOptions opt;
+    opt.extraction_mismatch = 0.2;
+    nets::build_cmff(c, opt, "c_");
+    expect_same_as_reference(c, "cmff");
+  }
+  {
+    // Two same-phase cells behind a transfer switch: si.clock-overlap.
+    Circuit c;
+    nets::MemoryPairOptions opt;
+    const auto p1 = nets::build_class_ab_memory_pair(c, opt, "a_");
+    const auto p2 = nets::build_class_ab_memory_pair(c, opt, "b_");
+    const spice::TwoPhaseClock clk{opt.clock_period, 3.3, 0.0,
+                                   opt.clock_period / 50.0,
+                                   opt.clock_period / 20.0};
+    c.add<spice::Switch>("sxfer", p1.d, p2.d, clk.phase1(), 1e3, 1e12);
+    ErcOptions si_only;
+    si_only.spice_rules = false;
+    EXPECT_TRUE(has_rule(erc::check(c, si_only), "si.clock-overlap"));
+    expect_same_as_reference(c, "overlapping cascade");
+  }
 }
 
 }  // namespace

@@ -217,6 +217,41 @@ TEST(Protocol, DirectiveNamesMatchAsWholeTokens) {
   }
 }
 
+TEST(Protocol, BadDirectiveValuesAreLocatedParseErrors) {
+  // A malformed or non-positive .tran argument is a parse_error at the
+  // card's line, never an "internal" reply without one.
+  for (const char* card : {".tran 1x 2u", ".tran 0 1u", ".tran 1n -2u"}) {
+    Json req = base_request(std::string("Vdd a 0 DC 1\nR1 a 0 1k\n") + card +
+                            "\n");
+    try {
+      run_job(parse_request(req), nullptr);
+      FAIL() << card << " must not run";
+    } catch (const JobError& e) {
+      EXPECT_EQ(e.kind(), "parse_error") << card;
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << card << ": " << e.what();
+    }
+  }
+}
+
+TEST(Protocol, TranJobRefusesSmallSignalCards) {
+  // A tran reply carries the transient only: an .ac or .noise card is
+  // refused at its line instead of being solved and dropped.
+  for (const char* card : {".ac dec 2 1k 10k", ".noise v(a) dec 2 1k 10k"}) {
+    Json req = base_request(std::string("Vdd a 0 DC 1\nR1 a 0 1k\n") +
+                            ".tran 1u 4u\n" + card + "\n");
+    req.set("analysis", "tran");
+    try {
+      run_job(parse_request(req), nullptr);
+      FAIL() << card << " must be refused";
+    } catch (const JobError& e) {
+      EXPECT_EQ(e.kind(), "bad_request") << card;
+      EXPECT_NE(std::string(e.what()).find("deck line 4"), std::string::npos)
+          << card << ": " << e.what();
+    }
+  }
+}
+
 // ------------------------------------------------------------- serving
 
 // The paper's clean class-AB memory cell, ERC-clean and cheap to solve.

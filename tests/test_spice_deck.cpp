@@ -130,6 +130,19 @@ TEST(Deck, DirectiveErrors) {
   EXPECT_THROW(run_deck(".ac lin 5 1 10"), ParseError);
   EXPECT_THROW(run_deck(".noise i(v1) dec 5 1 10\nR1 a 0 1k"), ParseError);
   EXPECT_THROW(run_deck(".probe x(a)\nR1 a 0 1k"), ParseError);
+  // parse_value's errors and values the analyses would reject are
+  // ParseErrors at the directive's own line.
+  for (const char* card :
+       {".tran 1x 2u", ".tran 0 1u", ".tran 1n 0", ".ac dec 0 1k 10k",
+        ".ac dec 2 10k 1k", ".ac dec 2 1q 10k", ".noise v(a) dec 2 0 10k",
+        ".noise v(a) dec 2 1k 1z"}) {
+    try {
+      run_deck(std::string("V1 a 0 DC 1\nR1 a 0 1k\n") + card + "\n");
+      FAIL() << card << " must not run";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 3u) << card << ": " << e.what();
+    }
+  }
   // Directive names match as whole tokens: a card that only starts
   // like one is an unsupported directive at its own line, not a
   // malformed .op / .tran card.
@@ -147,6 +160,22 @@ TEST(Deck, DirectiveErrors) {
           << e.what();
     }
   }
+}
+
+TEST(Deck, RunDeckHonoursErcDisableCards) {
+  // The undriven R2/R3 island is an ERC error the deck disables; the
+  // text entry point must gate the way erc::check_deck lints.
+  const std::string deck =
+      "* erc-disable spice.node-island spice.dangling-node\n"
+      "V1 a 0 DC 1\n"
+      "R1 a 0 1k\n"
+      "R2 x y 1k\n"
+      "R3 y x 2k\n";
+  EXPECT_TRUE(si::erc::check_deck(deck).sink.ok());
+  EXPECT_NO_THROW(run_deck(deck));
+  // Without the card the same gate still refuses it.
+  EXPECT_THROW(run_deck(deck.substr(deck.find('\n') + 1)),
+               si::erc::ErcError);
 }
 
 TEST(Deck, AcMagnitudeOnCurrentSource) {
