@@ -10,6 +10,7 @@
 #include "analysis/table.hpp"
 #include "dsm/linear_model.hpp"
 #include "dsm/modulator.hpp"
+#include "size_arg.hpp"
 
 using namespace si;
 
@@ -17,12 +18,12 @@ namespace {
 
 analysis::SweepResult sweep_dut(
     const std::function<analysis::StreamProcessor(double)>& make,
-    double fs_amp) {
+    double fs_amp, int fft_log2) {
   analysis::ToneTestConfig cfg;
   cfg.clock_hz = 2.45e6;
   cfg.tone_hz = 2e3;
   cfg.band_hz = 2.45e6 / 256.0;
-  cfg.fft_points = 1 << 15;
+  cfg.fft_points = std::size_t{1} << fft_log2;
   return analysis::amplitude_sweep(make,
                                    analysis::level_grid(-90.0, -2.0, 4.0),
                                    fs_amp, cfg);
@@ -30,7 +31,9 @@ analysis::SweepResult sweep_dut(
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // FFT length 2^N per tone test (default 2^15, the printed study).
+  const int fft_log2 = si::bench::size_arg(argc, argv, "fft-log2", 15, 10, 20);
   analysis::print_banner(std::cout, "Ablation A5 - SI vs SC dynamic range");
   const double fs_amp = 6e-6;
 
@@ -47,7 +50,7 @@ int main() {
           return y;
         };
       },
-      fs_amp);
+      fs_amp, fft_log2);
 
   analysis::Table t({"technology", "storage cap", "process",
                      "dynamic range [bits]"});
@@ -65,7 +68,7 @@ int main() {
             return y;
           };
         },
-        fs_amp);
+        fs_amp, fft_log2);
     t.add_row({"SC baseline", analysis::fmt(cap * 1e12, 0) + " pF",
                "double-poly needed",
                analysis::fmt(sc_sweep.dynamic_range_bits, 1)});

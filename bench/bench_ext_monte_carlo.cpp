@@ -5,6 +5,9 @@
 // The transistor-level mismatch ensemble at the end runs through
 // analysis::monte_carlo_dc, once serially and once on the runtime pool.
 // Samples are bit-identical at every thread count.
+//
+//   bench_ext_monte_carlo [--dies=N]   dies per mismatch scale
+//                                      (default 60, the printed study)
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -17,6 +20,7 @@
 #include "runtime/parallel.hpp"
 #include "runtime/result_cache.hpp"
 #include "si/common_mode.hpp"
+#include "size_arg.hpp"
 
 using namespace si;
 
@@ -45,9 +49,11 @@ double modulator_sndr(std::uint64_t seed, double mismatch_scale) {
 
 }  // namespace
 
-int main() {
-  analysis::print_banner(std::cout,
-                         "Extension E5 - Monte-Carlo yield (60 dies each)");
+int main(int argc, char** argv) {
+  const int dies = si::bench::size_arg(argc, argv, "dies", 60, 2, 100000);
+  analysis::print_banner(std::cout, "Extension E5 - Monte-Carlo yield (" +
+                                        std::to_string(dies) +
+                                        " dies each)");
 
   auto offset_na = [](std::uint64_t seed, double scale) {
     dsm::SiModulatorConfig mc;
@@ -74,14 +80,14 @@ int main() {
     sndr_opts.cache_key =
         runtime::Fnv1a().str("e5.modulator_sndr").f64(scale).digest();
     const auto st = analysis::monte_carlo(
-        60, [&](std::uint64_t s) { return modulator_sndr(s, scale); },
+        dies, [&](std::uint64_t s) { return modulator_sndr(s, scale); },
         sndr_opts);
     analysis::McOptions off_opts;
     off_opts.seed0 = 23;
     off_opts.cache_key =
         runtime::Fnv1a().str("e5.offset_na").f64(scale).digest();
     const auto off = analysis::monte_carlo(
-        60, [&](std::uint64_t s) { return offset_na(s, scale); }, off_opts);
+        dies, [&](std::uint64_t s) { return offset_na(s, scale); }, off_opts);
     t.add_row({analysis::fmt(scale, 0) + "x",
                analysis::fmt(st.mean, 1), analysis::fmt(st.sigma, 2),
                analysis::fmt(100.0 * st.yield_above(54.0), 0) + " %",

@@ -675,16 +675,20 @@ SparseFactorRow time_sparse_factor_row(int sections) {
 // ---------------------------------------------------------------------------
 // Assembly rows: one Newton iteration of the modulator core's transient
 // solve, split into its phases and driven through spice::MnaSystem the
-// way the engines drive it, at the DC operating point:
+// way MnaEngine drives it, at the DC operating point:
 //  * baseline stamp — zero, stamp the linear elements, add gmin;
-//  * restamp        — copy the baseline, then restamp every nonlinear
-//                     device through the slot memo (device_stamp_ns is
-//                     the device part per device);
+//  * restamp        — copy the baseline, then restamp every MOSFET
+//                     through its bound slot block (device_stamp_bound_ns
+//                     is the device part per device);
 //  * refactor, solve — numeric refactor over the frozen pattern and the
 //                     triangular solves.
-// Each phase is the best over reps of its mean per iteration.  Serial
-// code.  Recorded, not gated: the end-to-end benchmark under perfbench/
-// measures what these phases add up to in a transient.
+// device_stamp_ns times, per device and in the same iteration, the same
+// restamp through RealStamper and the slot memo: the writer that pattern
+// discovery and the event engine's scoped solves still use.  Each phase
+// is the best over reps of its mean per iteration.  Serial code.  Gate:
+// at 64 sections the bound writer takes at most 0.6x RealStamper's time
+// per device.  The end-to-end benchmark under perfbench/ measures what
+// the phases add up to in a transient.
 // ---------------------------------------------------------------------------
 
 constexpr int kAssemblyIterations = 200;
@@ -695,7 +699,8 @@ struct AssemblyRow {
   std::size_t devices = 0;  ///< nonlinear elements restamped per iteration
   double baseline_us = 0.0;
   double restamp_us = 0.0;
-  double device_stamp_ns = 0.0;
+  double device_stamp_ns = 0.0;        ///< RealStamper + slot memo
+  double device_stamp_bound_ns = 0.0;  ///< bound slot blocks (MnaEngine)
   double refactor_us = 0.0;
   double solve_us = 0.0;
 };
@@ -721,15 +726,19 @@ AssemblyRow time_assembly_row(int sections) {
   r.devices = nonlinear.size();
   sp::MnaSystem<double> sys(/*report=*/false);
   sys.reset(c, ctx, linear, nonlinear);
+  sys.bind(nonlinear);
   si::linalg::Vector b0(n, 0.0), b(n, 0.0), x_new;
   auto us = [](Clock::duration d) {
     return std::chrono::duration<double, std::micro>(d).count() /
            kAssemblyIterations;
   };
+  auto per_device_ns = [&](Clock::duration d) {
+    return 1e3 * us(d) / static_cast<double>(r.devices);
+  };
   r.baseline_us = r.restamp_us = r.refactor_us = r.solve_us = 1e300;
-  r.device_stamp_ns = 1e300;
+  r.device_stamp_ns = r.device_stamp_bound_ns = 1e300;
   for (int rep = 0; rep < 5; ++rep) {  // best-of: rep 0 absorbs warm-up
-    Clock::duration base{}, restamp{}, devices{}, refactor{}, solve{};
+    Clock::duration base{}, restamp{}, bound{}, memo{}, refactor{}, solve{};
     for (int it = 0; it < kAssemblyIterations; ++it) {
       const auto t0 = Clock::now();
       b0.assign(n, 0.0);
@@ -738,28 +747,37 @@ AssemblyRow time_assembly_row(int sections) {
         for (sp::Element* e : linear) e->stamp(s, ctx);
       }
       sys.add_diagonal(c.node_count() - 1, ctx.gmin);
+      base += Clock::now() - t0;
+      // The RealStamper restamp, timed per device only; the bound one
+      // below overwrites its values with the same bits.
+      b = b0;
+      {
+        sp::RealStamper s = sys.iteration_stamper(c, b, x);
+        const auto m0 = Clock::now();
+        for (sp::Element* e : nonlinear) e->stamp(s, ctx);
+        memo += Clock::now() - m0;
+      }
       const auto t1 = Clock::now();
       b = b0;
-      sp::RealStamper s = sys.iteration_stamper(c, b, x);
+      double* a = sys.load_iteration();
       const auto t2 = Clock::now();
-      for (sp::Element* e : nonlinear) e->stamp(s, ctx);
+      sys.stamp_bound(a, ctx, b, x);
       const auto t3 = Clock::now();
       sys.factor();
       const auto t4 = Clock::now();
       sys.solve(b, x_new);
       const auto t5 = Clock::now();
-      base += t1 - t0;
       restamp += t3 - t1;
-      devices += t3 - t2;
+      bound += t3 - t2;
       refactor += t4 - t3;
       solve += t5 - t4;
     }
     benchmark::DoNotOptimize(x_new.data());
     r.baseline_us = std::min(r.baseline_us, us(base));
     r.restamp_us = std::min(r.restamp_us, us(restamp));
-    r.device_stamp_ns =
-        std::min(r.device_stamp_ns,
-                 1e3 * us(devices) / static_cast<double>(r.devices));
+    r.device_stamp_ns = std::min(r.device_stamp_ns, per_device_ns(memo));
+    r.device_stamp_bound_ns =
+        std::min(r.device_stamp_bound_ns, per_device_ns(bound));
     r.refactor_us = std::min(r.refactor_us, us(refactor));
     r.solve_us = std::min(r.solve_us, us(solve));
   }
@@ -1004,6 +1022,7 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
        << ", \"baseline_stamp_us\": " << r.baseline_us
        << ", \"restamp_us\": " << r.restamp_us
        << ", \"device_stamp_ns\": " << r.device_stamp_ns
+       << ", \"device_stamp_bound_ns\": " << r.device_stamp_bound_ns
        << ", \"refactor_us\": " << r.refactor_us
        << ", \"solve_us\": " << r.solve_us << host << "}"
        << (i + 1 < assembly_rows.size() ? "," : "") << "\n";
@@ -1182,9 +1201,21 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   for (const auto& r : assembly_rows) {
     std::printf(
         "%-18s sections=%d unknowns=%zu devices=%zu baseline=%.2fus "
-        "restamp=%.2fus (%.1f ns/device) refactor=%.2fus solve=%.2fus\n",
+        "restamp=%.2fus (%.1f ns/device bound, %.1f through RealStamper) "
+        "refactor=%.2fus solve=%.2fus\n",
         "assembly", r.sections, r.unknowns, r.devices, r.baseline_us,
-        r.restamp_us, r.device_stamp_ns, r.refactor_us, r.solve_us);
+        r.restamp_us, r.device_stamp_bound_ns, r.device_stamp_ns,
+        r.refactor_us, r.solve_us);
+    // Gate: the per-iteration writer MnaEngine runs must keep its margin
+    // over the RealStamper path it replaced, timed in the same run.
+    if (r.sections == 64 &&
+        r.device_stamp_bound_ns > 0.6 * r.device_stamp_ns) {
+      std::fprintf(stderr,
+                   "FAIL: bound restamp %.1f ns/device > 0.6x the "
+                   "RealStamper restamp (%.1f ns/device) at 64 sections\n",
+                   r.device_stamp_bound_ns, r.device_stamp_ns);
+      rc = 1;
+    }
   }
   if (telemetry) {
     std::fputs(si::obs::snapshot_table().c_str(), stdout);

@@ -6,17 +6,18 @@
 #include "analysis/table.hpp"
 #include "dsm/modulator.hpp"
 #include "si/power_area.hpp"
+#include "size_arg.hpp"
 
 using namespace si;
 
 namespace {
 
-analysis::SweepResult measure_dr(bool chopper) {
+analysis::SweepResult measure_dr(bool chopper, int fft_log2) {
   analysis::ToneTestConfig cfg;
   cfg.clock_hz = 2.45e6;
   cfg.tone_hz = 2e3;
   cfg.band_hz = 2.45e6 / 256.0;  // OSR 128
-  cfg.fft_points = 1 << 15;
+  cfg.fft_points = std::size_t{1} << fft_log2;
   const double fs_amp = 6e-6;
   std::uint64_t seed = chopper ? 500 : 400;
   return analysis::amplitude_sweep(
@@ -37,11 +38,13 @@ analysis::SweepResult measure_dr(bool chopper) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // FFT length 2^N per tone test (default 2^15, the printed study).
+  const int fft_log2 = si::bench::size_arg(argc, argv, "fft-log2", 15, 10, 20);
   analysis::print_banner(std::cout, "Table 2 - SI modulator performance");
 
-  const auto dr_plain = measure_dr(false);
-  const auto dr_chop = measure_dr(true);
+  const auto dr_plain = measure_dr(false, fft_log2);
+  const auto dr_chop = measure_dr(true, fft_log2);
 
   const cells::PowerModel power(3.3, cells::CellCurrentBudget{});
   const auto p_plain = power.modulator(6e-6, false);

@@ -324,8 +324,9 @@ void check_clock_phases(Ctx& ctx) {
     pairs_at[static_cast<std::size_t>(pairs[i].drain)].push_back(i);
 
   // Each pair's periodic sampling switch (ordinal, -1 = none), with its
-  // ON pattern resolved at most once per switch.
+  // ON pattern resolved at most once per switch and once per clock.
   std::vector<std::optional<verify::SwitchPhase>> phases(topo.switches.size());
+  verify::PhaseResolver resolve;
   const auto sampling_phase = [&](const ClassAbCandidate& mp)
       -> const verify::SwitchPhase* {
     const int s = mp.sn >= 0 ? mp.sn : mp.sp;
@@ -333,7 +334,7 @@ void check_clock_phases(Ctx& ctx) {
     const spice::Switch& sw = *topo.switches[static_cast<std::size_t>(s)];
     if (sw.control().period() <= 0.0) return nullptr;
     auto& ph = phases[static_cast<std::size_t>(s)];
-    if (!ph) ph = verify::switch_phase(sw);
+    if (!ph) ph = resolve(sw);
     return &*ph;
   };
 

@@ -42,6 +42,10 @@ class DenseMatrix {
     return data_[r * cols_ + c];
   }
 
+  /// Row-major storage: entry (r, c) at r * cols() + c.
+  T* data() { return data_.data(); }
+  const T* data() const { return data_.data(); }
+
   /// Bounds-checked access, for tests and debugging.
   T& at(std::size_t r, std::size_t c) {
     check_index(r, c);

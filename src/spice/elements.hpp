@@ -26,11 +26,12 @@ class CompanionCap {
   /// of the companion integrator is preserved.
   void set_capacitance(double c) { c_ = c; }
 
-  /// Stamps the integration companion (open circuit at DC).  Defined
-  /// here, like the stamper's write path, so it compiles into the
-  /// MOSFET's per-iteration stamp.
-  void stamp(RealStamper& s, const StampContext& ctx, NodeId p,
-             NodeId m) const {
+  /// Stamps the integration companion (open circuit at DC) through
+  /// either writer: RealStamper with nodes, or a MOSFET's SlotStamper
+  /// with terminal indices.  Defined here, like the stamper's write
+  /// path, so it compiles into the MOSFET's per-iteration stamp.
+  template <typename Writer>
+  void stamp(Writer& s, const StampContext& ctx, NodeId p, NodeId m) const {
     if (ctx.mode == AnalysisMode::kDcOperatingPoint || c_ <= 0.0) return;
     const double g = companion_g(ctx);
     s.conductance(p, m, g);

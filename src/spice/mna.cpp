@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "obs/telemetry.hpp"
@@ -66,6 +67,7 @@ void MnaSystem<T>::reset(const Circuit& c, const StampContext& ctx,
   requires std::is_same_v<T, double>
 {
   const std::size_t n = c.system_size();
+  bound_.clear();
   resize(n);
   if (!sparse_) return;
   // Discovery pass: record every (row, col) an element can touch, under
@@ -119,6 +121,45 @@ void MnaSystem<T>::adopt_pattern(const linalg::PatternBuilder& rec) {
 
 template <typename T>
 void MnaSystem<T>::add_to_pattern(const linalg::PatternMissError& miss) {
+  grow_pattern(miss);
+  resolve_bound();
+}
+
+template <typename T>
+void MnaSystem<T>::bind(const std::vector<Element*>& nonlinear)
+  requires std::is_same_v<T, double>
+{
+  bound_.clear();
+  bound_.reserve(nonlinear.size());
+  for (Element* e : nonlinear) {
+    const auto* m = dynamic_cast<const Mosfet*>(e);
+    if (!m)
+      throw std::logic_error("MnaSystem::bind: nonlinear element '" +
+                             e->name() + "' is not a Mosfet");
+    bound_.push_back({m, MosfetSlots{}});
+  }
+  resolve_bound();
+}
+
+template <typename T>
+void MnaSystem<T>::resolve_bound() {
+  // A coordinate outside the pattern grows it like any stamp miss; the
+  // grown pattern moves every slot, so resolution starts over.
+  while (true) {
+    try {
+      const int n = static_cast<int>(a_dense_.cols());
+      for (BoundMosfet& d : bound_)
+        d.slots = MosfetSlots::resolve(*d.device,
+                                       sparse_ ? pattern_.get() : nullptr, n);
+      return;
+    } catch (const linalg::PatternMissError& miss) {
+      grow_pattern(miss);
+    }
+  }
+}
+
+template <typename T>
+void MnaSystem<T>::grow_pattern(const linalg::PatternMissError& miss) {
   // The stamp violated the stamp-pattern contract (see DESIGN.md).  The
   // pattern grows by the missed coordinate and stays sparse; the miss is
   // counted so gates can insist on none.
@@ -233,11 +274,11 @@ void MnaEngine::prepare(const StampContext& ctx) {
     (e->nonlinear() ? nonlinear_ : linear_).push_back(e.get());
 
   const std::size_t n = c.system_size();
-  seed_.assign(n, 0.0);
   b0_.assign(n, 0.0);
   b_.assign(n, 0.0);
   x_new_.assign(n, 0.0);
   system_.reset(c, ctx, linear_, nonlinear_);
+  system_.bind(nonlinear_);
 }
 
 int MnaEngine::newton(const StampContext& ctx, linalg::Vector& x,
@@ -249,15 +290,14 @@ int MnaEngine::newton(const StampContext& ctx, linalg::Vector& x,
   prepare(ctx);
   if (x.size() != circuit_->system_size())
     x.assign(circuit_->system_size(), 0.0);
-  seed_ = x;
   while (true) {
     try {
       return iterate(ctx, x, opt, opt.gmin + extra_gdiag);
     } catch (const linalg::PatternMissError& miss) {
-      // Restart from the caller's seed, not from the iterate the miss
-      // interrupted: the result must not depend on where a miss fell.
+      // Only the baseline stamp can miss (the MOSFETs' slots were bound
+      // against the pattern), and it runs before the first iteration
+      // moves `x`, so the retry starts from the caller's seed.
       system_.add_to_pattern(miss);
-      x = seed_;
     }
   }
 }
@@ -280,8 +320,8 @@ int MnaEngine::iterate(const StampContext& ctx, linalg::Vector& x,
     // being retried at a different gmin.
     if (opt.cancel) opt.cancel->checkpoint();
     b_ = b0_;
-    RealStamper s = system_.iteration_stamper(c, b_, x);
-    for (Element* e : nonlinear_) e->stamp(s, ctx);
+    double* a = system_.load_iteration();
+    system_.stamp_bound(a, ctx, b_, x);
     tm.newton_iterations.add();
     try {
       system_.factor();

@@ -13,8 +13,10 @@
 // are fixed for one solve context — everything except devices reporting
 // nonlinear() — are stamped once per newton() call into a baseline;
 // each Newton iteration copies the baseline and restamps only the
-// nonlinear devices through a slot memo, so the per-iteration cost is a
-// value copy, a handful of indexed writes, and a numeric refactor.
+// nonlinear devices, the MOSFETs, each through the block of matrix
+// slots the system bound for it when the pattern was built, so the
+// per-iteration cost is a value copy, a handful of indexed writes, and a
+// numeric refactor.
 #pragma once
 
 #include <complex>
@@ -26,6 +28,7 @@
 #include "linalg/lu.hpp"
 #include "linalg/sparse.hpp"
 #include "spice/dc.hpp"
+#include "spice/mosfet.hpp"
 
 namespace si::spice {
 
@@ -55,13 +58,17 @@ struct MnaStats {
 ///
 /// Assembly follows the stamp-partition contract: baseline_stamper()
 /// zeros the baseline and returns a stamper writing into it;
-/// iteration_stamper() loads the baseline into the iteration matrix and
-/// returns a stamper writing on top; factor() and solve() then work on
-/// the iteration matrix.  Stampers write straight into the dense matrix
-/// or, when sparse, through the matching slot memo.
+/// load_iteration() copies the baseline into the iteration matrix, and
+/// either stamp_bound() restamps the bound MOSFETs on top of it or
+/// iteration_stamper() returns a stamper writing on top; factor() and
+/// solve() then work on the iteration matrix.  Stampers write straight
+/// into the dense matrix or, when sparse, through the matching slot
+/// memo.
 ///
 /// A sparse stamp outside the pattern throws linalg::PatternMissError;
 /// the caller hands it to add_to_pattern() and restarts its assembly.
+/// Binding never misses: a MOSFET coordinate outside the pattern grows
+/// it at bind time, before any iteration stamps.
 template <typename T>
 class MnaSystem {
  public:
@@ -91,8 +98,16 @@ class MnaSystem {
     requires(!std::is_same_v<T, double>);
 
   /// Stamp-pattern contract recovery: adds the missed coordinate to the
-  /// pattern, rebuilds it and drops the symbolic factorization.
+  /// pattern, rebuilds it, drops the symbolic factorization and rebinds.
   void add_to_pattern(const linalg::PatternMissError& miss);
+
+  /// Binds `nonlinear` for stamp_bound(): resolves each device's
+  /// MosfetSlots in the current representation.  Every nonlinear
+  /// element must be a Mosfet (std::logic_error otherwise).  The binding
+  /// belongs to this system, not to the devices, and follows its
+  /// pattern: add_to_pattern() re-resolves it and reset() drops it.
+  void bind(const std::vector<Element*>& nonlinear)
+    requires std::is_same_v<T, double>;
 
   /// Zeros the baseline and returns a stamper over it; `args` are the
   /// stamper's RHS (and, for real stamps, iterate) arguments.
@@ -117,16 +132,36 @@ class MnaSystem {
   /// (A[r,r] = 1): the held unknowns of an event-engine scope.
   void freeze_rows(const std::vector<unsigned char>& scope);
 
-  /// Copies the baseline into the iteration matrix and returns a
-  /// stamper writing on top of it.
-  template <typename... Args>
-  Stamper iteration_stamper(const Circuit& c, Args&... args) {
+  /// Copies the baseline into the iteration matrix and returns its
+  /// values: row-major when dense, in pattern slot order when sparse.
+  T* load_iteration() {
     ++stats_.nonlinear_stamps;
     if (!sparse_) {
       a_dense_ = a0_dense_;
-      return Stamper(c, a_dense_, args...);
+      return a_dense_.data();
     }
     a_sparse_.copy_values_from(a0_sparse_);
+    return a_sparse_.values().data();
+  }
+
+  /// Restamps every bound MOSFET, in bind() order, into `a` (from
+  /// load_iteration()) and `b` at the iterate `x`.
+  void stamp_bound(T* a, const StampContext& ctx, linalg::Vector& b,
+                   const linalg::Vector& x) const
+    requires std::is_same_v<T, double>
+  {
+    for (const BoundMosfet& d : bound_) {
+      SlotStamper s(a, b.data(), x.data(), d.slots);
+      d.device->stamp(s, ctx);
+    }
+  }
+
+  /// load_iteration(), then a stamper writing on top of the iteration
+  /// matrix: the event engine's scoped solves and AC.
+  template <typename... Args>
+  Stamper iteration_stamper(const Circuit& c, Args&... args) {
+    load_iteration();
+    if (!sparse_) return Stamper(c, a_dense_, args...);
     nl_memo_.start_replay();
     return Stamper(c, a_sparse_, args..., &nl_memo_);
   }
@@ -142,8 +177,15 @@ class MnaSystem {
   const MnaStats& stats() const { return stats_; }
 
  private:
+  struct BoundMosfet {
+    const Mosfet* device;
+    MosfetSlots slots;
+  };
+
   void resize(std::size_t n);
   void adopt_pattern(const linalg::PatternBuilder& rec);
+  void grow_pattern(const linalg::PatternMissError& miss);
+  void resolve_bound();
   T& baseline_diagonal(std::size_t i);
 
   bool report_;
@@ -162,9 +204,11 @@ class MnaSystem {
   // Slot memos: start_replay() on an empty memo records, so the first
   // pass after a (re)build fills it and later passes replay it.
   linalg::SlotMemo lin_memo_;  // baseline stamp slots
-  linalg::SlotMemo nl_memo_;   // iteration restamp slots
+  linalg::SlotMemo nl_memo_;   // iteration_stamper() restamp slots
   linalg::SparseLu<T> lu_;
   bool lu_warm_ = false;
+
+  std::vector<BoundMosfet> bound_;  // stamp_bound()'s devices and slots
 };
 
 /// The damped Newton update shared by MnaEngine and the event engine's
@@ -207,9 +251,8 @@ class MnaEngine {
   MnaSystem<double> system_;
 
   std::vector<Element*> linear_;
-  std::vector<Element*> nonlinear_;
+  std::vector<Element*> nonlinear_;  // the MOSFETs, bound in system_
 
-  linalg::Vector seed_;   // the caller's seed: a pattern miss restarts here
   linalg::Vector b0_;     // baseline RHS (linear contributions)
   linalg::Vector b_;      // per-iteration RHS
   linalg::Vector x_new_;  // Newton update target

@@ -55,13 +55,9 @@ Mosfet::Eval Mosfet::evaluate(double vd, double vg, double vs,
   double vsp = e.sign * vs;
   // The MOSFET is symmetric: the higher-potential terminal acts as the
   // drain (in the primed frame).
-  if (vdp >= vsp) {
-    e.d_eff = d_;
-    e.s_eff = s_;
-  } else {
+  if (!(vdp >= vsp)) {
     std::swap(vdp, vsp);
-    e.d_eff = s_;
-    e.s_eff = d_;
+    e.swapped = true;
   }
   const double vgsp = vgp - vsp;
   const double vdsp = vdp - vsp;
@@ -101,37 +97,68 @@ std::vector<Terminal> Mosfet::terminals() const {
   return t;
 }
 
-void Mosfet::stamp(RealStamper& s, const StampContext& ctx) {
-  const Eval e = evaluate(s.voltage(d_), s.voltage(g_), s.voltage(s_),
-                          has_bulk_ ? s.voltage(b_) : s.voltage(s_));
+template <typename Writer>
+void Mosfet::load(Writer& w, const StampContext& ctx, NodeId d, NodeId g,
+                  NodeId s, NodeId b) const {
+  const Eval e = evaluate(w.voltage(d), w.voltage(g), w.voltage(s),
+                          has_bulk_ ? w.voltage(b) : w.voltage(s));
+  const NodeId d_eff = e.swapped ? s : d;
+  const NodeId s_eff = e.swapped ? d : s;
   // Actual current from d_eff to s_eff and actual controlling voltages.
-  const double vgs_eff = s.voltage(g_) - s.voltage(e.s_eff);
-  const double vds_eff = s.voltage(e.d_eff) - s.voltage(e.s_eff);
+  const double vgs_eff = w.voltage(g) - w.voltage(s_eff);
+  const double vds_eff = w.voltage(d_eff) - w.voltage(s_eff);
   const double i0 = e.sign * e.id;
   // Newton companion: i ~ i0 + gm*(vgs - vgs0) + gds*(vds - vds0).
   const double ieq = i0 - e.gm * vgs_eff - e.gds * vds_eff;
-  s.conductance(e.d_eff, e.s_eff, e.gds + ctx.gmin);
-  s.transconductance(e.d_eff, e.s_eff, g_, e.s_eff, e.gm);
-  s.current(e.d_eff, e.s_eff, ieq);
+  w.conductance(d_eff, s_eff, e.gds + ctx.gmin);
+  w.transconductance(d_eff, s_eff, g, s_eff, e.gm);
+  w.current(d_eff, s_eff, ieq);
   // Gate capacitances.
-  cgs_cap_.stamp(s, ctx, g_, s_);
-  cgd_cap_.stamp(s, ctx, g_, d_);
+  cgs_cap_.stamp(w, ctx, g, s);
+  cgd_cap_.stamp(w, ctx, g, d);
+}
+
+void Mosfet::stamp(RealStamper& s, const StampContext& ctx) {
+  load(s, ctx, d_, g_, s_, b_);
+}
+
+void Mosfet::stamp(SlotStamper& s, const StampContext& ctx) const {
+  load(s, ctx, 0, 1, 2, 3);
+}
+
+MosfetSlots MosfetSlots::resolve(const Mosfet& m,
+                                 const linalg::SparsePattern* pattern,
+                                 int n) {
+  MosfetSlots out;
+  const NodeId nodes[4] = {m.drain(), m.gate(), m.source(), m.bulk()};
+  for (std::size_t t = 0; t < 4; ++t) out.row[t] = nodes[t] - 1;
+  for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t j = 0; j < 3; ++j) {
+      const int r = out.row[i];
+      const int c = out.row[j];
+      int slot = -1;
+      if (r >= 0 && c >= 0) {
+        slot = pattern ? pattern->find(r, c) : r * n + c;
+        if (slot < 0) throw linalg::PatternMissError(r, c);
+      }
+      out.slot[3 * i + j] = slot;
+    }
+  return out;
 }
 
 void Mosfet::accept(const SolutionView& sol, const StampContext& ctx) {
   const Eval e =
       evaluate(sol.voltage(d_), sol.voltage(g_), sol.voltage(s_),
                has_bulk_ ? sol.voltage(b_) : sol.voltage(s_));
-  op_id_ = e.sign * e.id *
-           ((e.d_eff == d_) ? 1.0 : -1.0);  // report as drain->source
+  op_id_ = e.sign * e.id * (e.swapped ? -1.0 : 1.0);  // drain->source
   op_gm_ = e.gm;
   op_gds_ = e.gds;
   op_region_ = e.region;
   op_vov_ = std::max(e.vov, 0.0);
   op_vgs_ = sol.voltage(g_) - sol.voltage(s_);
   op_vds_ = sol.voltage(d_) - sol.voltage(s_);
-  op_d_eff_ = e.d_eff;
-  op_s_eff_ = e.s_eff;
+  op_d_eff_ = e.swapped ? s_ : d_;
+  op_s_eff_ = e.swapped ? d_ : s_;
   cgs_cap_.accept(sol, ctx, g_, s_);
   cgd_cap_.accept(sol, ctx, g_, d_);
 }

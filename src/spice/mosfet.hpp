@@ -5,12 +5,79 @@
 // Eqs. (1)-(2).
 #pragma once
 
+#include <array>
 #include <string>
 
 #include "spice/element.hpp"
 #include "spice/elements.hpp"
 
 namespace si::spice {
+
+class Mosfet;
+
+/// One MOSFET's positions in one MNA system, resolved once per pattern
+/// (SPICE3's SMPmakeElt): the row of each terminal — drain, gate,
+/// source, bulk; -1 for ground — and the value index of every (row, col)
+/// among drain, gate and source, -1 where either is ground.  A value
+/// index is the pattern slot when the system is sparse and r·n + c when
+/// it is dense.
+struct MosfetSlots {
+  std::array<int, 4> row{};
+  std::array<int, 9> slot{};  ///< (i, j) at 3·i + j, i, j in {d, g, s}
+
+  /// Resolves `m` through `pattern`, or densely in an n × n matrix when
+  /// `pattern` is null.  Throws linalg::PatternMissError, located, for a
+  /// coordinate outside the pattern.
+  static MosfetSlots resolve(const Mosfet& m,
+                             const linalg::SparsePattern* pattern, int n);
+};
+
+/// The per-iteration writer of one bound MOSFET: RealStamper's helpers,
+/// addressed by terminal index (0 drain, 1 gate, 2 source, 3 bulk)
+/// instead of by node, adding straight into the iteration values through
+/// the device's slots.  No scope, no memo, no representation branch.
+/// Mosfet stamps both writers from one template, so both make the same
+/// adds in the same order (DESIGN.md, "Stamp-partition contract").
+class SlotStamper {
+ public:
+  SlotStamper(double* a, double* b, const double* x, const MosfetSlots& slots)
+      : a_(a), b_(b), x_(x), slots_(&slots) {}
+
+  double voltage(int t) const {
+    const int r = slots_->row[static_cast<std::size_t>(t)];
+    return r < 0 ? 0.0 : x_[r];
+  }
+  void conductance(int p, int m, double g) {
+    add(p, p, g);
+    add(m, m, g);
+    add(p, m, -g);
+    add(m, p, -g);
+  }
+  void transconductance(int out_p, int out_m, int cp, int cm, double g) {
+    add(out_p, cp, g);
+    add(out_p, cm, -g);
+    add(out_m, cp, -g);
+    add(out_m, cm, g);
+  }
+  void current(int p, int m, double i) {
+    const int rp = slots_->row[static_cast<std::size_t>(p)];
+    const int rm = slots_->row[static_cast<std::size_t>(m)];
+    if (rp >= 0) b_[rp] -= i;
+    if (rm >= 0) b_[rm] += i;
+  }
+
+ private:
+  /// Skips exactly the adds RealStamper's ground guards skip.
+  void add(int i, int j, double v) {
+    const int k = slots_->slot[static_cast<std::size_t>(3 * i + j)];
+    if (k >= 0) a_[k] += v;
+  }
+
+  double* a_;
+  double* b_;
+  const double* x_;
+  const MosfetSlots* slots_;
+};
 
 enum class MosType { kNmos, kPmos };
 
@@ -52,6 +119,9 @@ class Mosfet final : public Element {
 
   std::vector<Terminal> terminals() const override;
   void stamp(RealStamper& s, const StampContext& ctx) override;
+  /// The same stamp through a bound slot block: MnaEngine's
+  /// per-iteration restamp.
+  void stamp(SlotStamper& s, const StampContext& ctx) const;
   void accept(const SolutionView& sol, const StampContext& ctx) override;
   bool nonlinear() const override { return true; }
   void stamp_ac(ComplexStamper& s, double omega) const override;
@@ -91,13 +161,19 @@ class Mosfet final : public Element {
     double gds = 0.0;
     double vov = 0.0;
     MosRegion region = MosRegion::kCutoff;
-    NodeId d_eff = kGroundNode;  ///< effective drain (actual node)
-    NodeId s_eff = kGroundNode;  ///< effective source (actual node)
-    double sign = 1.0;           ///< +1 NMOS, -1 PMOS
+    bool swapped = false;  ///< source acts as the drain (vd < vs, primed)
+    double sign = 1.0;     ///< +1 NMOS, -1 PMOS
   };
 
   /// Evaluates the square-law equations at the given node voltages.
   Eval evaluate(double vd, double vg, double vs, double vb) const;
+
+  /// The Newton companion and gate-capacitance stamp, written once for
+  /// both writers: `d`, `g`, `s`, `b` are nodes for RealStamper and
+  /// terminal indices for SlotStamper.
+  template <typename Writer>
+  void load(Writer& w, const StampContext& ctx, NodeId d, NodeId g, NodeId s,
+            NodeId b) const;
 
   /// Effective threshold in the primed frame for source-bulk voltage.
   double threshold(double vsb_primed) const;

@@ -2,6 +2,7 @@
 // controls: DC, sine, pulse trains (clock phases), and piecewise-linear.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -111,6 +112,11 @@ class PulseWave final : public Waveform {
                    std::vector<double>& out) const override;
   /// Flat between edges; the four edge breakpoints bracket every ramp.
   bool changes_begin_at_breakpoints() const override { return true; }
+
+  /// The constructor's arguments, in order: everything value() reads.
+  std::array<double, 7> parameters() const {
+    return {v1_, v2_, delay_, rise_, fall_, width_, period_};
+  }
 
  private:
   double v1_, v2_, delay_, rise_, fall_, width_, period_;

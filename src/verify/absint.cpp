@@ -81,6 +81,7 @@ struct AbstractInterpreter::Impl {
   // --- clock model -------------------------------------------------
   std::vector<const spice::Switch*> switches;
   std::vector<SwitchPhase> sw_phases;
+  PhaseResolver resolve_phase;
   std::vector<unsigned char> sw_unknown;  ///< incommensurate with hyperperiod
   std::vector<Segment> segments;
   double hyperperiod = 0.0;
@@ -179,7 +180,7 @@ struct AbstractInterpreter::Impl {
   void build_clock_model() {
     switches = topo.switches;
     sw_phases.reserve(switches.size());
-    for (const auto* sw : switches) sw_phases.push_back(switch_phase(*sw));
+    for (const auto* sw : switches) sw_phases.push_back(resolve_phase(*sw));
     sw_unknown.assign(switches.size(), 0);
 
     double h = 0.0;
@@ -1126,6 +1127,7 @@ struct AbstractInterpreter::Impl {
     r.switch_elements = switches;
     r.iterations = iterations;
     r.widenings = widenings;
+    r.phase_resolutions = resolve_phase.resolutions();
     for (const Interval& h : r.hull)
       if (!h.is_empty() && !h.is_top()) ++r.nodes_resolved;
     return r;

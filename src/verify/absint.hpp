@@ -105,6 +105,7 @@ struct AbsResult {
   std::size_t iterations = 0;
   std::size_t widenings = 0;
   std::size_t nodes_resolved = 0;
+  std::size_t phase_resolutions = 0;  ///< see PhaseResolver
 };
 
 /// Builds the model and runs the interval fixpoint.

@@ -1,8 +1,11 @@
 #include "verify/phase.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+
+#include "obs/telemetry.hpp"
 
 namespace si::verify {
 
@@ -50,6 +53,28 @@ SwitchPhase switch_phase(const spice::Switch& sw) {
   sp.always_off = sp.on.empty();
   sp.always_on = sp.on.size() == 1 && sp.on.front().begin <= 0.0 &&
                  sp.on.front().end >= span;
+  return sp;
+}
+
+SwitchPhase PhaseResolver::resolve(const spice::Switch& sw) {
+  static obs::Counter& resolutions = obs::counter("verify.phase_resolutions");
+  ++resolutions_;
+  resolutions.add();
+  return switch_phase(sw);
+}
+
+SwitchPhase PhaseResolver::operator()(const spice::Switch& sw) {
+  const auto* pulse = dynamic_cast<const spice::PulseWave*>(&sw.control());
+  if (!pulse) return resolve(sw);
+  std::array<std::uint64_t, 8> key{};
+  const std::array<double, 7> params = pulse->parameters();
+  for (std::size_t i = 0; i < params.size(); ++i)
+    key[i] = std::bit_cast<std::uint64_t>(params[i]);
+  key[7] = std::bit_cast<std::uint64_t>(sw.threshold());
+  auto it = pulses_.find(key);
+  if (it == pulses_.end()) it = pulses_.emplace(key, resolve(sw)).first;
+  SwitchPhase sp = it->second;
+  sp.sw = &sw;
   return sp;
 }
 

@@ -6,6 +6,9 @@
 // reliably as a 100 ns one.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,29 @@ struct SwitchPhase {
 /// Extracts the ON pattern of `sw` from its control waveform and
 /// threshold.
 SwitchPhase switch_phase(const spice::Switch& sw);
+
+/// switch_phase() for the many switches of one check.  Switches whose
+/// control is a PulseWave with the same parameters, compared against
+/// the same threshold, share one resolution (every switch of the
+/// modulator core runs on one of TwoPhaseClock's two phases); each gets
+/// a copy with its own `sw`.  Other controls resolve per switch.
+/// on_intervals() is a pure function of those inputs, so every result
+/// equals switch_phase(sw).  Each resolution counts in
+/// verify.phase_resolutions.
+class PhaseResolver {
+ public:
+  SwitchPhase operator()(const spice::Switch& sw);
+
+  /// Patterns resolved so far (Waveform::on_intervals calls).
+  std::size_t resolutions() const { return resolutions_; }
+
+ private:
+  SwitchPhase resolve(const spice::Switch& sw);
+
+  /// Bit patterns of the pulse parameters and the threshold.
+  std::map<std::array<std::uint64_t, 8>, SwitchPhase> pulses_;
+  std::size_t resolutions_ = 0;
+};
 
 /// Overlap/underlap between two switch ON patterns over their common
 /// hyperperiod.

@@ -156,6 +156,7 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {
   out.stats.iterations = ar.iterations;
   out.stats.widenings = ar.widenings;
   out.stats.nodes_resolved = ar.nodes_resolved;
+  out.stats.phase_resolutions = ar.phase_resolutions;
 
   for (std::size_t n = 1; n < c.node_count(); ++n)
     if (!ar.hull[n].is_empty())

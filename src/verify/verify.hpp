@@ -95,6 +95,9 @@ struct VerifyStats {
   /// within each corner (DESIGN.md, "Abstract domain & fixpoint
   /// contract").
   std::size_t pair_current_evals = 0;
+  /// Distinct switch ON patterns resolved for the clock model
+  /// (PhaseResolver).
+  std::size_t phase_resolutions = 0;
 };
 
 struct VerifyResult {

@@ -2,8 +2,10 @@
 // representation, dense-vs-sparse parity on transistor-level netlists
 // (DC, and the AcEngine sweep) with each circuit run as is and padded
 // past the threshold, symbolic-reuse accounting, pattern-cache
-// invalidation on circuit edits, pattern-miss recovery, and the
-// stamper's write path agreeing bit for bit across its backends.
+// invalidation and MOSFET rebinding on circuit edits, pattern-miss
+// recovery (in the baseline and at bind time), and the stamp writers —
+// RealStamper's backends and the MOSFETs' bound slot blocks — agreeing
+// bit for bit.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,6 +13,9 @@
 #include <cstdint>
 #include <complex>
 #include <numbers>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "event/partition.hpp"
@@ -246,40 +251,150 @@ TEST(MnaEngine, PatternMissGrowsPatternAndResetsOnEdit) {
   si::obs::set_enabled(false);
 }
 
-TEST(MnaEngine, PatternMissRetryRestartsFromSeed) {
-  // The bridge first stamps in Newton iteration 2 (iteration 1 lifts
-  // v(b) from 0 to 0.5 V).  The retry after the miss must start from
-  // the caller's seed, not from the iterate the miss interrupted, so it
-  // matches a repeat solve from the same seed bit for bit.
+TEST(MnaEngine, RejectsNonlinearElementThatIsNotAMosfet) {
+  // MOSFETs are the engine's only nonlinear elements: each is restamped
+  // through the slot block the system bound for it.  Any other element
+  // reporting nonlinear() is refused, by name, before the first solve.
   Circuit c;
   const NodeId a = c.node("a");
   const NodeId b = c.node("b");
-  const NodeId d = c.node("d");
   c.add<VoltageSource>("V1", a, c.ground(), 1.0);
   c.add<Resistor>("R1", a, b, 1e3);
-  c.add<Resistor>("R2", b, c.ground(), 1e3);
-  c.add<Resistor>("R3", d, c.ground(), 1e3);
-  c.add<ThresholdBridge>("X1", b, d, /*v_on=*/0.25);
-  pad_unknowns(c);
-
+  c.add<ThresholdBridge>("X1", b, c.ground(), /*v_on=*/0.25);
   MnaEngine engine(c);
-  const NewtonOptions nopt;
-  const StampContext ctx;
-  const si::linalg::Vector seed(c.system_size(), 0.0);
+  si::linalg::Vector x;
+  try {
+    engine.newton(StampContext{}, x, NewtonOptions{});
+    ADD_FAILURE() << "no std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'X1' is not a Mosfet"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
-  si::linalg::Vector retried = seed;
-  const int retried_iters = engine.newton(ctx, retried, nopt);
-  EXPECT_EQ(engine.stats().pattern_misses, 1u);
-  EXPECT_EQ(engine.stats().dense_factors, 0u);
-  EXPECT_NEAR(retried[b - 1], 0.4, 1e-6);
+/// One assembly, factor and solve of `sys` at `x`: baseline, gmin, then
+/// the MOSFETs, through their bound blocks as MnaEngine iterates or,
+/// when `nonlinear` is given, through iteration_stamper().  The RHS is
+/// left in `*b` when given.
+si::linalg::Vector solve_once(MnaSystem<double>& sys, const Circuit& c,
+                              const StampContext& ctx,
+                              const std::vector<Element*>& linear,
+                              const si::linalg::Vector& x,
+                              const std::vector<Element*>* nonlinear = nullptr,
+                              si::linalg::Vector* b = nullptr) {
+  const std::size_t n = c.system_size();
+  si::linalg::Vector b0(n, 0.0), rhs, x_new;
+  {
+    RealStamper s = sys.baseline_stamper(c, b0, x);
+    for (Element* e : linear) e->stamp(s, ctx);
+  }
+  sys.add_diagonal(c.node_count() - 1, ctx.gmin);
+  rhs = b0;
+  if (nonlinear) {
+    RealStamper s = sys.iteration_stamper(c, rhs, x);
+    for (Element* e : *nonlinear) e->stamp(s, ctx);
+  } else {
+    sys.stamp_bound(sys.load_iteration(), ctx, rhs, x);
+  }
+  sys.factor();
+  sys.solve(rhs, x_new);
+  if (b) *b = rhs;
+  return x_new;
+}
 
-  si::linalg::Vector repeat = seed;
-  const int repeat_iters = engine.newton(ctx, repeat, nopt);
-  EXPECT_EQ(engine.stats().pattern_misses, 1u);
-  EXPECT_EQ(retried_iters, repeat_iters);
-  ASSERT_EQ(retried.size(), repeat.size());
-  for (std::size_t i = 0; i < retried.size(); ++i)
-    EXPECT_EQ(retried[i], repeat[i]) << "unknown " << i;
+TEST(MnaSystem, BindOutsidePatternGrowsItBeforeAnyIteration) {
+  // A pattern discovered without the MOSFET lacks its drain-gate
+  // coordinates.  bind() takes them through the stamp-pattern recovery
+  // (counted as misses, one rebuild each) instead of writing out of
+  // range, and the system then solves exactly as one whose discovery
+  // saw the device.
+  Circuit c;
+  const NodeId vdd = c.node("vdd");
+  const NodeId d = c.node("d");
+  const NodeId g = c.node("g");
+  c.add<VoltageSource>("Vdd", vdd, c.ground(), 3.3);
+  c.add<VoltageSource>("Vg", g, c.ground(), 1.5);
+  c.add<Resistor>("RL", vdd, d, 20e3);
+  MosfetParams mp;
+  mp.cgd = 5e-15;
+  c.add<Mosfet>("M1", MosType::kNmos, d, g, c.ground(), mp);
+  pad_unknowns(c);
+  std::vector<Element*> linear, nonlinear;
+  for (const auto& e : c.elements())
+    (e->nonlinear() ? nonlinear : linear).push_back(e.get());
+  StampContext ctx;
+  ctx.mode = AnalysisMode::kTransient;
+  ctx.dt = 1e-9;
+  si::linalg::Vector x(c.system_size(), 0.0);
+  x[static_cast<std::size_t>(vdd - 1)] = 3.3;
+  x[static_cast<std::size_t>(d - 1)] = 2.0;
+  x[static_cast<std::size_t>(g - 1)] = 1.5;
+
+  MnaSystem<double> full(/*report=*/false);
+  full.reset(c, ctx, linear, nonlinear);
+  full.bind(nonlinear);
+  MnaSystem<double> late(/*report=*/false);
+  late.reset(c, ctx, linear, {});
+  const std::uint64_t builds = late.stats().pattern_builds;
+  late.bind(nonlinear);
+  EXPECT_EQ(full.stats().pattern_misses, 0u);
+  EXPECT_GE(late.stats().pattern_misses, 1u);
+  EXPECT_EQ(late.stats().pattern_builds,
+            builds + late.stats().pattern_misses);
+
+  const auto xf = solve_once(full, c, ctx, linear, x);
+  const auto xl = solve_once(late, c, ctx, linear, x);
+  ASSERT_EQ(xf.size(), xl.size());
+  for (std::size_t i = 0; i < xf.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(xf[i]),
+              std::bit_cast<std::uint64_t>(xl[i]))
+        << "unknown " << i;
+}
+
+TEST(MnaEngine, MosfetAddedAfterSolveIsRebound) {
+  // Dense (the 1-section core) and sparse (padded): after a solve, add
+  // a MOSFET on a new node and re-finalize.  The next solve must bind
+  // it, and equal a fresh engine's solve of the edited circuit bit for
+  // bit.
+  for (const bool pad : {false, true}) {
+    auto build = [pad](Circuit& c) {
+      build_modulator_fixture(c, 1);
+      if (pad) pad_unknowns(c);
+    };
+    auto extend = [](Circuit& c) {
+      const NodeId x = c.node("x");
+      c.add<Resistor>("Rx", c.node("vdd"), x, 50e3);
+      c.add<Mosfet>("Mx", MosType::kNmos, x, c.node("vdd"), c.ground(),
+                    MosfetParams{});
+      c.finalize();
+    };
+    DcOptions dco;
+    dco.erc_gate = false;
+
+    Circuit edited;
+    build(edited);
+    MnaEngine engine(edited);
+    dc_operating_point(edited, engine, dco);
+    const std::uint64_t builds = engine.stats().pattern_builds;
+    extend(edited);
+    const auto xe = dc_operating_point(edited, engine, dco).x;
+    EXPECT_EQ(engine.stats().pattern_builds, builds + (pad ? 1u : 0u));
+    EXPECT_EQ(engine.stats().dense_factors > 0, !pad);
+
+    Circuit fresh;
+    build(fresh);
+    extend(fresh);
+    MnaEngine fresh_engine(fresh);
+    const auto xf = dc_operating_point(fresh, fresh_engine, dco).x;
+    ASSERT_EQ(xe.size(), xf.size());
+    for (std::size_t i = 0; i < xe.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(xe[i]),
+                std::bit_cast<std::uint64_t>(xf[i]))
+          << (pad ? "sparse" : "dense") << " unknown " << i;
+    const SolutionView sol(edited, xe);
+    EXPECT_LT(sol.voltage(edited.node("x")), 1.0);  // Mx pulls x down
+  }
 }
 
 TEST(MnaEngine, AutoPicksSparseForLargeNetlists) {
@@ -320,123 +435,278 @@ std::string bit_mismatch(const si::linalg::Vector& a,
   return "";
 }
 
-TEST(StamperBackends, SparseSlotMemoMatchesDenseBitForBit) {
-  // Every element of the 8-section modulator core stamped at a perturbed
-  // operating point in a transient context, through a dense stamper and
-  // through a sparse one with a slot memo: recording, replay, and replay
-  // after one MOSFET's drain and source swap (the memo patches its
-  // shifted sequence).  Then again under a scope that freezes every
-  // odd-numbered event block.  Matrix and RHS must agree in every bit.
-  Circuit c;
-  build_modulator_fixture(c, 8);
-  c.finalize();
+/// Stamps every element of `c` at a perturbed operating point `x0` in
+/// `ctx` through each writer and checks matrix and RHS against the dense
+/// RealStamper in every bit:
+///  - a sparse RealStamper with a slot memo: recording, replay, and
+///    replay after one MOSFET's drain and source swap (the memo patches
+///    its shifted sequence), under `scope` when given;
+///  - unscoped, the slot-bound writer MnaEngine iterates with: each
+///    MOSFET through its MosfetSlots (dense r·n + c and sparse pattern
+///    slots), every other element through RealStamper, in element order.
+/// Returns the discovered pattern and the memo after the three passes.
+std::pair<std::shared_ptr<const si::linalg::SparsePattern>,
+          si::linalg::SlotMemo>
+expect_writers_agree(const Circuit& c, const StampContext& ctx,
+                     const si::linalg::Vector& x0,
+                     const std::vector<unsigned char>* scope,
+                     const std::string& what) {
   const std::size_t n = c.system_size();
-  DcOptions dopt;
-  dopt.erc_gate = false;
-  si::linalg::Vector x0 = dc_operating_point(c, dopt).x;
-  for (std::size_t i = 0; i < n; ++i)
-    x0[i] += 1e-3 * std::sin(static_cast<double>(i) + 0.5);
-  StampContext ctx;
-  ctx.mode = AnalysisMode::kTransient;
-  ctx.dt = ModulatorCoreOptions{}.stage.pair.clock_period / 200.0;
-  ctx.time = 37.0 * ctx.dt;
+  // Discovery as MnaSystem::reset runs it: both modes, under the scope.
+  si::linalg::PatternBuilder rec(static_cast<int>(n));
+  {
+    si::linalg::Vector scratch_b(n, 0.0);
+    RealStamper r(c, rec, scratch_b, x0);
+    r.set_scope(scope);
+    StampContext dc_ctx = ctx;
+    dc_ctx.mode = AnalysisMode::kDcOperatingPoint;
+    StampContext tran_ctx = ctx;
+    tran_ctx.mode = AnalysisMode::kTransient;
+    if (tran_ctx.dt <= 0.0) tran_ctx.dt = 1.0;
+    for (const auto& e : c.elements()) e->stamp(r, dc_ctx);
+    for (const auto& e : c.elements()) e->stamp(r, tran_ctx);
+  }
+  const auto pattern = rec.build(/*symmetrize=*/true);
+  si::linalg::SparseMatrixD as(pattern);
+  si::linalg::SlotMemo memo;
 
-  const si::event::CircuitPartition part = si::event::partition_circuit(c);
-  std::vector<unsigned char> frozen_odd(n);
-  for (std::size_t i = 0; i < n; ++i)
-    frozen_odd[i] = part.unknown_block[i] % 2 == 0;
+  // Each MOSFET's blocks, by element index, as MnaSystem::bind resolves
+  // them (unscoped: the bound writer never runs under a scope).
+  std::vector<const Mosfet*> mos;
+  std::vector<MosfetSlots> dense_slots, sparse_slots;
+  for (const auto& e : c.elements()) {
+    const auto* m = dynamic_cast<const Mosfet*>(e.get());
+    mos.push_back(m);
+    const bool bound = m && !scope;
+    dense_slots.push_back(
+        bound ? MosfetSlots::resolve(*m, nullptr, static_cast<int>(n))
+              : MosfetSlots{});
+    sparse_slots.push_back(
+        bound ? MosfetSlots::resolve(*m, pattern.get(), static_cast<int>(n))
+              : MosfetSlots{});
+  }
 
-  const std::vector<unsigned char>* scopes[] = {nullptr, &frozen_odd};
-  for (const std::vector<unsigned char>* scope : scopes) {
-    const std::string what = scope ? "scoped" : "unscoped";
-    // Discovery as MnaSystem::reset runs it: both modes, under the scope.
-    si::linalg::PatternBuilder rec(static_cast<int>(n));
+  // A MOSFET with its drain row in scope: pulling its drain 0.25 V past
+  // its source swaps the device's effective drain and source.
+  const Mosfet* swap = nullptr;
+  for (const Mosfet* m : mos)
+    if (m && m->drain() != c.ground() &&
+        (!scope || (*scope)[static_cast<std::size_t>(m->drain() - 1)])) {
+      swap = m;
+      break;
+    }
+  EXPECT_NE(swap, nullptr) << what;
+  if (!swap) return {pattern, memo};
+  si::linalg::Vector x_swapped = x0;
+  {
+    const SolutionView sol(c, x0);
+    const double sign = swap->type() == MosType::kNmos ? 1.0 : -1.0;
+    const bool forward =
+        sign * sol.voltage(swap->drain()) >= sign * sol.voltage(swap->source());
+    x_swapped[static_cast<std::size_t>(swap->drain() - 1)] =
+        sol.voltage(swap->source()) + (forward ? -0.25 : 0.25) * sign;
+  }
+
+  std::vector<std::uint64_t> replayed_coords;
+  for (int pass = 0; pass < 3; ++pass) {
+    const si::linalg::Vector& x = pass < 2 ? x0 : x_swapped;
+    const std::string label = what + " pass " + std::to_string(pass);
+    si::linalg::Matrix ad(n, n);
+    si::linalg::Vector bd(n, 0.0);
     {
-      si::linalg::Vector scratch_b(n, 0.0);
-      RealStamper r(c, rec, scratch_b, x0);
-      r.set_scope(scope);
-      StampContext dc_ctx = ctx;
-      dc_ctx.mode = AnalysisMode::kDcOperatingPoint;
-      for (const auto& e : c.elements()) e->stamp(r, dc_ctx);
-      for (const auto& e : c.elements()) e->stamp(r, ctx);
+      RealStamper s(c, ad, bd, x);
+      s.set_scope(scope);
+      for (const auto& e : c.elements()) e->stamp(s, ctx);
     }
-    const auto pattern = rec.build(/*symmetrize=*/true);
-    si::linalg::SparseMatrixD as(pattern);
-    si::linalg::SlotMemo memo;
-
-    // A MOSFET with its drain row in scope: pulling its drain past its
-    // source swaps the device's effective drain and source.
-    const Mosfet* swap = nullptr;
-    for (const auto& e : c.elements()) {
-      const auto* m = dynamic_cast<const Mosfet*>(e.get());
-      if (m && m->drain() != c.ground() &&
-          (!scope || (*scope)[static_cast<std::size_t>(m->drain() - 1)])) {
-        swap = m;
-        break;
-      }
-    }
-    ASSERT_NE(swap, nullptr) << what;
-    si::linalg::Vector x_swapped = x0;
-    {
-      const SolutionView sol(c, x0);
-      const double toward = swap->type() == MosType::kNmos ? -0.25 : 0.25;
-      x_swapped[static_cast<std::size_t>(swap->drain() - 1)] =
-          sol.voltage(swap->source()) + toward;
-    }
-
-    std::vector<std::uint64_t> replayed_coords;
-    for (int pass = 0; pass < 3; ++pass) {
-      const si::linalg::Vector& x = pass < 2 ? x0 : x_swapped;
-      const std::string label = what + " pass " + std::to_string(pass);
-      si::linalg::Matrix ad(n, n);
-      si::linalg::Vector bd(n, 0.0);
-      {
-        RealStamper s(c, ad, bd, x);
-        s.set_scope(scope);
-        for (const auto& e : c.elements()) e->stamp(s, ctx);
-      }
-      as.set_zero();
-      si::linalg::Vector bs(n, 0.0);
-      if (pass == 0)
-        memo.start_record();
-      else
-        memo.start_replay();
-      {
-        RealStamper s(c, as, bs, x, &memo);
-        s.set_scope(scope);
-        for (const auto& e : c.elements()) e->stamp(s, ctx);
-      }
-      EXPECT_EQ(bit_mismatch(as.to_dense(), ad), "") << label;
-      EXPECT_EQ(bit_mismatch(bs, bd), "") << label;
-      if (pass == 1) replayed_coords = memo.coords;
-    }
-    // The swap shifted the recorded sequence, so the memo was patched.
-    EXPECT_NE(memo.coords, replayed_coords) << what;
-
-    // A replayed stamp outside the pattern still throws, located.
-    const int node_rows = static_cast<int>(c.node_count()) - 1;
-    auto stamped = [&](int i) {
-      return !scope || (*scope)[static_cast<std::size_t>(i)] != 0;
-    };
-    int row = -1, col = -1;
-    for (int r = 0; r < node_rows && row < 0; ++r)
-      for (int k = 0; k < node_rows && row < 0; ++k)
-        if (stamped(r) && stamped(k) && pattern->find(r, k) < 0) {
-          row = r;
-          col = k;
-        }
-    ASSERT_GE(row, 0) << what;
     as.set_zero();
     si::linalg::Vector bs(n, 0.0);
-    memo.start_replay();
-    RealStamper s(c, as, bs, x0, &memo);
-    s.set_scope(scope);
-    try {
-      s.transconductance(row + 1, c.ground(), col + 1, c.ground(), 1e-3);
-      ADD_FAILURE() << what << ": no PatternMissError";
-    } catch (const si::linalg::PatternMissError& miss) {
-      EXPECT_EQ(miss.row(), row) << what;
-      EXPECT_EQ(miss.col(), col) << what;
+    if (pass == 0)
+      memo.start_record();
+    else
+      memo.start_replay();
+    {
+      RealStamper s(c, as, bs, x, &memo);
+      s.set_scope(scope);
+      for (const auto& e : c.elements()) e->stamp(s, ctx);
+    }
+    EXPECT_EQ(bit_mismatch(as.to_dense(), ad), "") << label;
+    EXPECT_EQ(bit_mismatch(bs, bd), "") << label;
+    if (pass == 1) replayed_coords = memo.coords;
+    if (scope) continue;
+
+    // The slot-bound writer, dense and sparse.
+    si::linalg::Matrix adb(n, n);
+    si::linalg::Vector bdb(n, 0.0);
+    si::linalg::SparseMatrixD asb(pattern);
+    si::linalg::Vector bsb(n, 0.0);
+    {
+      RealStamper sd(c, adb, bdb, x);
+      RealStamper ss(c, asb, bsb, x);
+      for (std::size_t k = 0; k < c.elements().size(); ++k) {
+        if (!mos[k]) {
+          c.elements()[k]->stamp(sd, ctx);
+          c.elements()[k]->stamp(ss, ctx);
+          continue;
+        }
+        SlotStamper wd(adb.data(), bdb.data(), x.data(), dense_slots[k]);
+        mos[k]->stamp(wd, ctx);
+        SlotStamper ws(asb.values().data(), bsb.data(), x.data(),
+                       sparse_slots[k]);
+        mos[k]->stamp(ws, ctx);
+      }
+    }
+    EXPECT_EQ(bit_mismatch(adb, ad), "") << label << " bound dense";
+    EXPECT_EQ(bit_mismatch(bdb, bd), "") << label << " bound dense";
+    EXPECT_EQ(bit_mismatch(asb.to_dense(), ad), "") << label << " bound sparse";
+    EXPECT_EQ(bit_mismatch(bsb, bd), "") << label << " bound sparse";
+  }
+  // The swap shifted the recorded sequence, so the memo was patched.
+  EXPECT_NE(memo.coords, replayed_coords) << what;
+  return {pattern, memo};
+}
+
+/// MnaEngine's restamp (load_iteration + stamp_bound) against the
+/// RealStamper restamp (iteration_stamper over the MOSFETs in element
+/// order) on two systems over one pattern: the RHS and the solution of
+/// one factor and solve agree in every bit, so the bound devices are
+/// stamped in the engine's order.
+void expect_bound_restamp_matches(const Circuit& c, const StampContext& ctx,
+                                  const si::linalg::Vector& x,
+                                  const std::string& what) {
+  std::vector<Element*> linear, nonlinear;
+  for (const auto& e : c.elements())
+    (e->nonlinear() ? nonlinear : linear).push_back(e.get());
+  MnaSystem<double> bound(/*report=*/false), memo(/*report=*/false);
+  bound.reset(c, ctx, linear, nonlinear);
+  bound.bind(nonlinear);
+  memo.reset(c, ctx, linear, nonlinear);
+  si::linalg::Vector b_bound, b_memo;
+  const auto x_bound = solve_once(bound, c, ctx, linear, x, nullptr, &b_bound);
+  const auto x_memo = solve_once(memo, c, ctx, linear, x, &nonlinear, &b_memo);
+  EXPECT_EQ(bit_mismatch(b_bound, b_memo), "") << what << " system RHS";
+  EXPECT_EQ(bit_mismatch(x_bound, x_memo), "") << what << " system solution";
+}
+
+/// The contexts a MOSFET stamps differently in: DC (capacitors open),
+/// trapezoidal and backward-Euler companions.
+std::vector<std::pair<std::string, StampContext>> stamp_contexts(double dt) {
+  StampContext dc;
+  dc.mode = AnalysisMode::kDcOperatingPoint;
+  StampContext trap;
+  trap.mode = AnalysisMode::kTransient;
+  trap.dt = dt;
+  trap.time = 37.0 * dt;
+  StampContext be = trap;
+  be.integrator = Integrator::kBackwardEuler;
+  return {{"dc", dc}, {"trap", trap}, {"be", be}};
+}
+
+/// What the modulator cores lack: a grounded gate, a grounded drain, a
+/// diode-connected device (drain = gate), an explicit bulk with
+/// gamma > 0, and cgd > 0 on every device.  Returns an iterate after
+/// giving every capacitor companion a DC and a transient history, so
+/// the companions carry current.
+si::linalg::Vector build_terminal_corners(Circuit& c, double dt) {
+  const NodeId vdd = c.node("vdd");
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  const NodeId d = c.node("d");
+  const NodeId e = c.node("e");
+  c.add<VoltageSource>("Vdd", vdd, c.ground(), 3.3);
+  for (const NodeId node : {a, b, d, e})
+    c.add<Resistor>("R" + c.node_name(node), node, c.ground(), 10e3);
+  MosfetParams mp;
+  mp.cgs = 20e-15;
+  mp.cgd = 7e-15;
+  MosfetParams body = mp;
+  body.gamma = 0.45;
+  c.add<Mosfet>("Mgg", MosType::kNmos, a, c.ground(), b, mp);  // gate grounded
+  c.add<Mosfet>("Mgd", MosType::kPmos, c.ground(), a, e, mp);  // drain grounded
+  c.add<Mosfet>("Mdio", MosType::kPmos, d, d, vdd, mp);        // diode
+  c.add<Mosfet>("Mblk", MosType::kNmos, b, e, d, a, body);     // bulk at a
+  c.add<Mosfet>("Mcs", MosType::kNmos, e, b, c.ground(), mp);
+  c.finalize();
+  const std::size_t n = c.system_size();
+  si::linalg::Vector x0(n, 0.0), x1(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    x0[i] = 0.4 + 0.37 * static_cast<double>(i);
+    x1[i] = x0[i] + 0.05 * std::cos(static_cast<double>(i));
+  }
+  const auto contexts = stamp_contexts(dt);
+  const SolutionView s0(c, x0), s1(c, x1);
+  for (const auto& el : c.elements()) el->accept(s0, contexts[0].second);
+  for (const auto& el : c.elements()) el->accept(s1, contexts[1].second);
+  return x1;
+}
+
+TEST(StamperBackends, SparseSlotMemoMatchesDenseBitForBit) {
+  // The 8-section modulator core (sparse in the engine), the 1-section
+  // core (19 unknowns, dense) and the terminal-corner circuit, each at a
+  // perturbed operating point in DC, trapezoidal and backward-Euler
+  // contexts; then the 8-section core again under a scope that freezes
+  // every odd-numbered event block.  Every writer must agree in every
+  // bit.
+  const double dt = ModulatorCoreOptions{}.stage.pair.clock_period / 200.0;
+  {
+    Circuit c;
+    const si::linalg::Vector x = build_terminal_corners(c, dt);
+    for (const auto& [name, ctx] : stamp_contexts(dt)) {
+      expect_writers_agree(c, ctx, x, nullptr, "corners " + name);
+      expect_bound_restamp_matches(c, ctx, x, "corners " + name);
+    }
+  }
+  for (const int sections : {8, 1}) {
+    Circuit c;
+    build_modulator_fixture(c, sections);
+    c.finalize();
+    const std::size_t n = c.system_size();
+    DcOptions dopt;
+    dopt.erc_gate = false;
+    si::linalg::Vector x0 = dc_operating_point(c, dopt).x;
+    for (std::size_t i = 0; i < n; ++i)
+      x0[i] += 1e-3 * std::sin(static_cast<double>(i) + 0.5);
+    const std::string core = std::to_string(sections) + "-section ";
+    for (const auto& [name, ctx] : stamp_contexts(dt)) {
+      expect_writers_agree(c, ctx, x0, nullptr, core + name);
+      expect_bound_restamp_matches(c, ctx, x0, core + name);
+    }
+    if (sections != 8) continue;
+
+    const StampContext ctx = stamp_contexts(dt)[1].second;
+    const si::event::CircuitPartition part = si::event::partition_circuit(c);
+    std::vector<unsigned char> frozen_odd(n);
+    for (std::size_t i = 0; i < n; ++i)
+      frozen_odd[i] = part.unknown_block[i] % 2 == 0;
+    const std::vector<unsigned char>* scopes[] = {nullptr, &frozen_odd};
+    for (const std::vector<unsigned char>* scope : scopes) {
+      const std::string what = core + (scope ? "scoped" : "unscoped");
+      auto [pattern, memo] = expect_writers_agree(c, ctx, x0, scope, what);
+
+      // A replayed stamp outside the pattern still throws, located.
+      const int node_rows = static_cast<int>(c.node_count()) - 1;
+      auto stamped = [&](int i) {
+        return !scope || (*scope)[static_cast<std::size_t>(i)] != 0;
+      };
+      int row = -1, col = -1;
+      for (int r = 0; r < node_rows && row < 0; ++r)
+        for (int k = 0; k < node_rows && row < 0; ++k)
+          if (stamped(r) && stamped(k) && pattern->find(r, k) < 0) {
+            row = r;
+            col = k;
+          }
+      ASSERT_GE(row, 0) << what;
+      si::linalg::SparseMatrixD as(pattern);
+      si::linalg::Vector bs(n, 0.0);
+      memo.start_replay();
+      RealStamper s(c, as, bs, x0, &memo);
+      s.set_scope(scope);
+      try {
+        s.transconductance(row + 1, c.ground(), col + 1, c.ground(), 1e-3);
+        ADD_FAILURE() << what << ": no PatternMissError";
+      } catch (const si::linalg::PatternMissError& miss) {
+        EXPECT_EQ(miss.row(), row) << what;
+        EXPECT_EQ(miss.col(), col) << what;
+      }
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 
 #include "erc/check.hpp"
@@ -319,6 +320,55 @@ TEST(VerifyTiming, SubSampleOverlapIsMeasuredExactly) {
   EXPECT_LT(rep.overlap, 1e-12);
 }
 
+/// Every field of two resolved phases agrees, interval ends bit for bit.
+void expect_same_phase(const verify::SwitchPhase& got,
+                       const verify::SwitchPhase& want) {
+  const std::string name = want.sw->name();
+  EXPECT_EQ(got.sw, want.sw) << name;
+  EXPECT_EQ(got.period, want.period) << name;
+  EXPECT_EQ(got.always_on, want.always_on) << name;
+  EXPECT_EQ(got.always_off, want.always_off) << name;
+  ASSERT_EQ(got.on.size(), want.on.size()) << name;
+  for (std::size_t i = 0; i < want.on.size(); ++i) {
+    EXPECT_EQ(got.on[i].begin, want.on[i].begin) << name << " span " << i;
+    EXPECT_EQ(got.on[i].end, want.on[i].end) << name << " span " << i;
+  }
+}
+
+TEST(VerifyTiming, PhaseResolverSharesOnlyIdenticalPulseClocks) {
+  // Equal pulse parameters at an equal threshold share one resolution;
+  // a different delay, a different threshold or a non-pulse control
+  // each resolve on their own.  Every result equals switch_phase().
+  Circuit c;
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  const spice::TwoPhaseClock clk{1e-6, 3.3, 0.0, 10e-9, 20e-9};
+  auto pulse = [](double delay) {
+    return std::make_unique<spice::PulseWave>(0.0, 3.3, delay, 10e-9, 10e-9,
+                                              460e-9, 1e-6);
+  };
+  c.add<spice::Switch>("s1", a, b, clk.phase1(), 1e3, 1e12);
+  c.add<spice::Switch>("s1_twin", a, b, clk.phase1(), 1e3, 1e12);
+  c.add<spice::Switch>("s2", a, b, clk.phase2(), 1e3, 1e12);
+  c.add<spice::Switch>("p20", a, b, pulse(20e-9), 1e3, 1e12);
+  c.add<spice::Switch>("p20_twin", a, b, pulse(20e-9), 1e3, 1e12);
+  c.add<spice::Switch>("p21", a, b, pulse(21e-9), 1e3, 1e12);
+  c.add<spice::Switch>("p20_hi", a, b, pulse(20e-9), 1e3, 1e12, 1.5);
+  c.add<spice::Switch>("sine", a, b,
+                       std::make_unique<spice::SineWave>(0.0, 1.0, 1e6),
+                       1e3, 1e12);
+  c.add<spice::Switch>("sine_twin", a, b,
+                       std::make_unique<spice::SineWave>(0.0, 1.0, 1e6),
+                       1e3, 1e12);
+  verify::PhaseResolver resolve;
+  for (const auto& e : c.elements()) {
+    const auto& sw = dynamic_cast<const spice::Switch&>(*e);
+    expect_same_phase(resolve(sw), verify::switch_phase(sw));
+  }
+  // s1 + twin, s2, p20 + twin, p21, p20_hi, and each sine.
+  EXPECT_EQ(resolve.resolutions(), 7u);
+}
+
 // ---------------------------------------------------------------------
 // Robustness and telemetry
 // ---------------------------------------------------------------------
@@ -377,6 +427,31 @@ TEST(Verify, WitnessEvaluationsGrowLinearlyWithSections) {
   EXPECT_GE(per6, 1.0);
   EXPECT_LE(per12, 2.5 * per6) << "per corner: " << per6 << " at 6 sections, "
                                << per12 << " at 12";
+}
+
+TEST(Verify, EightSectionCoreResolvesTwoClockPatterns) {
+  // Every switch of the modulator core runs on TwoPhaseClock::phase1()
+  // or phase2() at threshold 0.5: verify's clock model and ERC's
+  // sampling-switch check each resolve those 2 patterns once, not once
+  // per switch.
+  const Circuit c = modulator_core(8);
+  obs::set_enabled(true);
+#if SI_OBS_ENABLED
+  obs::Counter& resolutions = obs::counter("verify.phase_resolutions");
+  const auto before_verify = resolutions.value();
+#endif
+  const verify::VerifyResult r = verify::analyze(c);
+#if SI_OBS_ENABLED
+  EXPECT_EQ(resolutions.value() - before_verify, 2u);
+  const auto before_erc = resolutions.value();
+#endif
+  (void)erc::check(c);
+#if SI_OBS_ENABLED
+  EXPECT_EQ(resolutions.value() - before_erc, 2u);
+#endif
+  obs::set_enabled(false);
+  EXPECT_EQ(r.stats.phase_resolutions, 2u);
+  EXPECT_EQ(r.stats.switches, 94u);
 }
 
 TEST(Verify, TelemetryCountersRecorded) {
