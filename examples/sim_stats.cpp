@@ -15,8 +15,7 @@
 // ("--stages=2x", "--engine=evnt") exits 2 naming the accepted values.
 // Exit status 1 means a run stamped outside a discovered sparsity
 // pattern (mna.pattern_misses), or — under the event engine — that
-// partitioning degraded: the circuit collapsed into a single block, or
-// a scoped solve failed to converge and forced a full activation.
+// partitioning degraded: the circuit collapsed into a single block.
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -222,22 +221,15 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(misses));
     return 1;
   }
-  if (event_engine) {
+  if (event_engine && (dl.blocks <= 2 || mod.blocks <= 2)) {
     // Degraded partitioning: the paper's workloads split into many
     // switch-separated blocks — a collapse to a single block (beyond
-    // the rail block) or a forced full activation after a scoped
-    // convergence failure means latency exploitation is not working.
-    const std::uint64_t full_activations =
-        si::obs::counter("event.full_activations").value();
-    if (dl.blocks <= 2 || mod.blocks <= 2 || full_activations > 0) {
-      std::fprintf(stderr,
-                   "sim_stats: degraded partitioning — blocks=%llu/%llu, "
-                   "event.full_activations=%llu\n",
-                   static_cast<unsigned long long>(dl.blocks),
-                   static_cast<unsigned long long>(mod.blocks),
-                   static_cast<unsigned long long>(full_activations));
-      return 1;
-    }
+    // the rail block) means latency exploitation is not working.
+    std::fprintf(stderr,
+                 "sim_stats: degraded partitioning — blocks=%llu/%llu\n",
+                 static_cast<unsigned long long>(dl.blocks),
+                 static_cast<unsigned long long>(mod.blocks));
+    return 1;
   }
   return 0;
 }

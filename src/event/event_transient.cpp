@@ -7,7 +7,6 @@
 
 namespace si::event {
 
-using spice::SolutionView;
 using spice::StampContext;
 using spice::TransientResult;
 
@@ -22,7 +21,6 @@ struct EventTelemetry {
   obs::Counter& block_solves = obs::counter("event.block_solves");
   obs::Counter& block_skips = obs::counter("event.block_skips");
   obs::Counter& steps_skipped = obs::counter("event.steps_skipped");
-  obs::Counter& full_activations = obs::counter("event.full_activations");
   obs::Histogram& active_blocks = obs::histogram("event.active_blocks");
 
   static EventTelemetry& get() {
@@ -35,11 +33,9 @@ struct EventTelemetry {
 
 EventScheduler::EventScheduler(spice::Circuit& c,
                                const spice::TransientOptions& opt)
-    : circuit_(&c),
-      opt_(&opt),
+    : opt_(&opt),
       partition_(partition_circuit(c)),
-      queue_(c, partition_, opt.t_stop),
-      scoped_(c, partition_) {
+      queue_(c, partition_, opt.t_stop) {
   EventTelemetry::get().runs.add();
   boundaries_.reserve(partition_.boundaries.size());
   for (const auto& b : partition_.boundaries)
@@ -57,8 +53,9 @@ EventScheduler::EventScheduler(spice::Circuit& c,
   x_prev_.assign(c.system_size(), 0.0);
 }
 
-void EventScheduler::advance(double t_prev, const StampContext& ctx,
-                             linalg::Vector& x, TransientResult& result) {
+bool EventScheduler::solves_step(double t_prev, const StampContext& ctx,
+                                 const linalg::Vector& x,
+                                 TransientResult& result) {
   EventTelemetry& tm = EventTelemetry::get();
   const std::size_t n_blocks = partition_.block_count();
 
@@ -109,25 +106,15 @@ void EventScheduler::advance(double t_prev, const StampContext& ctx,
     // Every block latent: hold the whole state, skip the solve.
     ++result.event_steps_skipped;
     tm.steps_skipped.add();
-    return;
+    return false;
   }
-
-  // 3. Scope-restricted solve.  On a convergence failure, retry once
-  // with every block active — the full system, bit-identical to the
-  // monolithic engine's — before giving up.
   x_prev_ = x;
-  try {
-    scoped_.newton(ctx, x, opt_->newton, active_);
-  } catch (const spice::ConvergenceError&) {
-    std::fill(active_.begin(), active_.end(), 1);
-    std::fill(settle_.begin(), settle_.end(), 0);
-    tm.full_activations.add();
-    x = x_prev_;
-    scoped_.newton(ctx, x, opt_->newton, active_);
-  }
-  scoped_.accept_scope(active_, SolutionView(*circuit_, x), ctx);
+  return true;
+}
 
-  // 4. Quiescence detection: the largest per-step change over each
+void EventScheduler::latch_quiescent(const linalg::Vector& x) {
+  const std::size_t n_blocks = partition_.block_count();
+  // Quiescence detection: the largest per-step change over each
   // active block's unknowns, held below tolerance for
   // event_settle_steps consecutive solved steps, sends it latent.
   std::fill(block_delta_.begin(), block_delta_.end(), 0.0);

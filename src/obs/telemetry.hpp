@@ -2,8 +2,7 @@
 // and Histograms plus a preallocated TraceSpan event ring, wired into
 // the MNA engines, the transient engines and the runtime pool so the
 // self-healing mechanisms (pattern misses, pivot re-pivot, gmin
-// ladders, event-engine full activations) are counted instead of
-// recovering silently.
+// ladders) are counted instead of recovering silently.
 //
 // Overhead contract:
 //  - compile-time kill switch: building with SI_OBS=OFF defines

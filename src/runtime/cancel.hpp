@@ -3,13 +3,13 @@
 // A CancelToken is an atomic cancel flag plus an optional steady-clock
 // deadline.  The owner (the job server, a CLI watchdog, a test) arms
 // it; the solver loops call checkpoint() at their natural iteration
-// boundaries — once per Newton iteration in MnaEngine::newton and
-// ScopedMnaEngine::newton, which bounds the reaction latency of a DC,
-// transient, or Monte-Carlo job to a single Newton iteration.
-// checkpoint() throws CancelledError, which is NOT a ConvergenceError:
-// the gmin-stepping ladder and the event engine's full-activation retry
-// only swallow ConvergenceError, so a cancellation always unwinds out
-// of the analysis instead of being retried at a different gmin.
+// boundaries — once per Newton iteration in MnaEngine::newton, the one
+// Newton loop every DC, transient (either engine) and Monte-Carlo solve
+// runs, which bounds the reaction latency of a job to a single Newton
+// iteration.  checkpoint() throws CancelledError, which is NOT a
+// ConvergenceError: the gmin-stepping ladder only swallows
+// ConvergenceError, so a cancellation always unwinds out of the
+// analysis instead of being retried at a different gmin.
 //
 // Header-only so si_spice can take a `const CancelToken*` in
 // NewtonOptions without linking si_runtime.

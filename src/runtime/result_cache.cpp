@@ -2,11 +2,6 @@
 
 namespace si::runtime {
 
-ResultCache<double>& scalar_cache() {
-  static ResultCache<double> cache(4096);
-  return cache;
-}
-
 ResultCache<std::vector<double>>& series_cache() {
   static ResultCache<std::vector<double>> cache(256);
   return cache;

@@ -170,8 +170,7 @@ class ResultCache {
   CacheStats stats_;
 };
 
-/// Shared process-wide caches for the two common result shapes.
-ResultCache<double>& scalar_cache();
+/// Shared process-wide cache for series results.
 ResultCache<std::vector<double>>& series_cache();
 
 }  // namespace si::runtime

@@ -205,16 +205,6 @@ Json run_mc(const JobRequest& r, spice::Circuit c,
 
 }  // namespace
 
-const char* analysis_name(Analysis a) {
-  switch (a) {
-    case Analysis::kAuto: return "auto";
-    case Analysis::kOp: return "op";
-    case Analysis::kTran: return "tran";
-    case Analysis::kMc: return "mc";
-  }
-  return "?";
-}
-
 JobRequest parse_request(const Json& request) {
   if (!request.is_object()) bad_request("request must be a JSON object");
   JobRequest r;

@@ -42,8 +42,6 @@ namespace si::serve {
 
 enum class Analysis { kAuto, kOp, kTran, kMc };
 
-const char* analysis_name(Analysis a);
-
 /// One validated job request.
 struct JobRequest {
   std::string id;

@@ -9,12 +9,6 @@
 
 namespace si::spice {
 
-int newton_solve(Circuit& c, const StampContext& ctx, linalg::Vector& x,
-                 const NewtonOptions& opt, double extra_gdiag) {
-  MnaEngine engine(c);
-  return engine.newton(ctx, x, opt, extra_gdiag);
-}
-
 DcResult dc_operating_point(Circuit& c, MnaEngine& engine,
                             const DcOptions& opt,
                             const linalg::Vector* warm_start) {

@@ -66,17 +66,6 @@ DcResult dc_operating_point(Circuit& c, MnaEngine& engine,
                             const DcOptions& opt,
                             const linalg::Vector* warm_start = nullptr);
 
-/// One damped Newton solve at a fixed context; used by DC and transient.
-/// `extra_gdiag` adds a conductance from every node to ground (gmin
-/// stepping / transient never needs it, pass 0).  Returns iterations
-/// used; throws ConvergenceError if not converged.
-///
-/// Convenience wrapper that builds a throwaway MnaEngine; hot loops
-/// should hold an engine and call MnaEngine::newton directly so the
-/// sparsity pattern, symbolic factorization, and workspaces are reused.
-int newton_solve(Circuit& c, const StampContext& ctx, linalg::Vector& x,
-                 const NewtonOptions& opt, double extra_gdiag = 0.0);
-
 /// Sweeps a user-controlled parameter: `set_point(value)` mutates the
 /// circuit (e.g. a source level), then the operating point is solved and
 /// `measure` is evaluated.  Returns one measurement per sweep value.

@@ -61,8 +61,7 @@ void RealStamper::branch_voltage_row(int branch, NodeId p, NodeId m) {
 }
 
 void RealStamper::branch_rhs(int branch, double v) {
-  const int row = branch_index(branch);
-  if (row_in_scope(row)) (*b_)[static_cast<std::size_t>(row)] += v;
+  (*b_)[static_cast<std::size_t>(branch_index(branch))] += v;
 }
 
 void RealStamper::branch_row_entry(int branch, NodeId n, double coeff) {

@@ -70,10 +70,9 @@ class SolutionView {
 ///    during the engine's one-time discovery pass (values discarded).
 ///
 /// The per-entry write path is defined here so it compiles into every
-/// device's stamp (DESIGN.md, "Stamp-partition contract"): add() tests
-/// the event engine's scope, then writes through the sparse slot memo
-/// or into the dense matrix, and calls out of line only for the
-/// recorder.
+/// device's stamp (DESIGN.md, "Stamp-partition contract"): add() writes
+/// through the sparse slot memo or into the dense matrix, and calls out
+/// of line only for the recorder.
 class RealStamper {
  public:
   RealStamper(const Circuit& c, linalg::Matrix& a, linalg::Vector& b,
@@ -82,14 +81,6 @@ class RealStamper {
               const linalg::Vector& x, linalg::SlotMemo* memo = nullptr);
   RealStamper(const Circuit& c, linalg::PatternBuilder& rec,
               linalg::Vector& b, const linalg::Vector& x);
-
-  /// Restricts stamping to the unknowns with scope[i] != 0 (size must
-  /// equal the MNA system size; must outlive the stamper).  Rows outside
-  /// the scope are dropped — their equations are frozen by the caller —
-  /// and out-of-scope columns are condensed onto the RHS through the
-  /// held iterate (b[r] -= a_rc * x[c]): the exact Dirichlet restriction
-  /// of the monolithic system used by the event engine's block solves.
-  void set_scope(const std::vector<unsigned char>* scope) { scope_ = scope; }
 
   /// Voltage of node `n` in the current Newton iterate.
   double voltage(NodeId n) const {
@@ -130,10 +121,8 @@ class RealStamper {
   void current(NodeId p, NodeId m, double i) {
     const int ip = node_index(p);
     const int im = node_index(m);
-    if (ip >= 0 && row_in_scope(ip))
-      (*b_)[static_cast<std::size_t>(ip)] -= i;
-    if (im >= 0 && row_in_scope(im))
-      (*b_)[static_cast<std::size_t>(im)] += i;
+    if (ip >= 0) (*b_)[static_cast<std::size_t>(ip)] -= i;
+    if (im >= 0) (*b_)[static_cast<std::size_t>(im)] += i;
   }
 
   // Branch-row helpers (voltage-defined elements).
@@ -146,20 +135,7 @@ class RealStamper {
  private:
   int node_index(NodeId n) const { return n - 1; }  // -1 for ground
   int branch_index(int branch) const { return branch_base_ + branch; }
-  bool row_in_scope(int r) const {
-    return !scope_ || (*scope_)[static_cast<std::size_t>(r)] != 0;
-  }
   void add(int r, int c, double v) {
-    if (scope_) {
-      if (!(*scope_)[static_cast<std::size_t>(r)]) return;  // frozen equation
-      if (!(*scope_)[static_cast<std::size_t>(c)]) {
-        // Out-of-scope column: the unknown is held at its last solved
-        // value, so its contribution is a known current — condense it.
-        (*b_)[static_cast<std::size_t>(r)] -=
-            v * (*x_)[static_cast<std::size_t>(c)];
-        return;
-      }
-    }
     if (sparse_) {
       sparse_->add(r, c, v, memo_);
     } else if (dense_) {
@@ -177,7 +153,6 @@ class RealStamper {
   linalg::SparseMatrixD* sparse_ = nullptr;
   linalg::PatternBuilder* record_ = nullptr;
   linalg::SlotMemo* memo_ = nullptr;
-  const std::vector<unsigned char>* scope_ = nullptr;
   linalg::Vector* b_;
   const linalg::Vector* x_;
 };

@@ -33,19 +33,6 @@ struct MnaTelemetry {
 
 }  // namespace
 
-MnaStats& MnaStats::operator+=(const MnaStats& o) {
-  pattern_builds += o.pattern_builds;
-  symbolic_factors += o.symbolic_factors;
-  numeric_refactors += o.numeric_refactors;
-  dense_factors += o.dense_factors;
-  base_stamps += o.base_stamps;
-  nonlinear_stamps += o.nonlinear_stamps;
-  workspace_allocs += o.workspace_allocs;
-  pivot_repivots += o.pivot_repivots;
-  pattern_misses += o.pattern_misses;
-  return *this;
-}
-
 // ------------------------------------------------------------ MnaSystem
 
 template <typename T>
@@ -62,8 +49,7 @@ void MnaSystem<T>::resize(std::size_t n) {
 template <typename T>
 void MnaSystem<T>::reset(const Circuit& c, const StampContext& ctx,
                          const std::vector<Element*>& linear,
-                         const std::vector<Element*>& nonlinear,
-                         const std::vector<unsigned char>* scope)
+                         const std::vector<Element*>& nonlinear)
   requires std::is_same_v<T, double>
 {
   const std::size_t n = c.system_size();
@@ -72,14 +58,11 @@ void MnaSystem<T>::reset(const Circuit& c, const StampContext& ctx,
   if (!sparse_) return;
   // Discovery pass: record every (row, col) an element can touch, under
   // both analysis modes.  The builder symmetrizes, which also covers the
-  // MOSFET drain/source orientation swap; a scoped stamper records only
-  // in-scope coordinates (frozen rows keep just their diagonal, which
-  // the builder always includes).
+  // MOSFET drain/source orientation swap.
   linalg::PatternBuilder rec(static_cast<int>(n));
   linalg::Vector scratch_b(n, 0.0);
   linalg::Vector scratch_x(n, 0.0);
   RealStamper r(c, rec, scratch_b, scratch_x);
-  r.set_scope(scope);
   StampContext probe = ctx;
   probe.mode = AnalysisMode::kDcOperatingPoint;
   for (Element* e : linear) e->stamp(r, probe);
@@ -110,11 +93,10 @@ template <typename T>
 void MnaSystem<T>::adopt_pattern(const linalg::PatternBuilder& rec) {
   pattern_ = rec.build(/*symmetrize=*/true);
   ++stats_.pattern_builds;
-  if (report_) MnaTelemetry::get().pattern_builds.add();
+  MnaTelemetry::get().pattern_builds.add();
   a0_sparse_ = linalg::SparseMatrix<T>(pattern_);
   a_sparse_ = linalg::SparseMatrix<T>(pattern_);
   lin_memo_ = linalg::SlotMemo();
-  nl_memo_ = linalg::SlotMemo();
   lu_ = linalg::SparseLu<T>();  // drop the stale symbolic factorization
   lu_warm_ = false;
 }
@@ -186,16 +168,8 @@ T& MnaSystem<T>::baseline_diagonal(std::size_t i) {
 }
 
 template <typename T>
-void MnaSystem<T>::add_diagonal(std::size_t count, T g,
-                                const std::vector<unsigned char>* scope) {
-  for (std::size_t i = 0; i < count; ++i)
-    if (!scope || (*scope)[i]) baseline_diagonal(i) += g;
-}
-
-template <typename T>
-void MnaSystem<T>::freeze_rows(const std::vector<unsigned char>& scope) {
-  for (std::size_t r = 0; r < scope.size(); ++r)
-    if (!scope[r]) baseline_diagonal(r) = T{1};
+void MnaSystem<T>::add_diagonal(std::size_t count, T g) {
+  for (std::size_t i = 0; i < count; ++i) baseline_diagonal(i) += g;
 }
 
 template <typename T>
@@ -203,7 +177,7 @@ void MnaSystem<T>::factor() {
   MnaTelemetry& tm = MnaTelemetry::get();
   if (!sparse_) {
     ++stats_.dense_factors;
-    if (report_) tm.dense_factors.add();
+    tm.dense_factors.add();
     linalg::lu_factor_in_place(a_dense_, perm_);
     return;
   }
@@ -211,23 +185,21 @@ void MnaSystem<T>::factor() {
     lu_.factor(a_sparse_);
     lu_warm_ = true;
     ++stats_.symbolic_factors;
-    if (report_) tm.symbolic_factors.add();
+    tm.symbolic_factors.add();
     return;
   }
   try {
     lu_.refactor(a_sparse_);
     ++stats_.numeric_refactors;
-    if (report_) tm.numeric_refactors.add();
+    tm.numeric_refactors.add();
   } catch (const linalg::PivotDriftError&) {
     // Operating point drifted past the frozen pivot choice: redo the
     // pivoting factorization once and carry on with the new order.
     lu_.factor(a_sparse_);
     ++stats_.symbolic_factors;
     ++stats_.pivot_repivots;
-    if (report_) {
-      tm.symbolic_factors.add();
-      tm.pivot_repivots.add();
-    }
+    tm.symbolic_factors.add();
+    tm.pivot_repivots.add();
   }
 }
 
@@ -242,6 +214,11 @@ void MnaSystem<T>::solve(const std::vector<T>& b, std::vector<T>& x) const {
 template class MnaSystem<double>;
 template class MnaSystem<std::complex<double>>;
 
+namespace {
+
+/// The damped Newton update: x += x_new - x, with the `n_nodes`
+/// node-voltage updates clamped to ±opt.max_step.  Returns true when
+/// every node update was within v_abstol + v_reltol·|x| before clamping.
 bool damped_newton_update(linalg::Vector& x, const linalg::Vector& x_new,
                           std::size_t n_nodes, const NewtonOptions& opt) {
   // Clamp per-node voltage updates to avoid overshooting the square-law
@@ -258,6 +235,8 @@ bool damped_newton_update(linalg::Vector& x, const linalg::Vector& x_new,
   }
   return converged;
 }
+
+}  // namespace
 
 // ------------------------------------------------------------ MnaEngine
 
@@ -356,8 +335,11 @@ void AcEngine::assemble(double omega) {
   while (true) {
     b_.assign(c.system_size(), std::complex<double>{});
     try {
-      ComplexStamper s = system_.iteration_stamper(c, b_);
-      for (const auto& e : c.elements()) e->stamp_ac(s, omega);
+      {
+        ComplexStamper s = system_.baseline_stamper(c, b_);
+        for (const auto& e : c.elements()) e->stamp_ac(s, omega);
+      }
+      system_.load_iteration();
       system_.factor();
       return;
     } catch (const linalg::PatternMissError& miss) {

@@ -3,11 +3,12 @@
 // MnaSystem owns the matrix representation — dense below
 // kSparseAutoThreshold unknowns, CSR + SparseLu at or above, decided
 // here and nowhere else — together with everything that differs between
-// the two: pattern discovery, the baseline and iteration matrices and
-// their slot memos, factor / refactor / re-pivot / solve, and recovery
-// from a stamp outside the discovered pattern.  The engines (MnaEngine,
-// AcEngine, event::ScopedMnaEngine) keep the element lists, the RHS and
-// the Newton loop, and never branch on the representation.
+// the two: pattern discovery, the baseline and iteration matrices, the
+// baseline slot memo, factor / refactor / re-pivot / solve, and recovery
+// from a stamp outside the discovered pattern.  The two engines
+// (MnaEngine, which every DC, transient and Monte-Carlo solve runs on,
+// and AcEngine) keep the element lists, the RHS and the Newton loop,
+// and never branch on the representation.
 //
 // Stamp-partition contract (see DESIGN.md): elements whose stamp values
 // are fixed for one solve context — everything except devices reporting
@@ -49,21 +50,19 @@ struct MnaStats {
   std::uint64_t workspace_allocs = 0;   ///< workspace (re)allocations
   std::uint64_t pivot_repivots = 0;     ///< refactors rescued by re-pivoting
   std::uint64_t pattern_misses = 0;     ///< stamps outside the pattern
-
-  MnaStats& operator+=(const MnaStats& o);
 };
 
-/// The MNA matrix of one topology (or one event-engine scope) in the
-/// representation its size calls for.
+/// The MNA matrix of one topology in the representation its size calls
+/// for.
 ///
 /// Assembly follows the stamp-partition contract: baseline_stamper()
 /// zeros the baseline and returns a stamper writing into it;
-/// load_iteration() copies the baseline into the iteration matrix, and
-/// either stamp_bound() restamps the bound MOSFETs on top of it or
-/// iteration_stamper() returns a stamper writing on top; factor() and
-/// solve() then work on the iteration matrix.  Stampers write straight
-/// into the dense matrix or, when sparse, through the matching slot
-/// memo.
+/// load_iteration() copies the baseline into the iteration matrix and
+/// stamp_bound() restamps the bound MOSFETs on top of it; factor() and
+/// solve() then work on the iteration matrix.  The baseline stamper
+/// writes straight into the dense matrix or, when sparse, through the
+/// baseline slot memo.  AcEngine stamps every element into the baseline
+/// and factors it as loaded.
 ///
 /// A sparse stamp outside the pattern throws linalg::PatternMissError;
 /// the caller hands it to add_to_pattern() and restarts its assembly.
@@ -75,21 +74,13 @@ class MnaSystem {
   using Stamper = std::conditional_t<std::is_same_v<T, double>, RealStamper,
                                      ComplexStamper>;
 
-  /// `report` also feeds the process-wide mna.* work counters (pattern
-  /// builds, factors, refactors, re-pivots); the event engine's
-  /// per-scope systems count in stats() only.  Pattern misses always
-  /// reach mna.pattern_misses.
-  explicit MnaSystem(bool report = true) : report_(report) {}
-
   /// Sizes the system for `c` and picks the representation.  A sparse
   /// system discovers its pattern by stamping `linear` and `nonlinear`
-  /// (restricted to `scope` when given) under both analysis modes: the
-  /// same topology stamps different coordinate sets per mode (capacitor
-  /// companions vanish at DC).
+  /// under both analysis modes: the same topology stamps different
+  /// coordinate sets per mode (capacitor companions vanish at DC).
   void reset(const Circuit& c, const StampContext& ctx,
              const std::vector<Element*>& linear,
-             const std::vector<Element*>& nonlinear,
-             const std::vector<unsigned char>* scope = nullptr)
+             const std::vector<Element*>& nonlinear)
     requires std::is_same_v<T, double>;
 
   /// Small-signal variant: discovers with every element's AC stamp at
@@ -123,14 +114,9 @@ class MnaSystem {
     return Stamper(c, a0_sparse_, args..., &lin_memo_);
   }
 
-  /// Adds `g` to the baseline diagonal of rows [0, count), skipping rows
-  /// with scope[i] == 0 when `scope` is given (the gmin leak).
-  void add_diagonal(std::size_t count, T g,
-                    const std::vector<unsigned char>* scope = nullptr);
-
-  /// Makes every baseline row with scope[r] == 0 an identity row
-  /// (A[r,r] = 1): the held unknowns of an event-engine scope.
-  void freeze_rows(const std::vector<unsigned char>& scope);
+  /// Adds `g` to the baseline diagonal of rows [0, count) (the gmin
+  /// leak).
+  void add_diagonal(std::size_t count, T g);
 
   /// Copies the baseline into the iteration matrix and returns its
   /// values: row-major when dense, in pattern slot order when sparse.
@@ -156,16 +142,6 @@ class MnaSystem {
     }
   }
 
-  /// load_iteration(), then a stamper writing on top of the iteration
-  /// matrix: the event engine's scoped solves and AC.
-  template <typename... Args>
-  Stamper iteration_stamper(const Circuit& c, Args&... args) {
-    load_iteration();
-    if (!sparse_) return Stamper(c, a_dense_, args...);
-    nl_memo_.start_replay();
-    return Stamper(c, a_sparse_, args..., &nl_memo_);
-  }
-
   /// Factors the iteration matrix: dense LU, or the sparse pivoting
   /// factor once per pattern and numeric refactors after it, re-pivoting
   /// when a frozen pivot drifts.  Throws linalg::SingularMatrixError.
@@ -188,7 +164,6 @@ class MnaSystem {
   void resolve_bound();
   T& baseline_diagonal(std::size_t i);
 
-  bool report_;
   bool sparse_ = false;
   MnaStats stats_;
 
@@ -201,22 +176,14 @@ class MnaSystem {
   std::shared_ptr<const linalg::SparsePattern> pattern_;
   linalg::SparseMatrix<T> a0_sparse_;
   linalg::SparseMatrix<T> a_sparse_;
-  // Slot memos: start_replay() on an empty memo records, so the first
-  // pass after a (re)build fills it and later passes replay it.
-  linalg::SlotMemo lin_memo_;  // baseline stamp slots
-  linalg::SlotMemo nl_memo_;   // iteration_stamper() restamp slots
+  // Baseline stamp slots: start_replay() on an empty memo records, so
+  // the first pass after a (re)build fills it and later passes replay it.
+  linalg::SlotMemo lin_memo_;
   linalg::SparseLu<T> lu_;
   bool lu_warm_ = false;
 
   std::vector<BoundMosfet> bound_;  // stamp_bound()'s devices and slots
 };
-
-/// The damped Newton update shared by MnaEngine and the event engine's
-/// scoped solves: x += x_new - x, with the `n_nodes` node-voltage
-/// updates clamped to ±opt.max_step.  Returns true when every node
-/// update was within v_abstol + v_reltol·|x| before clamping.
-bool damped_newton_update(linalg::Vector& x, const linalg::Vector& x_new,
-                          std::size_t n_nodes, const NewtonOptions& opt);
 
 /// Real-valued MNA engine: damped Newton solves for DC and transient.
 ///
@@ -228,11 +195,11 @@ class MnaEngine {
  public:
   explicit MnaEngine(Circuit& c) : circuit_(&c) {}
 
-  /// One damped Newton solve at a fixed context.  Identical contract to
-  /// the free newton_solve(): seeds from `x` (resized/zeroed if the
-  /// dimension is wrong), returns iterations used, throws
-  /// ConvergenceError on failure.  `extra_gdiag` adds a conductance
-  /// from every node to ground on top of opt.gmin (gmin stepping).
+  /// One damped Newton solve at a fixed context: seeds from `x`
+  /// (resized/zeroed if the dimension is wrong), returns iterations
+  /// used, throws ConvergenceError on failure.  `extra_gdiag` adds a
+  /// conductance from every node to ground on top of opt.gmin (gmin
+  /// stepping).
   int newton(const StampContext& ctx, linalg::Vector& x,
              const NewtonOptions& opt, double extra_gdiag = 0.0);
 

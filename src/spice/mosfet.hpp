@@ -35,7 +35,7 @@ struct MosfetSlots {
 /// The per-iteration writer of one bound MOSFET: RealStamper's helpers,
 /// addressed by terminal index (0 drain, 1 gate, 2 source, 3 bulk)
 /// instead of by node, adding straight into the iteration values through
-/// the device's slots.  No scope, no memo, no representation branch.
+/// the device's slots.  No memo, no representation branch.
 /// Mosfet stamps both writers from one template, so both make the same
 /// adds in the same order (DESIGN.md, "Stamp-partition contract").
 class SlotStamper {

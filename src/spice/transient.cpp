@@ -15,9 +15,10 @@ namespace si::spice {
 
 namespace {
 
-/// Monolithic-engine telemetry handles, hoisted once so the step loop
-/// records through preallocated atomics only (event runs count under
-/// event.*).
+/// Transient telemetry handles, hoisted once so the step loop records
+/// through preallocated atomics only.  Every solved step counts in
+/// steps_accepted, on either engine; runs counts monolithic runs (event
+/// runs count under event.*).
 struct TransientTelemetry {
   obs::Counter& steps_accepted = obs::counter("transient.steps_accepted");
   obs::Counter& runs = obs::counter("transient.runs");
@@ -122,8 +123,9 @@ TransientResult Transient::run(
   // One engine for the whole run (DC operating point included): the
   // sparsity pattern, symbolic factorization, stamp-slot memos, and
   // solve workspaces are built once and reused — the time loop
-  // allocates nothing.  An event run takes its DC start from the same
-  // engine, so both engines step from exactly the same state.
+  // allocates nothing.  An event run solves its DC start and every step
+  // it does not skip on the same engine, so a solved step is the
+  // monolithic solve.
   MnaEngine engine(c);
   std::optional<event::EventScheduler> scheduler;
   if (event_engine) scheduler.emplace(c, opt_);
@@ -203,12 +205,13 @@ TransientResult Transient::run(
     if (last && remainder > 0.0) ctx.dt = remainder;  // exact final step
     const double t_prev = ctx.time;
     ctx.time = last ? opt_.t_stop : static_cast<double>(k) * opt_.dt;
-    if (scheduler) {
-      scheduler->advance(t_prev, ctx, x, result);
-    } else {
+    // The event scheduler skips a step only when every block is
+    // latent; the state and every companion history then hold.
+    if (!scheduler || scheduler->solves_step(t_prev, ctx, x, result)) {
       engine.newton(ctx, x, opt_.newton);
       for (const auto& e : c.elements()) e->accept(sol, ctx);
       tm.steps_accepted.add();
+      if (scheduler) scheduler->latch_quiescent(x);
     }
     record(ctx.time);
     ++result.steps_accepted;

@@ -20,8 +20,9 @@ namespace si::spice {
 /// calls.
 enum class TransientEngine {
   kMonolithic,  ///< full-circuit Newton solve at every step (the default)
-  kEvent,       ///< event-driven multi-rate engine (src/event): partitions
-                ///< the circuit at switch boundaries and skips latent blocks
+  kEvent,       ///< event-driven engine (src/event): partitions the
+                ///< circuit at switch boundaries and skips the steps on
+                ///< which every block is latent
 };
 
 struct TransientOptions {
@@ -34,9 +35,9 @@ struct TransientOptions {
   /// throw erc::ErcError on error-severity findings (see DcOptions).
   bool erc_gate = true;
 
-  /// Engine selection (see TransientEngine).  The event engine produces
-  /// waveforms %.6g-identical to the monolithic one on the parity suites
-  /// while skipping Newton solves for latent blocks.
+  /// Engine selection (see TransientEngine).  A step the event engine
+  /// solves is the monolithic solve; it differs from the monolithic
+  /// waveform only by the holds of the whole steps it skips.
   TransientEngine engine = TransientEngine::kMonolithic;
   /// Event engine: a stimulus counts as changed when its sampled value
   /// moved more than this since the attached block's last solve [V or A].

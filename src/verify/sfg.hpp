@@ -34,12 +34,6 @@ struct Sfg {
   /// is_feedback[n]: node n belongs to an SCC with more than one node
   /// (a feedback loop) — a widening point for the fixpoint engine.
   std::vector<unsigned char> is_feedback;
-
-  std::size_t feedback_nodes() const {
-    std::size_t n = 0;
-    for (const unsigned char f : is_feedback) n += f;
-    return n;
-  }
 };
 
 /// Extracts the signal-flow graph of `c`.  Edge directions encode DC

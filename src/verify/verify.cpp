@@ -180,67 +180,63 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {
     const double vt_p0 = P.mp->params().vt0;
 
     // --- si.supply-floor-worstcase (Eqs. (1)-(2)) ------------------
-    if (opt.check_supply_floor) {
-      const Interval screen = P.vdd - P.vt_n - P.vt_p -
-                              Interval::point(2.0 * min_ov);
-      if (screen.is_empty() || screen.lo < 0.0) {
-        Corner corner;
-        const auto vars = standard_vars(opt.abs, {});
-        const double m = corner_search(
-            vars, corner, evals, [&](const Corner& cr) {
-              return P.rail_nominal * cr.vdd_scale - (vt_n0 + cr.vt_n_shift) -
-                     (vt_p0 + cr.vt_p_shift) - 2.0 * min_ov;
-            });
-        if (m < 0.0) {
-          Finding f;
-          f.rule = "si.supply-floor-worstcase";
-          f.element = pair_label(P);
-          f.margin = m;
-          f.witness = witness_of(corner, P);
-          f.message = "supply floor violated at a tolerance corner: Vdd=" +
-                      fmt(P.rail_nominal * corner.vdd_scale) +
-                      " V < Vtn+Vtp+2*Vov_min=" +
-                      fmt(vt_n0 + corner.vt_n_shift + vt_p0 +
-                          corner.vt_p_shift + 2.0 * min_ov) +
-                      " V (Eqs. (1)-(2)); " + witness_text(f.witness);
-          f.fix = "raise the supply or use lower-Vt memory devices";
-          out.findings.push_back(std::move(f));
-        }
+    const Interval screen = P.vdd - P.vt_n - P.vt_p -
+                            Interval::point(2.0 * min_ov);
+    if (screen.is_empty() || screen.lo < 0.0) {
+      Corner corner;
+      const auto vars = standard_vars(opt.abs, {});
+      const double m = corner_search(
+          vars, corner, evals, [&](const Corner& cr) {
+            return P.rail_nominal * cr.vdd_scale - (vt_n0 + cr.vt_n_shift) -
+                   (vt_p0 + cr.vt_p_shift) - 2.0 * min_ov;
+          });
+      if (m < 0.0) {
+        Finding f;
+        f.rule = "si.supply-floor-worstcase";
+        f.element = pair_label(P);
+        f.margin = m;
+        f.witness = witness_of(corner, P);
+        f.message = "supply floor violated at a tolerance corner: Vdd=" +
+                    fmt(P.rail_nominal * corner.vdd_scale) +
+                    " V < Vtn+Vtp+2*Vov_min=" +
+                    fmt(vt_n0 + corner.vt_n_shift + vt_p0 +
+                        corner.vt_p_shift + 2.0 * min_ov) +
+                    " V (Eqs. (1)-(2)); " + witness_text(f.witness);
+        f.fix = "raise the supply or use lower-Vt memory devices";
+        out.findings.push_back(std::move(f));
       }
     }
 
     // --- si.overdrive-margin ---------------------------------------
-    if (opt.check_overdrive) {
-      const bool safe = !P.vov_n.is_empty() && !P.vov_p.is_empty() &&
-                        std::min(P.vov_n.lo, P.vov_p.lo) >= min_ov;
-      if (!safe) {
-        Corner corner;
-        const auto vars = standard_vars(opt.abs, P.source_deps);
-        const double m = corner_search(
-            vars, corner, evals, [&](const Corner& cr) {
-              const PairOp op = ai.eval_pair(ar, k, cr, &iin_evals);
-              if (!op.valid) return kInf;
-              return std::min(op.vov_n, op.vov_p) - min_ov;
-            });
-        if (m < 0.0 && std::isfinite(m)) {
-          const PairOp op = ai.eval_pair(ar, k, corner, &iin_evals);
-          Finding f;
-          f.rule = "si.overdrive-margin";
-          f.element = pair_label(P);
-          f.margin = m;
-          f.witness = witness_of(corner, P);
-          f.message = "sampling overdrive collapses at a tolerance corner: "
-                      "min(Vov_n, Vov_p)=" +
-                      fmt(std::min(op.vov_n, op.vov_p)) + " V < " +
-                      fmt(min_ov) + " V; " + witness_text(f.witness);
-          f.fix = "increase bias current or supply headroom";
-          out.findings.push_back(std::move(f));
-        }
+    const bool overdrive_safe = !P.vov_n.is_empty() && !P.vov_p.is_empty() &&
+                                std::min(P.vov_n.lo, P.vov_p.lo) >= min_ov;
+    if (!overdrive_safe) {
+      Corner corner;
+      const auto vars = standard_vars(opt.abs, P.source_deps);
+      const double m = corner_search(
+          vars, corner, evals, [&](const Corner& cr) {
+            const PairOp op = ai.eval_pair(ar, k, cr, &iin_evals);
+            if (!op.valid) return kInf;
+            return std::min(op.vov_n, op.vov_p) - min_ov;
+          });
+      if (m < 0.0 && std::isfinite(m)) {
+        const PairOp op = ai.eval_pair(ar, k, corner, &iin_evals);
+        Finding f;
+        f.rule = "si.overdrive-margin";
+        f.element = pair_label(P);
+        f.margin = m;
+        f.witness = witness_of(corner, P);
+        f.message = "sampling overdrive collapses at a tolerance corner: "
+                    "min(Vov_n, Vov_p)=" +
+                    fmt(std::min(op.vov_n, op.vov_p)) + " V < " +
+                    fmt(min_ov) + " V; " + witness_text(f.witness);
+        f.fix = "increase bias current or supply headroom";
+        out.findings.push_back(std::move(f));
       }
     }
 
     // --- si.region-violation ---------------------------------------
-    if (opt.check_region && !P.hold_segments.empty()) {
+    if (!P.hold_segments.empty()) {
       Interval v_hold = Interval::empty();
       for (const int s : P.hold_segments)
         v_hold = join(v_hold,
@@ -287,62 +283,58 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {
     }
 
     // --- si.range-overflow -----------------------------------------
-    if (opt.check_range) {
-      const Interval hull = ar.hull[static_cast<std::size_t>(P.drain)];
-      const bool safe = !hull.is_empty() && ar.rail_window.contains(hull);
-      if (!safe) {
-        Corner corner;
-        const auto vars = standard_vars(opt.abs, P.source_deps);
-        const double rail_margin = opt.abs.rail_margin;
-        const double m = corner_search(
-            vars, corner, evals, [&](const Corner& cr) {
-              const PairOp op = ai.eval_pair(ar, k, cr, &iin_evals);
-              if (!op.valid) return kInf;
-              const double lo_win = -rail_margin;
-              const double hi_win = op.vdd + rail_margin;
-              double margin = std::min(op.v_drain - lo_win,
-                                       hi_win - op.v_drain);
-              if (std::isfinite(op.v_drain_hold))
-                margin = std::min(
-                    margin, std::min(op.v_drain_hold - lo_win,
-                                     hi_win - op.v_drain_hold));
-              return margin;
-            });
-        if (m < 0.0 && std::isfinite(m)) {
-          const PairOp op = ai.eval_pair(ar, k, corner, &iin_evals);
-          Finding f;
-          f.rule = "si.range-overflow";
-          f.element = pair_label(P);
-          f.margin = m;
-          f.witness = witness_of(corner, P);
-          f.message = "signal range overflow: drain of " + pair_label(P) +
-                      " reaches " + fmt(op.v_drain) +
-                      " V, outside the rail window [" + fmt(-rail_margin) +
-                      ", " + fmt(op.vdd + rail_margin) + "] V; " +
-                      witness_text(f.witness);
-          f.fix = "reduce the input current amplitude or re-bias the pair";
-          out.findings.push_back(std::move(f));
-        }
+    const Interval hull = ar.hull[static_cast<std::size_t>(P.drain)];
+    const bool range_safe = !hull.is_empty() && ar.rail_window.contains(hull);
+    if (!range_safe) {
+      Corner corner;
+      const auto vars = standard_vars(opt.abs, P.source_deps);
+      const double rail_margin = opt.abs.rail_margin;
+      const double m = corner_search(
+          vars, corner, evals, [&](const Corner& cr) {
+            const PairOp op = ai.eval_pair(ar, k, cr, &iin_evals);
+            if (!op.valid) return kInf;
+            const double lo_win = -rail_margin;
+            const double hi_win = op.vdd + rail_margin;
+            double margin = std::min(op.v_drain - lo_win,
+                                     hi_win - op.v_drain);
+            if (std::isfinite(op.v_drain_hold))
+              margin = std::min(
+                  margin, std::min(op.v_drain_hold - lo_win,
+                                   hi_win - op.v_drain_hold));
+            return margin;
+          });
+      if (m < 0.0 && std::isfinite(m)) {
+        const PairOp op = ai.eval_pair(ar, k, corner, &iin_evals);
+        Finding f;
+        f.rule = "si.range-overflow";
+        f.element = pair_label(P);
+        f.margin = m;
+        f.witness = witness_of(corner, P);
+        f.message = "signal range overflow: drain of " + pair_label(P) +
+                    " reaches " + fmt(op.v_drain) +
+                    " V, outside the rail window [" + fmt(-rail_margin) +
+                    ", " + fmt(op.vdd + rail_margin) + "] V; " +
+                    witness_text(f.witness);
+        f.fix = "reduce the input current amplitude or re-bias the pair";
+        out.findings.push_back(std::move(f));
       }
     }
   }
 
   // --- exact clock-phase timing ------------------------------------
-  if (opt.check_clocks) {
-    const auto& sws = ar.switch_elements;
-    for (std::size_t i = 0; i < sws.size(); ++i)
-      for (std::size_t j = i + 1; j < sws.size(); ++j) {
-        const OverlapReport rep = phase_overlap(ar.phases[i], ar.phases[j]);
-        if (!std::isfinite(rep.margin) && rep.overlap == 0.0) continue;
-        out.timing.edges.push_back(
-            {sws[i]->name(), sws[j]->name(), rep.margin, rep.overlap});
-        if (rep.margin < out.timing.min_margin) {
-          out.timing.min_margin = rep.margin;
-          out.timing.worst_a = sws[i]->name();
-          out.timing.worst_b = sws[j]->name();
-        }
+  const auto& sws = ar.switch_elements;
+  for (std::size_t i = 0; i < sws.size(); ++i)
+    for (std::size_t j = i + 1; j < sws.size(); ++j) {
+      const OverlapReport rep = phase_overlap(ar.phases[i], ar.phases[j]);
+      if (!std::isfinite(rep.margin) && rep.overlap == 0.0) continue;
+      out.timing.edges.push_back(
+          {sws[i]->name(), sws[j]->name(), rep.margin, rep.overlap});
+      if (rep.margin < out.timing.min_margin) {
+        out.timing.min_margin = rep.margin;
+        out.timing.worst_a = sws[i]->name();
+        out.timing.worst_b = sws[j]->name();
       }
-  }
+    }
 
   out.stats.corners_evaluated = evals;
   out.stats.pair_current_evals = iin_evals;

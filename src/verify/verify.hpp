@@ -36,11 +36,6 @@ namespace si::verify {
 struct VerifyOptions {
   AbsOptions abs;               ///< tolerances and fixpoint policy
   double min_overdrive = 0.05;  ///< required gate overdrive [V]
-  bool check_supply_floor = true;
-  bool check_overdrive = true;
-  bool check_region = true;
-  bool check_range = true;
-  bool check_clocks = true;
 };
 
 /// One coordinate of a witness corner, e.g. {"vdd", 1.6856}.

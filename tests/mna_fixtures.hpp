@@ -78,11 +78,9 @@ class LatePathElement : public spice::Element {
 };
 
 /// A nonlinear element that bridges its nodes with 1 mS once v(a)
-/// exceeds `v_on` in the iterate it is stamped at.  Discovery runs at
-/// x = 0, so the first bridge stamp misses the pattern — in a Newton
-/// iteration after the first when the seed is below `v_on`.  Only the
-/// event engine's scoped solves restamp through RealStamper and can
-/// take it; MnaEngine refuses it, since it binds MOSFETs only.
+/// exceeds `v_on` in the iterate it is stamped at: a nonlinear device
+/// that is not a MOSFET.  MnaEngine, which every DC and transient solve
+/// runs on, refuses it, since it binds MOSFETs only.
 class ThresholdBridge : public spice::Element {
  public:
   ThresholdBridge(std::string name, spice::NodeId a, spice::NodeId b,

@@ -8,17 +8,19 @@
 // bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <complex>
+#include <memory>
 #include <numbers>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "event/partition.hpp"
 #include "mna_fixtures.hpp"
 #include "obs/telemetry.hpp"
 #include "si/netlists.hpp"
@@ -273,10 +275,29 @@ TEST(MnaEngine, RejectsNonlinearElementThatIsNotAMosfet) {
   }
 }
 
+/// The pattern MnaSystem::reset discovers for `c`: every element's
+/// stamp at `x` under both analysis modes, symmetrized.
+std::shared_ptr<const si::linalg::SparsePattern> discover_pattern(
+    const Circuit& c, const StampContext& ctx, const si::linalg::Vector& x) {
+  si::linalg::PatternBuilder rec(static_cast<int>(c.system_size()));
+  si::linalg::Vector scratch_b(c.system_size(), 0.0);
+  RealStamper r(c, rec, scratch_b, x);
+  StampContext dc_ctx = ctx;
+  dc_ctx.mode = AnalysisMode::kDcOperatingPoint;
+  StampContext tran_ctx = ctx;
+  tran_ctx.mode = AnalysisMode::kTransient;
+  if (tran_ctx.dt <= 0.0) tran_ctx.dt = 1.0;
+  for (const auto& e : c.elements()) e->stamp(r, dc_ctx);
+  for (const auto& e : c.elements()) e->stamp(r, tran_ctx);
+  return rec.build(/*symmetrize=*/true);
+}
+
 /// One assembly, factor and solve of `sys` at `x`: baseline, gmin, then
 /// the MOSFETs, through their bound blocks as MnaEngine iterates or,
-/// when `nonlinear` is given, through iteration_stamper().  The RHS is
-/// left in `*b` when given.
+/// when `nonlinear` is given, through the virtual Mosfet::stamp: a
+/// RealStamper adds onto a copy of the iteration matrix (sparse over the
+/// discovered pattern, dense below the threshold), which is written
+/// back before the factor.  The RHS is left in `*b` when given.
 si::linalg::Vector solve_once(MnaSystem<double>& sys, const Circuit& c,
                               const StampContext& ctx,
                               const std::vector<Element*>& linear,
@@ -291,11 +312,22 @@ si::linalg::Vector solve_once(MnaSystem<double>& sys, const Circuit& c,
   }
   sys.add_diagonal(c.node_count() - 1, ctx.gmin);
   rhs = b0;
-  if (nonlinear) {
-    RealStamper s = sys.iteration_stamper(c, rhs, x);
+  double* a = sys.load_iteration();
+  if (!nonlinear) {
+    sys.stamp_bound(a, ctx, rhs, x);
+  } else if (n >= kSparseAutoThreshold) {
+    si::linalg::SparseMatrixD as(discover_pattern(c, ctx, x));
+    std::vector<double>& values = as.values();
+    std::copy(a, a + values.size(), values.begin());
+    RealStamper s(c, as, rhs, x);
     for (Element* e : *nonlinear) e->stamp(s, ctx);
+    std::copy(values.begin(), values.end(), a);
   } else {
-    sys.stamp_bound(sys.load_iteration(), ctx, rhs, x);
+    si::linalg::Matrix ad(n, n);
+    std::copy(a, a + n * n, ad.data());
+    RealStamper s(c, ad, rhs, x);
+    for (Element* e : *nonlinear) e->stamp(s, ctx);
+    std::copy(ad.data(), ad.data() + n * n, a);
   }
   sys.factor();
   sys.solve(rhs, x_new);
@@ -331,10 +363,10 @@ TEST(MnaSystem, BindOutsidePatternGrowsItBeforeAnyIteration) {
   x[static_cast<std::size_t>(d - 1)] = 2.0;
   x[static_cast<std::size_t>(g - 1)] = 1.5;
 
-  MnaSystem<double> full(/*report=*/false);
+  MnaSystem<double> full;
   full.reset(c, ctx, linear, nonlinear);
   full.bind(nonlinear);
-  MnaSystem<double> late(/*report=*/false);
+  MnaSystem<double> late;
   late.reset(c, ctx, linear, {});
   const std::uint64_t builds = late.stats().pattern_builds;
   late.bind(nonlinear);
@@ -440,58 +472,40 @@ std::string bit_mismatch(const si::linalg::Vector& a,
 /// RealStamper in every bit:
 ///  - a sparse RealStamper with a slot memo: recording, replay, and
 ///    replay after one MOSFET's drain and source swap (the memo patches
-///    its shifted sequence), under `scope` when given;
-///  - unscoped, the slot-bound writer MnaEngine iterates with: each
-///    MOSFET through its MosfetSlots (dense r·n + c and sparse pattern
-///    slots), every other element through RealStamper, in element order.
+///    its shifted sequence);
+///  - the slot-bound writer MnaEngine iterates with: each MOSFET through
+///    its MosfetSlots (dense r·n + c and sparse pattern slots), every
+///    other element through RealStamper, in element order.
 /// Returns the discovered pattern and the memo after the three passes.
 std::pair<std::shared_ptr<const si::linalg::SparsePattern>,
           si::linalg::SlotMemo>
 expect_writers_agree(const Circuit& c, const StampContext& ctx,
-                     const si::linalg::Vector& x0,
-                     const std::vector<unsigned char>* scope,
-                     const std::string& what) {
+                     const si::linalg::Vector& x0, const std::string& what) {
   const std::size_t n = c.system_size();
-  // Discovery as MnaSystem::reset runs it: both modes, under the scope.
-  si::linalg::PatternBuilder rec(static_cast<int>(n));
-  {
-    si::linalg::Vector scratch_b(n, 0.0);
-    RealStamper r(c, rec, scratch_b, x0);
-    r.set_scope(scope);
-    StampContext dc_ctx = ctx;
-    dc_ctx.mode = AnalysisMode::kDcOperatingPoint;
-    StampContext tran_ctx = ctx;
-    tran_ctx.mode = AnalysisMode::kTransient;
-    if (tran_ctx.dt <= 0.0) tran_ctx.dt = 1.0;
-    for (const auto& e : c.elements()) e->stamp(r, dc_ctx);
-    for (const auto& e : c.elements()) e->stamp(r, tran_ctx);
-  }
-  const auto pattern = rec.build(/*symmetrize=*/true);
+  const auto pattern = discover_pattern(c, ctx, x0);
   si::linalg::SparseMatrixD as(pattern);
   si::linalg::SlotMemo memo;
 
   // Each MOSFET's blocks, by element index, as MnaSystem::bind resolves
-  // them (unscoped: the bound writer never runs under a scope).
+  // them.
   std::vector<const Mosfet*> mos;
   std::vector<MosfetSlots> dense_slots, sparse_slots;
   for (const auto& e : c.elements()) {
     const auto* m = dynamic_cast<const Mosfet*>(e.get());
     mos.push_back(m);
-    const bool bound = m && !scope;
     dense_slots.push_back(
-        bound ? MosfetSlots::resolve(*m, nullptr, static_cast<int>(n))
-              : MosfetSlots{});
+        m ? MosfetSlots::resolve(*m, nullptr, static_cast<int>(n))
+          : MosfetSlots{});
     sparse_slots.push_back(
-        bound ? MosfetSlots::resolve(*m, pattern.get(), static_cast<int>(n))
-              : MosfetSlots{});
+        m ? MosfetSlots::resolve(*m, pattern.get(), static_cast<int>(n))
+          : MosfetSlots{});
   }
 
-  // A MOSFET with its drain row in scope: pulling its drain 0.25 V past
-  // its source swaps the device's effective drain and source.
+  // Pulling a MOSFET's drain 0.25 V past its source swaps the device's
+  // effective drain and source.
   const Mosfet* swap = nullptr;
   for (const Mosfet* m : mos)
-    if (m && m->drain() != c.ground() &&
-        (!scope || (*scope)[static_cast<std::size_t>(m->drain() - 1)])) {
+    if (m && m->drain() != c.ground()) {
       swap = m;
       break;
     }
@@ -515,7 +529,6 @@ expect_writers_agree(const Circuit& c, const StampContext& ctx,
     si::linalg::Vector bd(n, 0.0);
     {
       RealStamper s(c, ad, bd, x);
-      s.set_scope(scope);
       for (const auto& e : c.elements()) e->stamp(s, ctx);
     }
     as.set_zero();
@@ -526,13 +539,11 @@ expect_writers_agree(const Circuit& c, const StampContext& ctx,
       memo.start_replay();
     {
       RealStamper s(c, as, bs, x, &memo);
-      s.set_scope(scope);
       for (const auto& e : c.elements()) e->stamp(s, ctx);
     }
     EXPECT_EQ(bit_mismatch(as.to_dense(), ad), "") << label;
     EXPECT_EQ(bit_mismatch(bs, bd), "") << label;
     if (pass == 1) replayed_coords = memo.coords;
-    if (scope) continue;
 
     // The slot-bound writer, dense and sparse.
     si::linalg::Matrix adb(n, n);
@@ -566,17 +577,17 @@ expect_writers_agree(const Circuit& c, const StampContext& ctx,
 }
 
 /// MnaEngine's restamp (load_iteration + stamp_bound) against the
-/// RealStamper restamp (iteration_stamper over the MOSFETs in element
-/// order) on two systems over one pattern: the RHS and the solution of
-/// one factor and solve agree in every bit, so the bound devices are
-/// stamped in the engine's order.
+/// RealStamper restamp (the virtual Mosfet::stamp over the MOSFETs in
+/// element order) on two systems over one pattern: the RHS and the
+/// solution of one factor and solve agree in every bit, so the bound
+/// devices are stamped in the engine's order.
 void expect_bound_restamp_matches(const Circuit& c, const StampContext& ctx,
                                   const si::linalg::Vector& x,
                                   const std::string& what) {
   std::vector<Element*> linear, nonlinear;
   for (const auto& e : c.elements())
     (e->nonlinear() ? nonlinear : linear).push_back(e.get());
-  MnaSystem<double> bound(/*report=*/false), memo(/*report=*/false);
+  MnaSystem<double> bound, memo;
   bound.reset(c, ctx, linear, nonlinear);
   bound.bind(nonlinear);
   memo.reset(c, ctx, linear, nonlinear);
@@ -643,15 +654,13 @@ TEST(StamperBackends, SparseSlotMemoMatchesDenseBitForBit) {
   // The 8-section modulator core (sparse in the engine), the 1-section
   // core (19 unknowns, dense) and the terminal-corner circuit, each at a
   // perturbed operating point in DC, trapezoidal and backward-Euler
-  // contexts; then the 8-section core again under a scope that freezes
-  // every odd-numbered event block.  Every writer must agree in every
-  // bit.
+  // contexts.  Every writer must agree in every bit.
   const double dt = ModulatorCoreOptions{}.stage.pair.clock_period / 200.0;
   {
     Circuit c;
     const si::linalg::Vector x = build_terminal_corners(c, dt);
     for (const auto& [name, ctx] : stamp_contexts(dt)) {
-      expect_writers_agree(c, ctx, x, nullptr, "corners " + name);
+      expect_writers_agree(c, ctx, x, "corners " + name);
       expect_bound_restamp_matches(c, ctx, x, "corners " + name);
     }
   }
@@ -666,47 +675,35 @@ TEST(StamperBackends, SparseSlotMemoMatchesDenseBitForBit) {
     for (std::size_t i = 0; i < n; ++i)
       x0[i] += 1e-3 * std::sin(static_cast<double>(i) + 0.5);
     const std::string core = std::to_string(sections) + "-section ";
+    std::shared_ptr<const si::linalg::SparsePattern> pattern;
+    si::linalg::SlotMemo memo;
     for (const auto& [name, ctx] : stamp_contexts(dt)) {
-      expect_writers_agree(c, ctx, x0, nullptr, core + name);
+      auto agreed = expect_writers_agree(c, ctx, x0, core + name);
       expect_bound_restamp_matches(c, ctx, x0, core + name);
+      if (name == "trap") std::tie(pattern, memo) = std::move(agreed);
     }
     if (sections != 8) continue;
 
-    const StampContext ctx = stamp_contexts(dt)[1].second;
-    const si::event::CircuitPartition part = si::event::partition_circuit(c);
-    std::vector<unsigned char> frozen_odd(n);
-    for (std::size_t i = 0; i < n; ++i)
-      frozen_odd[i] = part.unknown_block[i] % 2 == 0;
-    const std::vector<unsigned char>* scopes[] = {nullptr, &frozen_odd};
-    for (const std::vector<unsigned char>* scope : scopes) {
-      const std::string what = core + (scope ? "scoped" : "unscoped");
-      auto [pattern, memo] = expect_writers_agree(c, ctx, x0, scope, what);
-
-      // A replayed stamp outside the pattern still throws, located.
-      const int node_rows = static_cast<int>(c.node_count()) - 1;
-      auto stamped = [&](int i) {
-        return !scope || (*scope)[static_cast<std::size_t>(i)] != 0;
-      };
-      int row = -1, col = -1;
-      for (int r = 0; r < node_rows && row < 0; ++r)
-        for (int k = 0; k < node_rows && row < 0; ++k)
-          if (stamped(r) && stamped(k) && pattern->find(r, k) < 0) {
-            row = r;
-            col = k;
-          }
-      ASSERT_GE(row, 0) << what;
-      si::linalg::SparseMatrixD as(pattern);
-      si::linalg::Vector bs(n, 0.0);
-      memo.start_replay();
-      RealStamper s(c, as, bs, x0, &memo);
-      s.set_scope(scope);
-      try {
-        s.transconductance(row + 1, c.ground(), col + 1, c.ground(), 1e-3);
-        ADD_FAILURE() << what << ": no PatternMissError";
-      } catch (const si::linalg::PatternMissError& miss) {
-        EXPECT_EQ(miss.row(), row) << what;
-        EXPECT_EQ(miss.col(), col) << what;
-      }
+    // A replayed stamp outside the pattern still throws, located.
+    const int node_rows = static_cast<int>(c.node_count()) - 1;
+    int row = -1, col = -1;
+    for (int r = 0; r < node_rows && row < 0; ++r)
+      for (int k = 0; k < node_rows && row < 0; ++k)
+        if (pattern->find(r, k) < 0) {
+          row = r;
+          col = k;
+        }
+    ASSERT_GE(row, 0) << core;
+    si::linalg::SparseMatrixD as(pattern);
+    si::linalg::Vector bs(n, 0.0);
+    memo.start_replay();
+    RealStamper s(c, as, bs, x0, &memo);
+    try {
+      s.transconductance(row + 1, c.ground(), col + 1, c.ground(), 1e-3);
+      ADD_FAILURE() << core << ": no PatternMissError";
+    } catch (const si::linalg::PatternMissError& miss) {
+      EXPECT_EQ(miss.row(), row) << core;
+      EXPECT_EQ(miss.col(), col) << core;
     }
   }
 }
