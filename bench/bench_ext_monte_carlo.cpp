@@ -4,7 +4,8 @@
 //
 // The transistor-level mismatch ensemble at the end runs through
 // analysis::monte_carlo_dc, once serially and once on the runtime pool.
-// Samples are bit-identical at every thread count.
+// Samples are bit-identical at every thread count; the bench exits 1
+// when they are not.
 //
 //   bench_ext_monte_carlo [--dies=N]   dies per mismatch scale
 //                                      (default 60, the printed study)
@@ -18,7 +19,6 @@
 #include "analysis/table.hpp"
 #include "dsm/modulator.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/result_cache.hpp"
 #include "si/common_mode.hpp"
 #include "size_arg.hpp"
 
@@ -72,22 +72,11 @@ int main(int argc, char** argv) {
   analysis::Table t({"mismatch scale", "SNDR mean [dB]", "SNDR sigma [dB]",
                      "yield(SNDR >= 54 dB)", "offset p90 [nA]"});
   for (double scale : {1.0, 3.0, 10.0}) {
-    // Trials fan out over the si::runtime pool; the cache key names the
-    // workload (functor + parameters), so a repeated invocation of the
-    // same ensemble is served from the shared result cache.
-    analysis::McOptions sndr_opts;
-    sndr_opts.seed0 = 11;
-    sndr_opts.cache_key =
-        runtime::Fnv1a().str("e5.modulator_sndr").f64(scale).digest();
+    // Trials fan out over the si::runtime pool.
     const auto st = analysis::monte_carlo(
-        dies, [&](std::uint64_t s) { return modulator_sndr(s, scale); },
-        sndr_opts);
-    analysis::McOptions off_opts;
-    off_opts.seed0 = 23;
-    off_opts.cache_key =
-        runtime::Fnv1a().str("e5.offset_na").f64(scale).digest();
+        dies, [&](std::uint64_t s) { return modulator_sndr(s, scale); }, 11);
     const auto off = analysis::monte_carlo(
-        dies, [&](std::uint64_t s) { return offset_na(s, scale); }, off_opts);
+        dies, [&](std::uint64_t s) { return offset_na(s, scale); }, 23);
     t.add_row({analysis::fmt(scale, 0) + "x",
                analysis::fmt(st.mean, 1), analysis::fmt(st.sigma, 2),
                analysis::fmt(100.0 * st.yield_above(54.0), 0) + " %",
@@ -123,6 +112,7 @@ int main(int argc, char** argv) {
   // through analysis::monte_carlo_dc.  The pooled run re-solves the
   // identical ensemble; samples must agree bitwise, so the only
   // difference worth printing is trials/sec.
+  bool bit_identical = false;
   {
     const int runs = 96;
     const auto w = analysis::modulator_mismatch_workload(2);
@@ -139,6 +129,7 @@ int main(int argc, char** argv) {
     };
     const auto [serial, serial_tps] = time_run(false);
     const auto [pooled, pooled_tps] = time_run(true);
+    bit_identical = pooled.samples == serial.samples;
     std::cout << "\nTransistor-level offset ensemble (" << runs
               << " dies, 2-section core):\n  offset mean = "
               << analysis::fmt(serial.mean * 1e3, 3) << " mV, sigma = "
@@ -149,13 +140,7 @@ int main(int argc, char** argv) {
               << " trials/s (" << analysis::fmt(pooled_tps / serial_tps, 2)
               << "x)\n"
               << "  samples bit-identical across thread counts: "
-              << (pooled.samples == serial.samples ? "yes" : "NO") << "\n";
+              << (bit_identical ? "yes" : "NO") << "\n";
   }
-
-  const auto cache = runtime::series_cache().stats();
-  std::cout << "\nRuntime: " << runtime::thread_count()
-            << " thread(s); result cache " << cache.hits << " hit(s), "
-            << cache.misses << " miss(es), " << cache.evictions
-            << " eviction(s)\n";
-  return 0;
+  return bit_identical ? 0 : 1;
 }

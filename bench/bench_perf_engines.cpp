@@ -9,7 +9,6 @@
 #include "dsm/modulator.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/result_cache.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/signal.hpp"
 #include "dsp/spectrum.hpp"
@@ -191,21 +190,6 @@ void BM_MonteCarloParallel(benchmark::State& state) {
   si::runtime::set_thread_count(0);  // back to env/hardware default
 }
 BENCHMARK(BM_MonteCarloParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-// Content-addressed caching: every iteration after the first is served
-// from the shared series cache without running a single trial.
-void BM_MonteCarloCached(benchmark::State& state) {
-  const int runs = 64;
-  si::analysis::McOptions opts;
-  opts.cache_key =
-      si::runtime::Fnv1a().str("perf.mc_modulator_trial").u64(2048).digest();
-  for (auto _ : state) {
-    auto st = si::analysis::monte_carlo(runs, mc_modulator_trial, opts);
-    benchmark::DoNotOptimize(st.samples.data());
-  }
-  state.SetItemsProcessed(state.iterations() * runs);
-}
-BENCHMARK(BM_MonteCarloCached)->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Static verification (src/verify/) throughput: interval abstract
@@ -638,7 +622,7 @@ SolverPathSystem assemble_solver_path(bool modulator, int size) {
   // gmin on the diagonal, like the engine's baseline stamp.
   for (std::size_t i = 0; i < n; ++i)
     sys.a.values()[static_cast<std::size_t>(sys.pattern->diag_slots()[i])] +=
-        ctx.gmin;
+        si::spice::kGmin;
   sys.b.resize(n);
   for (std::size_t i = 0; i < n; ++i) sys.b[i] = b[i];
   return sys;
@@ -759,7 +743,7 @@ AssemblyRow time_assembly_row(int sections) {
         sp::RealStamper s = sys.baseline_stamper(c, b0, x);
         for (sp::Element* e : linear) e->stamp(s, ctx);
       }
-      sys.add_diagonal(c.node_count() - 1, ctx.gmin);
+      sys.add_diagonal(c.node_count() - 1, si::spice::kGmin);
       base += Clock::now() - t0;
       // The RealStamper restamp, timed per device only; the bound one
       // below restamps from the baseline again.
@@ -863,22 +847,30 @@ SolverRow time_solver_row(bool modulator, int size, int cycles) {
   return r;
 }
 
-/// The host stamp as JSON members, appended to every timed row.
-std::string host_members(const si::bench::HostStamp& h) {
-  return ", \"nproc\": " + std::to_string(h.nproc) + ", \"compiler\": \"" +
-         h.compiler + "\", \"build_type\": \"" + h.build_type +
-         "\", \"commit\": \"" + h.commit + "\"";
+using si::serve::Json;
+
+/// One ledger row: the given members plus the host stamp every timed
+/// row carries.
+Json ledger_row(std::initializer_list<std::pair<const char*, Json>> members,
+                const si::bench::HostStamp& h) {
+  Json row = Json::object();
+  for (const auto& [key, value] : members) row.set(key, value);
+  row.set("nproc", static_cast<unsigned long>(h.nproc));
+  row.set("compiler", h.compiler);
+  row.set("build_type", h.build_type);
+  row.set("commit", h.commit);
+  return row;
 }
 
 /// The telemetry snapshot without its raw span ring: the committed
 /// ledger keeps summaries (counters, timers, histograms).
-std::string telemetry_summary_json() {
-  const auto snap = si::serve::Json::parse(si::obs::snapshot_json());
-  auto out = si::serve::Json::object();
+Json telemetry_summary() {
+  const Json snap = Json::parse(si::obs::snapshot_json());
+  Json out = Json::object();
   for (const char* key :
        {"compiled", "enabled", "counters", "timers", "histograms"})
-    if (const auto* v = snap.find(key)) out.set(key, *v);
-  return out.dump();
+    if (const Json* v = snap.find(key)) out.set(key, *v);
+  return out;
 }
 
 int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
@@ -962,97 +954,103 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   for (int sections : {8, 64})
     assembly_rows.push_back(time_assembly_row(sections));
 
-  const std::string host = host_members(si::bench::host_stamp());
-  std::ofstream os(out_path);
-  os << "{\n  \"solver_bench\": [\n";
-  for (std::size_t i = 0; i < solver_rows.size(); ++i) {
-    const auto& r = solver_rows[i];
-    os << "    {\"workload\": \"" << r.workload << "\", \"size\": " << r.size
-       << ", \"unknowns\": " << r.unknowns << ", \"nnz\": " << r.nnz
-       << ", \"cycles\": " << r.cycles << ", \"dense_ms\": " << r.dense_ms
-       << ", \"sparse_ms\": " << r.sparse_ms
-       << ", \"speedup\": " << r.dense_ms / r.sparse_ms << host << "}"
-       << (i + 1 < solver_rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"event_bench\": [\n";
-  for (std::size_t i = 0; i < event_rows.size(); ++i) {
-    const auto& r = event_rows[i];
-    os << "    {\"workload\": \"" << r.workload << "\", \"size\": " << r.size
-       << ", \"periods\": " << r.periods << ", \"unknowns\": " << r.unknowns
-       << ", \"quiescent_tol\": 1e-06, \"mono_ms\": " << r.mono_ms
-       << ", \"event_ms\": " << r.event_ms
-       << ", \"speedup\": " << r.mono_ms / r.event_ms
-       << ", \"latency_ratio\": " << r.latency_ratio
-       << ", \"steps_skipped\": " << r.steps_skipped
-       << ", \"steps_total\": " << r.steps_total
-       << ", \"parity_maxerr\": " << r.parity_maxerr << host << "}"
-       << (i + 1 < event_rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"verify_bench\": [\n";
-  for (std::size_t i = 0; i < verify_rows.size(); ++i) {
-    const auto& r = verify_rows[i];
-    os << "    {\"workload\": \"verify_modulator\", \"size\": " << r.size
-       << ", \"nodes\": " << r.nodes << ", \"pairs\": " << r.pairs
-       << ", \"segments\": " << r.segments << ", \"findings\": " << r.findings
-       << ", \"analyze_ms\": " << r.analyze_ms << host << "}"
-       << (i + 1 < verify_rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"erc_bench\": [\n";
-  for (std::size_t i = 0; i < erc_rows.size(); ++i) {
-    const auto& r = erc_rows[i];
-    os << "    {\"workload\": \"erc_modulator\", \"sections\": " << r.sections
-       << ", \"elements\": " << r.elements
-       << ", \"diagnostics\": " << r.diagnostics
-       << ", \"si_ms\": " << r.si_ms << ", \"spice_ms\": " << r.spice_ms
-       << ", \"erc_ms\": " << r.erc_ms << host << "}"
-       << (i + 1 < erc_rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"mc_dc\": [\n";
-  for (std::size_t i = 0; i < mc_rows.size(); ++i) {
-    const auto& r = mc_rows[i];
-    os << "    {\"workload\": \"mc_modulator_offset\", \"size\": " << r.size
-       << ", \"unknowns\": " << r.unknowns << ", \"runs\": " << r.runs
-       << ", \"threads\": " << r.threads
-       << ", \"rebuild_tps\": " << r.rebuild_tps
-       << ", \"scalar_tps\": " << r.scalar_tps
-       << ", \"speedup_vs_rebuild\": " << r.scalar_tps / r.rebuild_tps
-       << host << "}" << (i + 1 < mc_rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"sparse_factor\": [\n";
-  for (std::size_t i = 0; i < factor_rows.size(); ++i) {
-    const auto& r = factor_rows[i];
-    os << "    {\"workload\": \"modulator_tran_jacobian\", \"sections\": "
-       << r.sections << ", \"unknowns\": " << r.unknowns
-       << ", \"nnz\": " << r.nnz << ", \"factor_nnz\": " << r.factor_nnz
-       << ", \"cycles\": " << kRefactorCycles
-       << ", \"factor_ms\": " << r.factor_ms
-       << ", \"refactor_ms\": " << r.refactor_ms
-       << ", \"solve_ms\": " << r.solve_ms << host << "}"
-       << (i + 1 < factor_rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"assembly\": [\n";
-  for (std::size_t i = 0; i < assembly_rows.size(); ++i) {
-    const auto& r = assembly_rows[i];
-    os << "    {\"workload\": \"modulator_tran_newton\", \"sections\": "
-       << r.sections << ", \"unknowns\": " << r.unknowns
-       << ", \"devices\": " << r.devices
-       << ", \"iterations\": " << kAssemblyIterations
-       << ", \"baseline_stamp_us\": " << r.baseline_us
-       << ", \"restamp_us\": " << r.restamp_us
-       << ", \"device_stamp_ns\": " << r.device_stamp_ns
-       << ", \"device_stamp_bound_ns\": " << r.device_stamp_bound_ns
-       << ", \"refactor_us\": " << r.refactor_us
-       << ", \"solve_us\": " << r.solve_us << host << "}"
-       << (i + 1 < assembly_rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]";
-  if (telemetry) {
-    // Merge the solver telemetry summary: factor/refactor counts,
-    // pattern misses, step stats for the whole quick suite.
-    os << ",\n  \"telemetry\": " << telemetry_summary_json();
-  }
-  os << "\n}\n";
-  os.close();
+  // The ledger: one serve::Json document (sorted keys, every double at
+  // full precision), written once.
+  const si::bench::HostStamp host = si::bench::host_stamp();
+  Json doc = Json::object();
+  const auto section = [&](const char* name, const auto& rows,
+                           const auto& members) {
+    Json out = Json::array();
+    for (const auto& r : rows) out.push(members(r));
+    doc.set(name, std::move(out));
+  };
+  section("solver_bench", solver_rows, [&](const SolverRow& r) {
+    return ledger_row({{"workload", r.workload},
+                       {"size", r.size},
+                       {"unknowns", r.unknowns},
+                       {"nnz", r.nnz},
+                       {"cycles", r.cycles},
+                       {"dense_ms", r.dense_ms},
+                       {"sparse_ms", r.sparse_ms},
+                       {"speedup", r.dense_ms / r.sparse_ms}},
+                      host);
+  });
+  section("event_bench", event_rows, [&](const EventRow& r) {
+    return ledger_row({{"workload", r.workload},
+                       {"size", r.size},
+                       {"periods", r.periods},
+                       {"unknowns", r.unknowns},
+                       {"quiescent_tol", 1e-6},
+                       {"mono_ms", r.mono_ms},
+                       {"event_ms", r.event_ms},
+                       {"speedup", r.mono_ms / r.event_ms},
+                       {"latency_ratio", r.latency_ratio},
+                       {"steps_skipped", r.steps_skipped},
+                       {"steps_total", r.steps_total},
+                       {"parity_maxerr", r.parity_maxerr}},
+                      host);
+  });
+  section("verify_bench", verify_rows, [&](const VerifyRow& r) {
+    return ledger_row({{"workload", "verify_modulator"},
+                       {"size", r.size},
+                       {"nodes", r.nodes},
+                       {"pairs", r.pairs},
+                       {"segments", r.segments},
+                       {"findings", r.findings},
+                       {"analyze_ms", r.analyze_ms}},
+                      host);
+  });
+  section("erc_bench", erc_rows, [&](const ErcRow& r) {
+    return ledger_row({{"workload", "erc_modulator"},
+                       {"sections", r.sections},
+                       {"elements", r.elements},
+                       {"diagnostics", r.diagnostics},
+                       {"si_ms", r.si_ms},
+                       {"spice_ms", r.spice_ms},
+                       {"erc_ms", r.erc_ms}},
+                      host);
+  });
+  section("mc_dc", mc_rows, [&](const McDcRow& r) {
+    return ledger_row({{"workload", "mc_modulator_offset"},
+                       {"size", r.size},
+                       {"unknowns", r.unknowns},
+                       {"runs", r.runs},
+                       {"threads", static_cast<unsigned long>(r.threads)},
+                       {"rebuild_tps", r.rebuild_tps},
+                       {"scalar_tps", r.scalar_tps},
+                       {"speedup_vs_rebuild", r.scalar_tps / r.rebuild_tps}},
+                      host);
+  });
+  section("sparse_factor", factor_rows, [&](const SparseFactorRow& r) {
+    return ledger_row({{"workload", "modulator_tran_jacobian"},
+                       {"sections", r.sections},
+                       {"unknowns", r.unknowns},
+                       {"nnz", r.nnz},
+                       {"factor_nnz", r.factor_nnz},
+                       {"cycles", kRefactorCycles},
+                       {"factor_ms", r.factor_ms},
+                       {"refactor_ms", r.refactor_ms},
+                       {"solve_ms", r.solve_ms}},
+                      host);
+  });
+  section("assembly", assembly_rows, [&](const AssemblyRow& r) {
+    return ledger_row({{"workload", "modulator_tran_newton"},
+                       {"sections", r.sections},
+                       {"unknowns", r.unknowns},
+                       {"devices", r.devices},
+                       {"iterations", kAssemblyIterations},
+                       {"baseline_stamp_us", r.baseline_us},
+                       {"restamp_us", r.restamp_us},
+                       {"device_stamp_ns", r.device_stamp_ns},
+                       {"device_stamp_bound_ns", r.device_stamp_bound_ns},
+                       {"refactor_us", r.refactor_us},
+                       {"solve_us", r.solve_us}},
+                      host);
+  });
+  // The solver telemetry summary: factor/refactor counts, pattern
+  // misses, step stats for the whole quick suite.
+  if (telemetry) doc.set("telemetry", telemetry_summary());
+  std::ofstream(out_path) << doc.dump() << "\n";
 
   int rc = 0;
   for (const auto& r : solver_rows) {

@@ -1,7 +1,6 @@
 // Host context every timed row of the perf ledger (BENCH_solvers.json)
-// carries: nproc, compiler, build type and commit.  Shared by
-// bench_perf_engines and bench_serve; SI_BENCH_COMPILER and
-// SI_BENCH_BUILD_TYPE come from bench/CMakeLists.txt.
+// carries: nproc, compiler, build type and commit.  SI_BENCH_COMPILER
+// and SI_BENCH_BUILD_TYPE come from bench/CMakeLists.txt.
 #pragma once
 
 #include <cstdio>

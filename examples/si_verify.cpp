@@ -6,13 +6,14 @@
 // Runs the interval abstract interpreter (src/verify/) over each deck:
 // propagates supply / source / parameter-tolerance intervals to every
 // node, checks the worst-case supply floor of Eqs. (1)-(2), sampling
-// overdrive, hold-phase region retention, signal-range overflow, and
-// the exact clock-phase overlap matrix.  Every violation carries a
-// concrete witness corner that reproduces it.
+// overdrive, hold-phase region retention and signal-range overflow.
+// Every violation carries a concrete witness corner that reproduces
+// it.  (Clock-phase overlap of cascaded cells is ERC's si.clock-overlap
+// rule: erc_lint.)
 //
 // Options:
 //   --json               emit the full analysis as JSON (findings,
-//                        node ranges, pair summaries, timing, stats)
+//                        node ranges, pair summaries, stats)
 //   --stats              append the verify.* telemetry snapshot
 //   --tol-supply=R       relative DC-source tolerance   (default 0.02)
 //   --tol-vt=V           absolute Vt tolerance [V]      (default 0.05)

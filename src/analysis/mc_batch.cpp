@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "runtime/parallel.hpp"
-#include "runtime/result_cache.hpp"
 #include "runtime/rng_stream.hpp"
 #include "si/netlists.hpp"
 #include "spice/elements.hpp"
@@ -28,7 +27,6 @@ bool newton_from(spice::MnaEngine& engine, const linalg::Vector& nominal,
                  linalg::Vector& x, const spice::NewtonOptions& newton) {
   spice::StampContext ctx;
   ctx.mode = spice::AnalysisMode::kDcOperatingPoint;
-  ctx.gmin = newton.gmin;
   x = nominal;
   try {
     engine.newton(ctx, x, newton);
@@ -145,21 +143,6 @@ std::vector<double> run_dc_trials(int runs, const McDcWorkload& w,
 McStatistics monte_carlo_dc(int runs, const McDcWorkload& workload,
                             const McOptions& opts) {
   if (runs < 1) throw std::invalid_argument("monte_carlo_dc: runs >= 1");
-  if (opts.cache_key != 0) {
-    // Deliberately independent of the thread count and the grain:
-    // serial and parallel runs are bit-identical, so they MUST share one
-    // cache entry.
-    const std::uint64_t key = runtime::Fnv1a()
-                                  .str("analysis.mc_dc")
-                                  .u64(opts.cache_key)
-                                  .u64(opts.seed0)
-                                  .u64(static_cast<std::uint64_t>(runs))
-                                  .digest();
-    // Shared snapshot from the cache; the aggregation copy happens
-    // outside the cache lock.
-    return detail::aggregate_sorted(*runtime::series_cache().get_or_compute(
-        key, [&] { return run_dc_trials(runs, workload, opts); }));
-  }
   return detail::aggregate_sorted(run_dc_trials(runs, workload, opts));
 }
 

@@ -10,10 +10,7 @@
 // engine whose only pivoting factor is that of the nominal
 // first-iteration matrix, and a context whose trial re-pivoted (or
 // regrew its pattern) is replaced by a freshly primed one, so no trial
-// can see the factor another trial left behind.  Because of that, serial
-// and parallel runs share ONE series-cache entry (the memo key folds
-// cache_key, seed0 and runs — deliberately not the thread count or the
-// grain).
+// can see the factor another trial left behind.
 //
 // Kept at this path for perfbench/src, which includes it.
 #pragma once

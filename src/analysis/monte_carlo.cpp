@@ -6,7 +6,6 @@
 
 #include "obs/telemetry.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/result_cache.hpp"
 #include "runtime/rng_stream.hpp"
 
 namespace si::analysis {
@@ -78,8 +77,7 @@ std::vector<double> run_trials(
   } else {
     body(0, samples.size());
   }
-  // Sort once here, at aggregation: the series cache then stores the
-  // sorted vector and cache hits skip the sort.
+  // Sort once here, at aggregation.
   std::sort(samples.begin(), samples.end());
   return samples;
 }
@@ -98,18 +96,6 @@ McStatistics monte_carlo(int runs,
                          const std::function<double(std::uint64_t)>& trial,
                          const McOptions& opts) {
   if (runs < 1) throw std::invalid_argument("monte_carlo: runs >= 1");
-  if (opts.cache_key != 0) {
-    const std::uint64_t key = runtime::Fnv1a()
-                                  .str("analysis.mc")
-                                  .u64(opts.cache_key)
-                                  .u64(opts.seed0)
-                                  .u64(static_cast<std::uint64_t>(runs))
-                                  .digest();
-    // get_or_compute hands back a shared snapshot; the one copy needed
-    // for aggregation happens here, outside the cache lock.
-    return detail::aggregate_sorted(*runtime::series_cache().get_or_compute(
-        key, [&] { return run_trials(runs, trial, opts); }));
-  }
   return detail::aggregate_sorted(run_trials(runs, trial, opts));
 }
 

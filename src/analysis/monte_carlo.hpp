@@ -41,9 +41,9 @@ struct McStatistics {
 
   /// Loads the samples into the named si_obs 128-bin registry histogram
   /// (reset first, then one record() per sample) and returns it.  With
-  /// telemetry compiled out (SI_OBS_ENABLED=0) the stub histogram is
-  /// returned unchanged — callers must treat its contents as optional,
-  /// like every other obs read.  Throws std::logic_error when empty.
+  /// telemetry disabled the histogram records nothing — callers must
+  /// treat its contents as optional, like every other obs read.  Throws
+  /// std::logic_error when empty.
   obs::Histogram& histogram(std::string_view name = "mc.samples") const;
 
   std::size_t count() const { return samples.size(); }
@@ -51,9 +51,7 @@ struct McStatistics {
 
 namespace detail {
 /// Aggregates an already-sorted (ascending) sample vector into the
-/// summary statistics.  Sorting happens exactly once, at aggregation
-/// time in the trial runners — which is also why the series cache
-/// stores sorted vectors and cache hits skip the sort entirely.
+/// summary statistics.  The trial runners sort once, just before.
 McStatistics aggregate_sorted(std::vector<double> sorted_samples);
 }  // namespace detail
 
@@ -62,15 +60,6 @@ struct McOptions {
   std::uint64_t seed0 = 1;   ///< root seed; trial k runs at trial_seed(seed0, k)
   std::size_t grain = 0;     ///< parallel_for chunk size; 0 = auto
   bool parallel = true;      ///< false forces the serial reference loop
-
-  /// Nonzero enables memoization of the whole run in the shared
-  /// si::runtime series cache: the sorted sample vector is stored under
-  /// FNV-1a(domain tag, cache_key, seed0, runs) — the full seeding
-  /// configuration is part of the key, never the thread count or the
-  /// grain, because those cannot change the samples.  The caller owns
-  /// the rest of the key hygiene: the key must identify the trial
-  /// functor and all its parameters.
-  std::uint64_t cache_key = 0;
 };
 
 /// Runs `trial(seed)` for `runs` distinct seeds derived from `seed0`
@@ -79,7 +68,7 @@ McStatistics monte_carlo(int runs,
                          const std::function<double(std::uint64_t)>& trial,
                          std::uint64_t seed0 = 1);
 
-/// Full-control variant (parallelism, grain, caching).
+/// Full-control variant (seed, parallelism, grain).
 McStatistics monte_carlo(int runs,
                          const std::function<double(std::uint64_t)>& trial,
                          const McOptions& opts);

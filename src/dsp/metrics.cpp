@@ -19,6 +19,11 @@ double alias_frequency(double f0, int h, double fs) {
 
 namespace {
 
+/// Harmonics (2nd..7th) included in THD.
+constexpr int kHarmonicCount = 6;
+/// Bins around DC excluded from the noise sum and the fundamental search.
+constexpr int kDcExclusionBins = 4;
+
 /// Sums power[k] over [center-hw, center+hw] clamped to [0, size).
 double cluster_sum(const std::vector<double>& power, long long center,
                    int hw) {
@@ -38,8 +43,7 @@ ToneMetrics measure_tone(const PowerSpectrum& s,
 
   ToneMetrics m;
   const double band_hi = opt.band_hi_hz.value_or(s.fs / 2.0);
-  const int hw = opt.leakage_halfwidth >= 0 ? opt.leakage_halfwidth
-                                            : leakage_halfwidth(s.window);
+  const int hw = leakage_halfwidth(s.window);
   const std::size_t k_lo = s.bin_of(opt.band_lo_hz);
   const std::size_t k_hi = s.bin_of(band_hi);
 
@@ -54,7 +58,7 @@ ToneMetrics measure_tone(const PowerSpectrum& s,
   } else {
     const std::size_t search_lo =
         std::max<std::size_t>(k_lo, static_cast<std::size_t>(
-                                        opt.dc_exclusion_bins) + 1);
+                                        kDcExclusionBins) + 1);
     k0 = s.peak_bin(search_lo, k_hi);
   }
   m.fundamental_bin = k0;
@@ -69,11 +73,11 @@ ToneMetrics measure_tone(const PowerSpectrum& s,
     for (long long k = center - half; k <= center + half; ++k)
       if (k >= 0 && k < n) excluded[static_cast<std::size_t>(k)] = true;
   };
-  exclude(0, opt.dc_exclusion_bins);
+  exclude(0, kDcExclusionBins);
   exclude(static_cast<long long>(k0), hw);
 
-  m.harmonic_powers.reserve(static_cast<std::size_t>(opt.harmonic_count));
-  for (int h = 2; h <= opt.harmonic_count + 1; ++h) {
+  m.harmonic_powers.reserve(static_cast<std::size_t>(kHarmonicCount));
+  for (int h = 2; h <= kHarmonicCount + 1; ++h) {
     const double fh = alias_frequency(m.fundamental_hz, h, s.fs);
     const std::size_t kh = s.bin_of(fh);
     if (kh < k_lo || kh > k_hi) {

@@ -12,7 +12,10 @@
 
 namespace si::dsp {
 
-/// Options controlling tone measurement.
+/// Options controlling tone measurement.  THD sums the 2nd..7th
+/// harmonics, each tone integrates the spectrum window's
+/// leakage_halfwidth() bins on either side, and 4 bins around DC are
+/// excluded from the noise sum.
 struct ToneMeasurementOptions {
   /// Expected fundamental frequency; if unset, the largest in-band bin is
   /// taken as the fundamental.
@@ -20,13 +23,6 @@ struct ToneMeasurementOptions {
   /// Measurement band [band_lo_hz, band_hi_hz]; band_hi defaults to fs/2.
   double band_lo_hz = 0.0;
   std::optional<double> band_hi_hz;
-  /// Number of harmonics (2nd..) included in THD.
-  int harmonic_count = 6;
-  /// Bins integrated on each side of a tone (window leakage); if negative,
-  /// derived from the spectrum's window type.
-  int leakage_halfwidth = -1;
-  /// Bins around DC excluded from the noise sum.
-  int dc_exclusion_bins = 4;
 };
 
 /// Result of a single-tone measurement.

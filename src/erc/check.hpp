@@ -52,6 +52,15 @@ struct DeckCards;
 
 namespace si::erc {
 
+/// Minimum total quiescent overdrive (Vov_n + Vov_p) a class-AB pair
+/// needs on top of Vt_n + Vt_p before si.supply-min fires [V].
+constexpr double kMinPairOverdrive = 0.1;
+/// Relative tolerance on the CMFF half-size ratio (si.cmff-half-size).
+constexpr double kHalfSizeTolerance = 0.02;
+/// Relative tolerance on the memory-pair beta match
+/// (si.classab-asymmetry).
+constexpr double kPairBetaTolerance = 0.05;
+
 struct ErcOptions {
   /// Diagnostics below this severity are dropped.
   Severity min_severity = Severity::kNote;
@@ -61,26 +70,12 @@ struct ErcOptions {
   bool spice_rules = true;
   /// Enables the paper-specific SI pack.
   bool si_rules = true;
-  /// Minimum total quiescent overdrive (Vov_n + Vov_p) a class-AB pair
-  /// needs on top of Vt_n + Vt_p before si.supply-min fires [V].
-  double min_pair_overdrive = 0.1;
-  /// Relative tolerance on the CMFF half-size ratio (si.cmff-half-size).
-  double half_size_tolerance = 0.02;
-  /// Relative tolerance on the memory-pair beta match
-  /// (si.classab-asymmetry).
-  double pair_beta_tolerance = 0.05;
   /// Enables the deep static-verification pack (src/verify/): interval
   /// abstract interpretation of node voltages plus the witness-backed
   /// si.supply-floor-worstcase / si.overdrive-margin /
-  /// si.region-violation / si.range-overflow checkers.
+  /// si.region-violation / si.range-overflow checkers, at the
+  /// verify::VerifyOptions defaults.
   bool deep = false;
-  /// Tolerances for the deep pack.
-  double deep_supply_tol = 0.02;   ///< relative, on DC sources
-  double deep_vt_tol = 0.05;       ///< absolute [V], on thresholds
-  double deep_beta_tol = 0.05;     ///< relative, on device beta
-  double deep_current_tol = 0.05;  ///< relative, on current sources
-  double deep_min_overdrive = 0.05;  ///< required sampling overdrive [V]
-  double deep_rail_margin = 0.3;     ///< allowed rail excursion [V]
 };
 
 /// Runs every enabled rule over the circuit into `sink`.  `index`, if

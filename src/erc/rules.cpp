@@ -57,12 +57,11 @@ struct Ctx {
   const Circuit& c;
   const spice::ParseIndex* index;
   DiagnosticSink& sink;
-  const ErcOptions& opt;
   const verify::SiTopology topo;
 
   explicit Ctx(const Circuit& circuit, const spice::ParseIndex* idx,
-               DiagnosticSink& s, const ErcOptions& o)
-      : c(circuit), index(idx), sink(s), opt(o), topo(circuit) {}
+               DiagnosticSink& s)
+      : c(circuit), index(idx), sink(s), topo(circuit) {}
 
   const Element& element(std::size_t k) const { return *c.elements()[k]; }
 
@@ -282,7 +281,7 @@ void check_memory_pairs(Ctx& ctx) {
 
     const double vt_n = std::abs(mp.mn->params().vt0);
     const double vt_p = std::abs(mp.mp->params().vt0);
-    const double floor = vt_n + vt_p + ctx.opt.min_pair_overdrive;
+    const double floor = vt_n + vt_p + kMinPairOverdrive;
     if (vdd < floor - kSupplyFloorSlack) {
       const auto [vdd_text, floor_text] = fmt_apart(vdd, floor);
       ctx.sink.report(
@@ -290,7 +289,7 @@ void check_memory_pairs(Ctx& ctx) {
            "supply " + vdd_text + " V is below the class-AB pair minimum " +
                floor_text + " V for '" + mp.mn->name() + "'/'" +
                mp.mp->name() + "' (Vt_n + Vt_p + Vov = " + fmt(vt_n) +
-               " + " + fmt(vt_p) + " + " + fmt(ctx.opt.min_pair_overdrive) +
+               " + " + fmt(vt_p) + " + " + fmt(kMinPairOverdrive) +
                ", paper Eqs. (1)-(2))",
            ctx.line_of_element(mp.mp->name()), mp.mp->name(),
            "raise the supply above " + floor_text +
@@ -300,7 +299,7 @@ void check_memory_pairs(Ctx& ctx) {
     const double beta_n = mp.mn->params().beta();
     const double beta_p = mp.mp->params().beta();
     const double rel = std::abs(beta_n - beta_p) / std::max(beta_n, beta_p);
-    if (rel > ctx.opt.pair_beta_tolerance) {
+    if (rel > kPairBetaTolerance) {
       ctx.sink.report(
           {Severity::kWarning, "si.classab-asymmetry",
            "class-AB pair '" + mp.mn->name() + "'/'" + mp.mp->name() +
@@ -387,15 +386,7 @@ void check_clock_phases(Ctx& ctx) {
 /// The deep static-verification pack: interval abstract interpretation
 /// plus the witness-backed property checkers from src/verify/.
 void check_deep(Ctx& ctx) {
-  verify::VerifyOptions vo;
-  vo.abs.supply_rel_tol = ctx.opt.deep_supply_tol;
-  vo.abs.vt_abs_tol = ctx.opt.deep_vt_tol;
-  vo.abs.beta_rel_tol = ctx.opt.deep_beta_tol;
-  vo.abs.current_rel_tol = ctx.opt.deep_current_tol;
-  vo.abs.rail_margin = ctx.opt.deep_rail_margin;
-  vo.min_overdrive = ctx.opt.deep_min_overdrive;
-  const verify::VerifyResult vr = verify::analyze(ctx.c, vo);
-  verify::report(vr, ctx.sink);
+  verify::report(verify::analyze(ctx.c), ctx.sink);
 }
 
 /// si.cmff-half-size: the CMFF extraction devices must be half the size
@@ -405,7 +396,7 @@ void check_cmff_sizing(Ctx& ctx) {
     const double master_ratio = master->params().w / master->params().l;
     const double ext_ratio = ext->params().w / ext->params().l;
     const double rel = ext_ratio / master_ratio - 0.5;
-    if (std::abs(rel) > 0.5 * ctx.opt.half_size_tolerance) {
+    if (std::abs(rel) > 0.5 * kHalfSizeTolerance) {
       ctx.sink.report(
           {Severity::kWarning, "si.cmff-half-size",
            "CMFF extraction device '" + ext->name() + "' is " +
@@ -430,7 +421,7 @@ void check(const Circuit& c, DiagnosticSink& sink, const ErcOptions& opt,
   sink.set_min_severity(opt.min_severity);
   for (const auto& rule : opt.suppress) sink.suppress(rule);
 
-  Ctx ctx(c, index, sink, opt);
+  Ctx ctx(c, index, sink);
   if (opt.spice_rules) {
     check_connectivity(ctx);
     check_node_usage(ctx);

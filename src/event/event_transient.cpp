@@ -12,6 +12,10 @@ using spice::TransientResult;
 
 namespace {
 
+/// Consecutive quiescent solved steps before a block may be declared
+/// latent.
+constexpr int kSettleSteps = 2;
+
 /// Event-engine telemetry handles, hoisted once so the step loop records
 /// through preallocated atomics only.
 struct EventTelemetry {
@@ -62,7 +66,7 @@ bool EventScheduler::solves_step(double t_prev, const StampContext& ctx,
   // 1. Dispatch stimulus events across (t_prev, t].
   std::fill(stimulated_.begin(), stimulated_.end(), 0);
   const DispatchCounts counts =
-      queue_.step(t_prev, ctx.time, opt_->event_wave_tol, stimulated_);
+      queue_.step(t_prev, ctx.time, stimulated_);
   tm.events_dispatched.add(counts.breakpoints);
   tm.value_changes.add(counts.value_changes);
   for (std::size_t b = 1; b < n_blocks; ++b)
@@ -115,8 +119,8 @@ bool EventScheduler::solves_step(double t_prev, const StampContext& ctx,
 void EventScheduler::latch_quiescent(const linalg::Vector& x) {
   const std::size_t n_blocks = partition_.block_count();
   // Quiescence detection: the largest per-step change over each
-  // active block's unknowns, held below tolerance for
-  // event_settle_steps consecutive solved steps, sends it latent.
+  // active block's unknowns, held below tolerance for kSettleSteps
+  // consecutive solved steps, sends it latent.
   std::fill(block_delta_.begin(), block_delta_.end(), 0.0);
   for (std::size_t i = 0; i < x.size(); ++i) {
     const int blk = partition_.unknown_block[i];
@@ -150,7 +154,7 @@ void EventScheduler::latch_quiescent(const linalg::Vector& x) {
       quiescent = delta * tail < opt_->event_quiescent_tol;
     }
     if (quiescent) {
-      if (++settle_[b] >= opt_->event_settle_steps) {
+      if (++settle_[b] >= kSettleSteps) {
         active_[b] = 0;
         settle_[b] = 0;
       }

@@ -49,7 +49,7 @@ class EventScheduler {
 
   /// After a solved step, with `x` the solved state: sends latent each
   /// active block whose per-step change stayed below
-  /// event_quiescent_tol for event_settle_steps solved steps.
+  /// event_quiescent_tol for two consecutive solved steps.
   void latch_quiescent(const linalg::Vector& x);
 
  private:

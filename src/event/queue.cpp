@@ -10,6 +10,10 @@ namespace si::event {
 
 namespace {
 
+/// A stimulus counts as changed when its sampled value moved more than
+/// this since its last firing [V or A].
+constexpr double kWaveTol = 1e-9;
+
 /// Blocks reachable from a stimulus: the driving element's own block,
 /// plus — when the element pins a rail node (supply, clock phase
 /// driver) — the block of every element hanging off that rail node,
@@ -153,7 +157,7 @@ void EventQueue::mark(const Stimulus& s,
       stimulated[static_cast<std::size_t>(b)] = 1;
 }
 
-DispatchCounts EventQueue::step(double t_prev, double t, double wave_tol,
+DispatchCounts EventQueue::step(double t_prev, double t,
                                 std::vector<unsigned char>& stimulated) {
   DispatchCounts counts;
 
@@ -181,7 +185,7 @@ DispatchCounts EventQueue::step(double t_prev, double t, double wave_tol,
   for (std::size_t h = 0; h < hot_.size();) {
     Stimulus& s = stimuli_[hot_[h]];
     const double v = s.wave->value(t);
-    if (fired_[hot_[h]] || std::abs(v - s.last_value) > wave_tol) {
+    if (fired_[hot_[h]] || std::abs(v - s.last_value) > kWaveTol) {
       if (!fired_[hot_[h]]) {
         ++counts.value_changes;
         mark(s, stimulated);
@@ -201,7 +205,7 @@ DispatchCounts EventQueue::step(double t_prev, double t, double wave_tol,
   for (const std::size_t i : sampled_) {
     Stimulus& s = stimuli_[i];
     const double v = s.wave->value(t);
-    if (fired_[i] || std::abs(v - s.last_value) > wave_tol) {
+    if (fired_[i] || std::abs(v - s.last_value) > kWaveTol) {
       if (!fired_[i]) {
         ++counts.value_changes;
         mark(s, stimulated);

@@ -33,13 +33,13 @@ class EventQueue {
   /// Advances the queue across the step interval (t_prev, t]: pops
   /// every breakpoint in it and samples every stimulus at t.  A block
   /// driven by a popped breakpoint or by a stimulus whose value moved
-  /// more than `wave_tol` since its last firing gets stimulated[b] = 1
+  /// more than 1e-9 (V or A) since its last firing gets stimulated[b] = 1
   /// (other entries are left untouched, so callers can accumulate).
   ///
   /// A stimulus's reference value only advances when it fires — slow
   /// drifts accumulate until they exceed the tolerance instead of
   /// slipping through one sub-tolerance step at a time.
-  DispatchCounts step(double t_prev, double t, double wave_tol,
+  DispatchCounts step(double t_prev, double t,
                       std::vector<unsigned char>& stimulated);
 
   std::size_t stimulus_count() const { return stimuli_.size(); }

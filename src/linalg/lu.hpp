@@ -14,6 +14,10 @@
 
 namespace si::linalg {
 
+/// Singularity threshold of every LU factorization, dense and sparse: a
+/// pivot below kPivotTol times the matrix scale is singular.
+constexpr double kPivotTol = 1e-13;
+
 /// Thrown when a matrix is numerically singular (pivot below threshold).
 class SingularMatrixError : public std::runtime_error {
  public:
@@ -31,12 +35,11 @@ class SingularMatrixError : public std::runtime_error {
 /// (unit diagonal, strictly lower part) and U (upper part) and `perm`
 /// records the row permutation (perm[i] = original row in position i).
 /// Returns the permutation parity (+1/-1).  Throws SingularMatrixError
-/// if a pivot magnitude falls below `pivot_tol * inf_norm(A)`.  `perm`
+/// if a pivot magnitude falls below `kPivotTol * inf_norm(A)`.  `perm`
 /// is resized on first use only — reusing it across calls of the same
 /// dimension allocates nothing.
 template <typename T>
-int lu_factor_in_place(DenseMatrix<T>& a, std::vector<std::size_t>& perm,
-                       double pivot_tol = 1e-13) {
+int lu_factor_in_place(DenseMatrix<T>& a, std::vector<std::size_t>& perm) {
   if (a.rows() != a.cols())
     throw std::invalid_argument("lu_factor_in_place: matrix must be square");
   const std::size_t n = a.rows();
@@ -44,7 +47,7 @@ int lu_factor_in_place(DenseMatrix<T>& a, std::vector<std::size_t>& perm,
   for (std::size_t i = 0; i < n; ++i) perm[i] = i;
   int parity = 1;
   const double scale = a.inf_norm();
-  const double tol = pivot_tol * (scale > 0 ? scale : 1.0);
+  const double tol = kPivotTol * (scale > 0 ? scale : 1.0);
 
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: pick the largest magnitude entry in column k.
@@ -104,10 +107,9 @@ template <typename T>
 class LuFactorization {
  public:
   /// Factors `a` (consumed by value).  Throws SingularMatrixError if a
-  /// pivot magnitude falls below `pivot_tol * inf_norm(A)`.
-  explicit LuFactorization(DenseMatrix<T> a, double pivot_tol = 1e-13)
-      : lu_(std::move(a)) {
-    parity_ = lu_factor_in_place(lu_, perm_, pivot_tol);
+  /// pivot magnitude falls below `kPivotTol * inf_norm(A)`.
+  explicit LuFactorization(DenseMatrix<T> a) : lu_(std::move(a)) {
+    parity_ = lu_factor_in_place(lu_, perm_);
   }
 
   std::size_t dim() const { return lu_.rows(); }

@@ -134,15 +134,14 @@ struct PivotReplay {
 ///     the dense pass's value;
 ///   - the pivot is the largest |x(i)| over the unpivoted rows, ties to
 ///     the lowest current position under the dense pass's row swaps;
-///   - a pivot below pivot_tol * inf_norm(B) is singular, with the row
+///   - a pivot below kPivotTol * inf_norm(B) is singular, with the row
 ///     sums accumulated in ascending column order like inf_norm();
 ///   - L keeps its numerically zero entries, so the reach sets are the
 ///     symbolic fill of the permuted matrix.
 template <typename T>
 PivotReplay replay_partial_pivoting(const SparseMatrix<T>& a,
                                     const std::vector<int>& cp,
-                                    const std::vector<int>& cinv,
-                                    double pivot_tol) {
+                                    const std::vector<int>& cinv) {
   const SparsePattern& ap = a.pattern();
   const int n = ap.dim();
   const auto un = static_cast<std::size_t>(n);
@@ -174,7 +173,7 @@ PivotReplay replay_partial_pivoting(const SparseMatrix<T>& a,
     for (const double s : row_sum)
       if (s > scale) scale = s;
   }
-  const double tol = pivot_tol * (scale > 0 ? scale : 1.0);
+  const double tol = kPivotTol * (scale > 0 ? scale : 1.0);
 
   PivotReplay out;
   out.rows.assign(un, -1);
@@ -291,7 +290,7 @@ void SparseLu<T>::build_symbolic(const SparseMatrix<T>& a) {
   // 2. Pivoting first factorization of the pre-ordered matrix — fixes
   //    the row permutation and the L+U fill pattern, once per topology.
   //    Throws SingularMatrixError with the ORIGINAL column index.
-  PivotReplay replay = replay_partial_pivoting(a, cp_, cinv, opt_.pivot_tol);
+  PivotReplay replay = replay_partial_pivoting(a, cp_, cinv);
   rp_.resize(un);
   for (int i = 0; i < n_; ++i)
     rp_[static_cast<std::size_t>(i)] =
@@ -340,6 +339,10 @@ void SparseLu<T>::build_symbolic(const SparseMatrix<T>& a) {
 template <typename T>
 void SparseLu<T>::refactor_values(const SparseMatrix<T>& a, bool fresh_pivot) {
   const auto un = static_cast<std::size_t>(n_);
+  // Refactor drift threshold: a refactor pivot below kDriftTol times its
+  // row scale that has also collapsed relative to its magnitude at the
+  // last pivoting factorization signals drift.
+  constexpr double kDriftTol = 1e-10;
   // A refactor pivot below the drift threshold is still sound when it
   // has kept the magnitude it had at the pivoting factorization — the
   // permutation was chosen with that scale, so nothing has drifted.
@@ -366,8 +369,7 @@ void SparseLu<T>::refactor_values(const SparseMatrix<T>& a, bool fresh_pivot) {
     // the drift threshold: rejecting a pivot partial pivoting chose
     // moments earlier would be contradictory.
     const double scale = rmax > 0 ? rmax : 1.0;
-    const double tol =
-        (fresh_pivot ? opt_.pivot_tol : opt_.drift_tol) * scale;
+    const double tol = (fresh_pivot ? kPivotTol : kDriftTol) * scale;
     // Up-looking elimination against the already-factored rows.
     for (std::size_t s = frp[i]; s < urow_start_[i]; ++s) {
       const auto j = static_cast<std::size_t>(fci[s]);

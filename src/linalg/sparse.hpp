@@ -258,19 +258,6 @@ std::vector<int> min_degree_order(const SparsePattern& p);
 template <typename T>
 class SparseLu {
  public:
-  struct Options {
-    /// Singularity threshold: the pivoting pass (and the first numeric
-    /// pass, which sees the same values) rejects pivots below
-    /// pivot_tol * scale.
-    double pivot_tol = 1e-13;
-    /// Refactor drift threshold: a refactor pivot below
-    /// drift_tol * row_scale that has also collapsed relative to its
-    /// magnitude at the last pivoting factorization signals drift.
-    double drift_tol = 1e-10;
-  };
-
-  explicit SparseLu(Options opt = {}) : opt_(opt) {}
-
   /// Full factorization: chooses the column pre-order and row pivot
   /// order (sparse partial pivoting, once per topology), freezes the
   /// fill pattern, then factors numerically.  Throws SingularMatrixError
@@ -304,7 +291,6 @@ class SparseLu {
   void build_symbolic(const SparseMatrix<T>& a);
   void refactor_values(const SparseMatrix<T>& a, bool fresh_pivot);
 
-  Options opt_;
   bool factored_ = false;
   std::size_t symbolic_builds_ = 0;
   std::shared_ptr<const SparsePattern> a_pattern_;  // pattern symbolic ran on

@@ -1,7 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#if SI_OBS_ENABLED
-
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -344,5 +342,3 @@ std::string snapshot_table() {
 }
 
 }  // namespace si::obs
-
-#endif  // SI_OBS_ENABLED

@@ -5,12 +5,9 @@
 // ladders) are counted instead of recovering silently.
 //
 // Overhead contract:
-//  - compile-time kill switch: building with SI_OBS=OFF defines
-//    SI_OBS_ENABLED=0 and every probe below compiles to an empty inline
-//    (no atomics, no registry, no strings);
-//  - runtime switch: when compiled in, nothing records until
-//    set_enabled(true) (or the SI_OBS=1 environment variable); a probe
-//    on the disabled path costs one relaxed atomic load;
+//  - runtime switch: nothing records until set_enabled(true) (or the
+//    SI_OBS=1 environment variable); a probe on the disabled path costs
+//    one relaxed atomic load;
 //  - hot-loop safety: recording never allocates.  Counters and timers
 //    are relaxed atomics, histogram bins are a fixed array, the span
 //    ring is preallocated.  Only registration (obs::counter(name) etc.)
@@ -18,19 +15,16 @@
 //    during warm-up and keep the reference.
 #pragma once
 
-#ifndef SI_OBS_ENABLED
+// The probes are always compiled in.  Only perfbench/src/main.cpp reads
+// this macro, for its "obs_compiled" host field.
 #define SI_OBS_ENABLED 1
-#endif
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#if SI_OBS_ENABLED
-
-#include <atomic>
-#include <chrono>
 
 namespace si::obs {
 
@@ -187,95 +181,12 @@ Histogram& histogram(std::string_view name);
 /// (registrations survive).
 void reset();
 
-/// JSON object with "enabled"/"compiled" flags plus all registered
-/// counters, timers, histograms and the span ring, keys sorted.
+/// JSON object with the "enabled" and "compiled" (always true) flags
+/// plus all registered counters, timers, histograms and the span ring,
+/// keys sorted.
 std::string snapshot_json();
 
 /// Human-readable aligned table of the same snapshot.
 std::string snapshot_table();
 
 }  // namespace si::obs
-
-#else  // !SI_OBS_ENABLED — every probe is an empty inline.
-
-namespace si::obs {
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Timer {
- public:
-  void record_ns(std::uint64_t) noexcept {}
-  std::uint64_t total_ns() const noexcept { return 0; }
-  std::uint64_t count() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer&) noexcept {}
-};
-
-class Histogram {
- public:
-  static constexpr int kBins = 128;
-  static constexpr int kBias = 64;
-  void record(double) noexcept {}
-  std::uint64_t count() const noexcept { return 0; }
-  double sum() const noexcept { return 0.0; }
-  double min() const noexcept { return 0.0; }
-  double max() const noexcept { return 0.0; }
-  std::uint64_t bin(int) const noexcept { return 0; }
-  static double bin_lo(int) noexcept { return 0.0; }
-  void reset() noexcept {}
-};
-
-struct SpanEvent {
-  const char* name = nullptr;
-  std::uint64_t start_ns = 0;
-  std::uint64_t dur_ns = 0;
-  std::uint64_t seq = 0;
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) noexcept {}
-};
-
-constexpr std::size_t kTraceRingCapacity = 0;
-
-inline std::vector<SpanEvent> trace_events() { return {}; }
-
-inline Counter& counter(std::string_view) {
-  static Counter c;
-  return c;
-}
-inline Timer& timer(std::string_view) {
-  static Timer t;
-  return t;
-}
-inline Histogram& histogram(std::string_view) {
-  static Histogram h;
-  return h;
-}
-
-inline void reset() {}
-
-inline std::string snapshot_json() {
-  return "{\"compiled\": false, \"enabled\": false, \"counters\": {}, "
-         "\"timers\": {}, \"histograms\": {}, \"spans\": []}";
-}
-inline std::string snapshot_table() {
-  return "telemetry compiled out (SI_OBS=OFF)\n";
-}
-
-}  // namespace si::obs
-
-#endif  // SI_OBS_ENABLED

@@ -1,5 +1,5 @@
-// Content-addressed result caching: repeated sweep points and repeated
-// bench invocations skip recomputation.  Keys are 64-bit FNV-1a digests
+// Content-addressed result caching: the job server's reply memo skips
+// re-simulating a repeated request.  Keys are 64-bit FNV-1a digests
 // of the task parameters (build them with Fnv1a so every input that
 // changes the result is folded into the key); values live in a
 // thread-safe LRU of configurable capacity with hit/miss/eviction
@@ -16,7 +16,6 @@
 #include <string_view>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "obs/telemetry.hpp"
 
@@ -169,8 +168,5 @@ class ResultCache {
       index_;
   CacheStats stats_;
 };
-
-/// Shared process-wide cache for series results.
-ResultCache<std::vector<double>>& series_cache();
 
 }  // namespace si::runtime

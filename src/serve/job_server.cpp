@@ -9,8 +9,8 @@ namespace si::serve {
 
 namespace {
 
-// Obs mirrors of the exact Stats counters (obs probes are gated on
-// SI_OBS and may undercount; Stats never does).
+// Obs mirrors of the exact Stats counters (obs probes only record
+// while telemetry is enabled, so they may undercount; Stats never does).
 struct ServeTelemetry {
   obs::Counter& accepted = obs::counter("serve.jobs_accepted");
   obs::Counter& rejected = obs::counter("serve.jobs_rejected");
@@ -69,8 +69,8 @@ std::string envelope(const std::string& id, const char* status, bool cached,
   out += status;
   out += '"';
   if (want_telemetry) {
-    // snapshot_json() is the obs contract and always valid JSON (the
-    // SI_OBS=OFF stub included); re-dump it so the reply stays compact.
+    // snapshot_json() is the obs contract and always valid JSON;
+    // re-dump it so the reply stays compact.
     out += ",\"telemetry\":";
     Json::parse(obs::snapshot_json()).dump_to(out);
   }

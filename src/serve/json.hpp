@@ -13,9 +13,8 @@
 // std::map so dump() output is deterministic — replies can be golden-
 // tested byte-for-byte).  dump() writes doubles as printf's %.17g
 // would (through std::to_chars), so a parse → mutate → dump cycle
-// preserves every numeric bit; this is what
-// lets bench_serve merge its rows into BENCH_solvers.json without
-// disturbing the solver rows already there.
+// preserves every numeric bit; bench_perf_engines writes the
+// BENCH_solvers.json ledger in this form.
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,18 @@
 #include "spice/dc.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "erc/check.hpp"
 #include "obs/telemetry.hpp"
 #include "spice/mna.hpp"
 
 namespace si::spice {
+
+namespace {
+
+/// First rung of the gmin ladder [S]; each rung is a decade below the
+/// last, down to kGmin.
+constexpr double kGminLadderStart = 1e-2;
+
+}  // namespace
 
 DcResult dc_operating_point(Circuit& c, MnaEngine& engine,
                             const DcOptions& opt,
@@ -16,7 +21,6 @@ DcResult dc_operating_point(Circuit& c, MnaEngine& engine,
   c.finalize();
   StampContext ctx;
   ctx.mode = AnalysisMode::kDcOperatingPoint;
-  ctx.gmin = opt.newton.gmin;
 
   linalg::Vector x;
   if (warm_start && warm_start->size() == c.system_size())
@@ -25,30 +29,23 @@ DcResult dc_operating_point(Circuit& c, MnaEngine& engine,
     x.assign(c.system_size(), 0.0);
 
   DcResult r;
-  bool solved = false;
+  bool solved = true;
   try {
     r.iterations = engine.newton(ctx, x, opt.newton);
-    solved = true;
   } catch (const ConvergenceError&) {
-    if (!opt.gmin_stepping) throw;
+    solved = false;
   }
 
   if (!solved) {
     // gmin stepping: solve an easier (leaky) circuit first and walk the
-    // leak down in decades, warm-starting each solve.
+    // leak down in decades, warm-starting each solve; the final solve
+    // carries the kGmin leak alone.  The 1.0001 absorbs the rounding of
+    // the repeated decade steps.
     obs::counter("dc.gmin_ladder_engaged").add();
     x.assign(c.system_size(), 0.0);
-    double g = opt.gmin_start;
-    while (true) {
-      r.iterations = engine.newton(ctx, x, opt.newton, g);
-      if (g <= opt.gmin_final) break;
-      g = std::max(g * 0.1, opt.gmin_final);
-      if (g <= opt.gmin_final * 1.0001) g = 0.0;  // final pass: no leak
-      if (g == 0.0) {
-        r.iterations = engine.newton(ctx, x, opt.newton, 0.0);
-        break;
-      }
-    }
+    for (double g = kGminLadderStart; g > kGmin * 1.0001; g *= 0.1)
+      engine.newton(ctx, x, opt.newton, g);
+    r.iterations = engine.newton(ctx, x, opt.newton);
   }
 
   SolutionView sol(c, x);

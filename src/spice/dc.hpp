@@ -11,13 +11,11 @@
 
 namespace si::spice {
 
-/// Newton iteration controls shared by DC and transient analyses.
+/// Newton iteration controls shared by DC and transient analyses.  The
+/// convergence tolerances and the update clamp are constants of the
+/// Newton loop (spice/mna.cpp); the leak conductance is spice::kGmin.
 struct NewtonOptions {
   int max_iterations = 200;
-  double v_abstol = 1e-9;   ///< node voltage convergence tolerance [V]
-  double v_reltol = 1e-6;
-  double max_step = 0.5;    ///< per-iteration clamp on voltage updates [V]
-  double gmin = 1e-12;      ///< leak conductance in nonlinear devices
   /// Cooperative cancellation: when set, every Newton iteration calls
   /// checkpoint(), so a cancelled or deadline-expired token unwinds a
   /// DC / transient / Monte-Carlo solve with runtime::CancelledError
@@ -26,13 +24,11 @@ struct NewtonOptions {
   const runtime::CancelToken* cancel = nullptr;
 };
 
+/// If plain Newton fails, dc_operating_point retries from zero while
+/// stepping a diagonal conductance from 1e-2 S down to spice::kGmin in
+/// decades (the gmin ladder, spice/dc.cpp).
 struct DcOptions {
   NewtonOptions newton;
-  /// If plain Newton fails, retry while stepping a diagonal conductance
-  /// from `gmin_start` down to `gmin_final` in decades.
-  bool gmin_stepping = true;
-  double gmin_start = 1e-2;
-  double gmin_final = 1e-12;
   /// Run the static electrical-rule check before solving and throw
   /// erc::ErcError (with the full diagnostic list) on error-severity
   /// findings.  Set false to simulate a known-bad circuit anyway.

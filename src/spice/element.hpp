@@ -26,12 +26,16 @@ enum class AnalysisMode {
 
 enum class Integrator { kBackwardEuler, kTrapezoidal };
 
+/// Leak conductance [S]: across every MOSFET's drain and source, from
+/// every node to ground in each Newton solve, and the last rung of the
+/// DC gmin-stepping ladder.
+constexpr double kGmin = 1e-12;
+
 /// Per-stamp context: what analysis is running, at what time/step.
 struct StampContext {
   AnalysisMode mode = AnalysisMode::kDcOperatingPoint;
   double time = 0.0;
   double dt = 0.0;
-  double gmin = 1e-12;  ///< leak conductance for nonlinear devices
   Integrator integrator = Integrator::kTrapezoidal;
 };
 

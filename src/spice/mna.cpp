@@ -216,20 +216,24 @@ template class MnaSystem<std::complex<double>>;
 
 namespace {
 
+constexpr double kVAbsTol = 1e-9;  ///< node-voltage convergence floor [V]
+constexpr double kVRelTol = 1e-6;  ///< node-voltage relative tolerance
+constexpr double kMaxStep = 0.5;   ///< per-iteration node update clamp [V]
+
 /// The damped Newton update: x += x_new - x, with the `n_nodes`
-/// node-voltage updates clamped to ±opt.max_step.  Returns true when
-/// every node update was within v_abstol + v_reltol·|x| before clamping.
+/// node-voltage updates clamped to ±kMaxStep.  Returns true when every
+/// node update was within kVAbsTol + kVRelTol·|x| before clamping.
 bool damped_newton_update(linalg::Vector& x, const linalg::Vector& x_new,
-                          std::size_t n_nodes, const NewtonOptions& opt) {
+                          std::size_t n_nodes) {
   // Clamp per-node voltage updates to avoid overshooting the square-law
   // device curves; convergence is judged on the raw update.
   bool converged = true;
   for (std::size_t i = 0; i < x.size(); ++i) {
     double dv = x_new[i] - x[i];
     if (i < n_nodes) {
-      const double tol = opt.v_abstol + opt.v_reltol * std::abs(x[i]);
+      const double tol = kVAbsTol + kVRelTol * std::abs(x[i]);
       if (std::abs(dv) > tol) converged = false;
-      dv = std::clamp(dv, -opt.max_step, opt.max_step);
+      dv = std::clamp(dv, -kMaxStep, kMaxStep);
     }
     x[i] += dv;
   }
@@ -271,7 +275,7 @@ int MnaEngine::newton(const StampContext& ctx, linalg::Vector& x,
     x.assign(circuit_->system_size(), 0.0);
   while (true) {
     try {
-      return iterate(ctx, x, opt, opt.gmin + extra_gdiag);
+      return iterate(ctx, x, opt, kGmin + extra_gdiag);
     } catch (const linalg::PatternMissError& miss) {
       // Only the baseline stamp can miss (the MOSFETs' slots were bound
       // against the pattern), and it runs before the first iteration
@@ -315,7 +319,7 @@ int MnaEngine::iterate(const StampContext& ctx, linalg::Vector& x,
       x = x_new_;
       return it;
     }
-    if (damped_newton_update(x, x_new_, n_nodes, opt) && it > 1) return it;
+    if (damped_newton_update(x, x_new_, n_nodes) && it > 1) return it;
   }
   throw ConvergenceError("Newton iteration did not converge in " +
                          std::to_string(opt.max_iterations) + " iterations");

@@ -198,7 +198,7 @@ class MnaEngine {
   /// One damped Newton solve at a fixed context: seeds from `x`
   /// (resized/zeroed if the dimension is wrong), returns iterations
   /// used, throws ConvergenceError on failure.  `extra_gdiag` adds a
-  /// conductance from every node to ground on top of opt.gmin (gmin
+  /// conductance from every node to ground on top of kGmin (gmin
   /// stepping).
   int newton(const StampContext& ctx, linalg::Vector& x,
              const NewtonOptions& opt, double extra_gdiag = 0.0);

@@ -110,7 +110,7 @@ void Mosfet::load(Writer& w, const StampContext& ctx, NodeId d, NodeId g,
   const double i0 = e.sign * e.id;
   // Newton companion: i ~ i0 + gm*(vgs - vgs0) + gds*(vds - vds0).
   const double ieq = i0 - e.gm * vgs_eff - e.gds * vds_eff;
-  w.conductance(d_eff, s_eff, e.gds + ctx.gmin);
+  w.conductance(d_eff, s_eff, e.gds + kGmin);
   w.transconductance(d_eff, s_eff, g, s_eff, e.gm);
   w.current(d_eff, s_eff, ieq);
   // Gate capacitances.

@@ -197,7 +197,6 @@ TransientResult Transient::run(
   StampContext ctx;
   ctx.mode = AnalysisMode::kTransient;
   ctx.dt = opt_.dt;
-  ctx.gmin = opt_.newton.gmin;
   ctx.integrator = opt_.integrator;
 
   for (std::size_t k = 1; k <= steps; ++k) {

@@ -39,16 +39,12 @@ struct TransientOptions {
   /// solves is the monolithic solve; it differs from the monolithic
   /// waveform only by the holds of the whole steps it skips.
   TransientEngine engine = TransientEngine::kMonolithic;
-  /// Event engine: a stimulus counts as changed when its sampled value
-  /// moved more than this since the attached block's last solve [V or A].
-  double event_wave_tol = 1e-9;
   /// Event engine: a block is quiescent once the largest per-step change
   /// over its unknowns falls below this [V]; see the DESIGN.md block
-  /// latency contract for how this bounds the parity error.
+  /// latency contract for how this bounds the parity error.  The
+  /// stimulus-change tolerance and the settle count are constants of
+  /// src/event (kWaveTol, kSettleSteps).
   double event_quiescent_tol = 1e-8;
-  /// Event engine: consecutive quiescent solved steps before a block may
-  /// be declared latent.
-  int event_settle_steps = 2;
 };
 
 /// Recorded waveforms: time base plus one sample vector per probe,

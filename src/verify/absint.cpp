@@ -22,6 +22,11 @@ constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 /// anything).
 constexpr double kSeriesResistanceMax = 10e3;
 
+/// Fixpoint pass cap.
+constexpr int kMaxFixpointIterations = 64;
+/// Updates of a feedback node before its value is widened.
+constexpr int kWidenAfter = 8;
+
 /// Global min/max of a stimulus over one period (or a 1 s token window
 /// for aperiodic waveforms): breakpoints plus a uniform sweep.
 std::pair<double, double> waveform_range(const spice::Waveform& w) {
@@ -882,7 +887,7 @@ struct AbstractInterpreter::Impl {
       if (pinned[n])
         for (std::size_t s = 0; s < S; ++s) r.v[n][s] = pin[n];
 
-    for (int it = 0; it < opt.max_iterations; ++it) {
+    for (int it = 0; it < kMaxFixpointIterations; ++it) {
       bool changed = false;
       for (std::size_t s = 0; s < S; ++s) {
         for (const int node : r.sfg.order) {
@@ -951,7 +956,7 @@ struct AbstractInterpreter::Impl {
 
           if (acc != r.v[n][s]) {
             ++visits[n];
-            if (r.sfg.is_feedback[n] && visits[n] > opt.widen_after) {
+            if (r.sfg.is_feedback[n] && visits[n] > kWidenAfter) {
               acc = widen(r.v[n][s], acc, rail_window);
               ++widenings;
             }
@@ -1123,7 +1128,6 @@ struct AbstractInterpreter::Impl {
     r.rail_window = rail_window;
     fixpoint(r);
     r.pairs = pairs;
-    r.phases = sw_phases;
     r.switch_elements = switches;
     r.iterations = iterations;
     r.widenings = widenings;

@@ -33,8 +33,6 @@ struct AbsOptions {
   double beta_rel_tol = 0.05;     ///< KP*W/L relative tolerance
   double current_rel_tol = 0.05;  ///< current-source relative tolerance
   double rail_margin = 0.3;       ///< allowed excursion past the rails [V]
-  int max_iterations = 64;        ///< fixpoint pass cap
-  int widen_after = 8;            ///< updates per feedback node before widening
 };
 
 /// One atomic clock segment [begin, end) of the hyperperiod: every
@@ -96,8 +94,6 @@ struct AbsResult {
   /// Per-node hull over all segments.
   std::vector<Interval> hull;
   std::vector<PairAnalysis> pairs;
-  /// Per-switch resolved phases, aligned with switch_elements.
-  std::vector<SwitchPhase> phases;
   std::vector<const spice::Switch*> switch_elements;
   /// The legal voltage window: [ground - margin, max rail + margin].
   Interval rail_window;

@@ -321,21 +321,6 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {
     }
   }
 
-  // --- exact clock-phase timing ------------------------------------
-  const auto& sws = ar.switch_elements;
-  for (std::size_t i = 0; i < sws.size(); ++i)
-    for (std::size_t j = i + 1; j < sws.size(); ++j) {
-      const OverlapReport rep = phase_overlap(ar.phases[i], ar.phases[j]);
-      if (!std::isfinite(rep.margin) && rep.overlap == 0.0) continue;
-      out.timing.edges.push_back(
-          {sws[i]->name(), sws[j]->name(), rep.margin, rep.overlap});
-      if (rep.margin < out.timing.min_margin) {
-        out.timing.min_margin = rep.margin;
-        out.timing.worst_a = sws[i]->name();
-        out.timing.worst_b = sws[j]->name();
-      }
-    }
-
   out.stats.corners_evaluated = evals;
   out.stats.pair_current_evals = iin_evals;
   obs::counter("verify.nodes_analyzed").add(out.stats.nodes);
@@ -404,20 +389,7 @@ std::string to_json(const VerifyResult& r) {
          << "]";
     os << "}";
   }
-  os << "],\"timing\":{";
-  if (std::isfinite(r.timing.min_margin))
-    os << "\"min_margin\":" << fmt(r.timing.min_margin) << ",\"worst\":[\""
-       << erc::json_escape(r.timing.worst_a) << "\",\""
-       << erc::json_escape(r.timing.worst_b) << "\"],";
-  os << "\"edges\":[";
-  for (std::size_t i = 0; i < r.timing.edges.size(); ++i) {
-    const TimingEdge& e = r.timing.edges[i];
-    if (i) os << ",";
-    os << "{\"a\":\"" << erc::json_escape(e.a) << "\",\"b\":\""
-       << erc::json_escape(e.b) << "\",\"margin\":" << jnum(e.margin)
-       << ",\"overlap\":" << jnum(e.overlap) << "}";
-  }
-  os << "]},\"stats\":{\"nodes\":" << r.stats.nodes
+  os << "],\"stats\":{\"nodes\":" << r.stats.nodes
      << ",\"segments\":" << r.stats.segments << ",\"pairs\":" << r.stats.pairs
      << ",\"switches\":" << r.stats.switches
      << ",\"nodes_resolved\":" << r.stats.nodes_resolved

@@ -20,11 +20,10 @@
 // violation — it then stays silent) but never claims a violation without
 // a concrete reproducing corner.
 //
-// Exact clock-phase timing (phase.hpp) is reported alongside as a
-// pairwise non-overlap margin matrix.
+// Clock-phase timing is checked by ERC's si.clock-overlap rule on the
+// cascaded sampling switches, through phase.hpp's exact overlap.
 #pragma once
 
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,7 @@
 namespace si::verify {
 
 struct VerifyOptions {
-  AbsOptions abs;               ///< tolerances and fixpoint policy
+  AbsOptions abs;               ///< parameter tolerances
   double min_overdrive = 0.05;  ///< required gate overdrive [V]
 };
 
@@ -58,19 +57,6 @@ struct Finding {
 struct NodeRange {
   std::string node;
   Interval v;
-};
-
-/// Non-overlap margin between two switches (see OverlapReport::margin).
-struct TimingEdge {
-  std::string a, b;
-  double margin = 0.0;
-  double overlap = 0.0;
-};
-
-struct TimingReport {
-  double min_margin = std::numeric_limits<double>::infinity();
-  std::string worst_a, worst_b;
-  std::vector<TimingEdge> edges;
 };
 
 /// Analysis summary of one memory pair.
@@ -99,7 +85,6 @@ struct VerifyResult {
   std::vector<Finding> findings;
   std::vector<NodeRange> ranges;
   std::vector<PairSummary> pairs;
-  TimingReport timing;
   VerifyStats stats;
 };
 
@@ -111,7 +96,7 @@ VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt = {});
 void report(const VerifyResult& r, erc::DiagnosticSink& sink);
 
 /// Machine-readable rendering: findings with witnesses, node ranges,
-/// the timing matrix, and stats.
+/// pair summaries and stats.
 std::string to_json(const VerifyResult& r);
 
 }  // namespace si::verify

@@ -225,7 +225,7 @@ const Diagnostic* find_rule(const std::vector<Diagnostic>& diags,
 
 TEST(ErcSi, SupplyMinFiresOnlyBelowTheFloorMinusOneNanovolt) {
   // The floor sums as 1.7000000000000002, one ULP above a 1.7 V supply.
-  const double floor = 0.8 + 0.8 + ErcOptions{}.min_pair_overdrive;
+  const double floor = 0.8 + 0.8 + erc::kMinPairOverdrive;
   EXPECT_FALSE(has_rule(erc::check(pair_on_supply(1.7)), "si.supply-min"));
   EXPECT_FALSE(
       has_rule(erc::check(pair_on_supply(floor - 0.5e-9)), "si.supply-min"));
@@ -646,7 +646,6 @@ std::pair<std::string, std::string> fmt_apart(double a, double b) {
 }
 
 void si_pack(const Circuit& c, DiagnosticSink& sink) {
-  const ErcOptions opt;
   const std::vector<Pair> pairs = erc_pairs(c);
   for (const Pair& mp : pairs) {
     if (mp.mn->source() != spice::kGroundNode) continue;
@@ -654,7 +653,7 @@ void si_pack(const Circuit& c, DiagnosticSink& sink) {
     if (vdd == 0.0) continue;
     const double vt_n = std::abs(mp.mn->params().vt0);
     const double vt_p = std::abs(mp.mp->params().vt0);
-    const double floor = vt_n + vt_p + opt.min_pair_overdrive;
+    const double floor = vt_n + vt_p + erc::kMinPairOverdrive;
     if (vdd < floor - 1e-9) {
       const auto [vs, fs] = fmt_apart(vdd, floor);
       sink.report({Severity::kError, "si.supply-min",
@@ -662,7 +661,7 @@ void si_pack(const Circuit& c, DiagnosticSink& sink) {
                        fs + " V for '" + mp.mn->name() + "'/'" +
                        mp.mp->name() + "' (Vt_n + Vt_p + Vov = " + fmt(vt_n) +
                        " + " + fmt(vt_p) + " + " +
-                       fmt(opt.min_pair_overdrive) +
+                       fmt(erc::kMinPairOverdrive) +
                        ", paper Eqs. (1)-(2))",
                    0, mp.mp->name(),
                    "raise the supply above " + fs +
@@ -671,7 +670,7 @@ void si_pack(const Circuit& c, DiagnosticSink& sink) {
     const double beta_n = mp.mn->params().beta();
     const double beta_p = mp.mp->params().beta();
     const double rel = std::abs(beta_n - beta_p) / std::max(beta_n, beta_p);
-    if (rel > opt.pair_beta_tolerance)
+    if (rel > erc::kPairBetaTolerance)
       sink.report({Severity::kWarning, "si.classab-asymmetry",
                    "class-AB pair '" + mp.mn->name() + "'/'" +
                        mp.mp->name() + "' has unbalanced beta (" +
@@ -725,7 +724,7 @@ void si_pack(const Circuit& c, DiagnosticSink& sink) {
       const double ratio = (ext->params().w / ext->params().l) /
                            (master->params().w / master->params().l);
       const double rel = ratio - 0.5;
-      if (std::abs(rel) > 0.5 * opt.half_size_tolerance)
+      if (std::abs(rel) > 0.5 * erc::kHalfSizeTolerance)
         sink.report({Severity::kWarning, "si.cmff-half-size",
                      "CMFF extraction device '" + ext->name() + "' is " +
                          fmt(ratio) + "x the master '" + master->name() +

@@ -1,11 +1,8 @@
 // Structure-shared Monte-Carlo contracts: monte_carlo_dc reproduces
 // the serial sample vector at every thread count and grain, on the
 // dense and on the sparse representation, including trials that
-// re-pivot; and serial and parallel runs share one series-cache entry.
+// re-pivot.
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <memory>
 
 #include "analysis/mc_batch.hpp"
 #include "obs/telemetry.hpp"
@@ -83,41 +80,6 @@ TEST(McBatch, RepivotedTrialsStayThreadInvariant) {
     EXPECT_EQ(st.samples, ref.samples) << "threads=" << threads;
   }
   runtime::set_thread_count(0);
-}
-
-TEST(McBatch, BatchedAndScalarRunsShareOneCacheEntry) {
-  // Serial and parallel runs (any grain) are bit-identical, so they
-  // share the entry of their key.
-  auto applies = std::make_shared<std::atomic<int>>(0);
-  auto base = analysis::modulator_mismatch_workload(1);
-  analysis::McDcWorkload w;
-  w.newton = base.newton;
-  w.build = [base, applies](spice::Circuit& c) {
-    auto fns = base.build(c);
-    auto inner = fns.apply;
-    fns.apply = [inner, applies](std::uint64_t seed) {
-      applies->fetch_add(1);
-      inner(seed);
-    };
-    return fns;
-  };
-
-  analysis::McOptions opts;
-  opts.seed0 = 11;
-  opts.cache_key = 0x5150c0ffee;  // unique to this test
-  opts.parallel = false;
-  const auto serial = analysis::monte_carlo_dc(10, w, opts);
-  const int after_serial = applies->load();
-  EXPECT_GT(after_serial, 0);
-
-  // Same key, parallel path at another grain: no trial may execute.
-  runtime::set_thread_count(4);
-  opts.parallel = true;
-  opts.grain = 3;
-  const auto parallel = analysis::monte_carlo_dc(10, w, opts);
-  runtime::set_thread_count(0);
-  EXPECT_EQ(applies->load(), after_serial);
-  EXPECT_EQ(parallel.samples, serial.samples);
 }
 
 TEST(McStatistics, HistogramLoadsSamplesIntoRegistry) {

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 
 #include "analysis/monte_carlo.hpp"
 #include "dsp/signal.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/result_cache.hpp"
 #include "si/common_mode.hpp"
 
 namespace {
@@ -101,29 +99,6 @@ TEST(MonteCarlo, ExplicitGrainStillBitIdentical) {
     EXPECT_EQ(serial.samples, monte_carlo(100, nontrivial_trial, opts).samples);
   }
   si::runtime::set_thread_count(0);
-}
-
-TEST(MonteCarlo, CachedRunSkipsTrialsAndMatches) {
-  si::runtime::series_cache().clear();
-  std::atomic<int> calls{0};
-  auto trial = [&calls](std::uint64_t seed) {
-    calls.fetch_add(1);
-    return static_cast<double>(seed % 1000);
-  };
-  McOptions opts;
-  opts.seed0 = 3;
-  opts.cache_key = si::runtime::Fnv1a().str("test.cached_run").digest();
-  const auto first = monte_carlo(40, trial, opts);
-  const int calls_after_first = calls.load();
-  EXPECT_EQ(calls_after_first, 40);
-  const auto second = monte_carlo(40, trial, opts);
-  EXPECT_EQ(calls.load(), calls_after_first);  // served from cache
-  EXPECT_EQ(first.samples, second.samples);
-  // A different root seed is a different content address.
-  opts.seed0 = 4;
-  const auto third = monte_carlo(40, trial, opts);
-  EXPECT_EQ(calls.load(), calls_after_first + 40);
-  EXPECT_NE(first.samples, third.samples);
 }
 
 TEST(MonteCarlo, RejectsZeroRuns) {

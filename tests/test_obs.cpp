@@ -13,8 +13,6 @@ namespace {
 
 namespace obs = si::obs;
 
-#if SI_OBS_ENABLED
-
 /// Enables telemetry for one test and restores the disabled default.
 class ObsEnabled {
  public:
@@ -194,27 +192,5 @@ TEST(Obs, ResetZeroesInstrumentsAndRing) {
   EXPECT_EQ(obs::histogram("test.reset_h").count(), 0u);
   EXPECT_TRUE(obs::trace_events().empty());
 }
-
-#else  // compiled out: every probe is a no-op and the snapshot says so
-
-TEST(Obs, CompiledOutProbesAreNoOps) {
-  obs::set_enabled(true);
-  EXPECT_FALSE(obs::enabled());
-  obs::Counter& c = obs::counter("test.noop");
-  c.add(5);
-  EXPECT_EQ(c.value(), 0u);
-  obs::timer("test.noop_t").record_ns(100);
-  EXPECT_EQ(obs::timer("test.noop_t").count(), 0u);
-  obs::histogram("test.noop_h").record(1.0);
-  EXPECT_EQ(obs::histogram("test.noop_h").count(), 0u);
-  {
-    obs::TraceSpan span("test.noop_span");
-  }
-  EXPECT_TRUE(obs::trace_events().empty());
-  EXPECT_NE(obs::snapshot_json().find("\"compiled\": false"),
-            std::string::npos);
-}
-
-#endif  // SI_OBS_ENABLED
 
 }  // namespace

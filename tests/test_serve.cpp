@@ -287,18 +287,14 @@ TEST(Protocol, McJobBuildsOnePatternPerJob) {
   req.set("mc_measure", "v(d)");
 
   si::obs::set_enabled(true);
-#if SI_OBS_ENABLED
   si::obs::Counter& builds = si::obs::counter("mna.pattern_builds");
   si::obs::Counter& dense = si::obs::counter("mna.dense_factors");
   const std::uint64_t builds_before = builds.value();
   const std::uint64_t dense_before = dense.value();
-#endif
   const Json out = run_job(parse_request(req), nullptr);
   EXPECT_EQ(out.find("trials")->as_number(), 16.0);
-#if SI_OBS_ENABLED
   EXPECT_EQ(builds.value(), builds_before + 1);
   EXPECT_EQ(dense.value(), dense_before);
-#endif
   si::obs::set_enabled(false);
 }
 
@@ -622,7 +618,6 @@ TEST(JobServer, TelemetryReplyKeepsSortedKeysAroundTheResult) {
 
 TEST(JobServer, EachServedJobParsesAndLintsItsDeckOnce) {
   si::obs::set_enabled(true);
-#if SI_OBS_ENABLED
   si::obs::Counter& parses = si::obs::counter("spice.parses");
   si::obs::Counter& lints = si::obs::counter("erc.runs");
   JobServer::Options opt;
@@ -639,7 +634,6 @@ TEST(JobServer, EachServedJobParsesAndLintsItsDeckOnce) {
     EXPECT_EQ(parses.value() - parses_before, 1u) << id;
     EXPECT_EQ(lints.value() - lints_before, 1u) << id;
   }
-#endif
   si::obs::set_enabled(false);
 }
 

@@ -23,17 +23,13 @@ using namespace si::cells::netlists;
 /// counters, that it solved on the representation `sparse` names.
 TransientResult run_on(Transient& tr, bool sparse) {
   si::obs::set_enabled(true);
-#if SI_OBS_ENABLED
   auto& dense_factors = si::obs::counter("mna.dense_factors");
   auto& symbolic_factors = si::obs::counter("mna.symbolic_factors");
   const auto dense_before = dense_factors.value();
   const auto symbolic_before = symbolic_factors.value();
-#endif
   auto r = tr.run();
-#if SI_OBS_ENABLED
   EXPECT_EQ(dense_factors.value() > dense_before, !sparse);
   EXPECT_EQ(symbolic_factors.value() > symbolic_before, sparse);
-#endif
   si::obs::set_enabled(false);
   return r;
 }

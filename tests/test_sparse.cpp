@@ -147,7 +147,7 @@ Symbolic build_symbolic(const SparseMatrix<T>& a) {
           a.values()[s];
   std::vector<std::size_t> perm;
   try {
-    lu_factor_in_place(m, perm, 1e-13);
+    lu_factor_in_place(m, perm);
   } catch (const SingularMatrixError& e) {
     throw SingularMatrixError(
         static_cast<std::size_t>(out.cols[e.column()]));
@@ -603,7 +603,7 @@ CircuitJacobians jacobians_at_operating_point(spice::Circuit& c,
     for (const auto& e : c.elements()) e->stamp(s, ctx);
     for (std::size_t i = 0; i + 1 < c.node_count(); ++i)
       a.values()[static_cast<std::size_t>(pattern->diag_slots()[i])] +=
-          ctx.gmin;
+          spice::kGmin;
     return a;
   };
   return {assemble(dc_ctx), assemble(tran_ctx)};

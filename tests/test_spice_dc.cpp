@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "obs/telemetry.hpp"
 #include "spice/circuit.hpp"
 #include "spice/dc.hpp"
 #include "spice/elements.hpp"
@@ -146,8 +147,10 @@ TEST(SpiceDc, NmosCurrentMirrorCopiesCurrent) {
 }
 
 TEST(SpiceDc, GminSteppingRescuesHardCircuit) {
-  // A floating gate node with only MOSFETs attached converges thanks to
-  // the gmin-stepping fallback / device gmin.
+  // The mid node of two diode-connected devices stacked across the
+  // supply touches only MOSFET terminals.  Plain Newton still converges
+  // here (the gmin ladder does not engage); the ladder itself is
+  // covered by GminLadderRescuesSingularColdStart.
   Circuit c;
   const NodeId vdd = c.node("vdd");
   const NodeId mid = c.node("mid");
@@ -159,6 +162,63 @@ TEST(SpiceDc, GminSteppingRescuesHardCircuit) {
   SolutionView sol(c, r.x);
   EXPECT_GT(sol.voltage(mid), 0.0);
   EXPECT_LT(sol.voltage(mid), 3.3);
+}
+
+struct LadderCircuit {
+  Circuit c;
+  NodeId s = 0;  ///< PMOS source, behind the supply resistor
+  NodeId n = 0;
+  const Mosfet* mp = nullptr;
+  const Mosfet* mn = nullptr;
+};
+
+/// A 3.3 V supply behind `r_supply` feeds a PMOS (gate grounded) whose
+/// drain `n` is shared with an NMOS gated at 1.5 V.
+void build_ladder_circuit(LadderCircuit& lc, double r_supply) {
+  Circuit& c = lc.c;
+  const NodeId vdd = c.node("vdd");
+  const NodeId g = c.node("g");
+  lc.s = c.node("s");
+  lc.n = c.node("n");
+  const MosfetParams p;
+  c.add<VoltageSource>("Vdd", vdd, c.ground(), 3.3);
+  c.add<Resistor>("Rs", vdd, lc.s, r_supply);
+  c.add<VoltageSource>("Vg", g, c.ground(), 1.5);
+  lc.mp = &c.add<Mosfet>("Mp", MosType::kPmos, lc.n, c.ground(), lc.s, p);
+  lc.mn = &c.add<Mosfet>("Mn", MosType::kNmos, lc.n, g, c.ground(), p);
+}
+
+TEST(SpiceDc, GminLadderRescuesSingularColdStart) {
+  // At x = 0 both devices are off, so the diagonal at n holds only the
+  // gmin leaks.  Behind 0.01 ohm the matrix scale puts that below the
+  // pivot threshold: the cold start is singular and the ladder's leaky
+  // first rungs carry the solve.
+  si::obs::set_enabled(true);
+  si::obs::Counter& ladders = si::obs::counter("dc.gmin_ladder_engaged");
+  const std::uint64_t before = ladders.value();
+  LadderCircuit lc;
+  build_ladder_circuit(lc, 0.01);
+  const DcResult r = dc_operating_point(lc.c);
+  EXPECT_EQ(ladders.value(), before + 1);
+
+  // Behind 1 ohm the same cold start is regular and plain Newton
+  // converges.
+  LadderCircuit plain;
+  build_ladder_circuit(plain, 1.0);
+  (void)dc_operating_point(plain.c);
+  EXPECT_EQ(ladders.value(), before + 1);
+  si::obs::set_enabled(false);
+
+  // Kirchhoff's current law at n: the PMOS sources what the NMOS sinks,
+  // plus the three kGmin leaks (across each device, and n to ground).
+  const SolutionView sol(lc.c, r.x);
+  const double vn = sol.voltage(lc.n);
+  const double vs = sol.voltage(lc.s);
+  EXPECT_NEAR(vn, 3.1844, 1e-4);
+  EXPECT_EQ(lc.mn->region(), MosRegion::kSaturation);
+  EXPECT_GT(lc.mn->id(), 1e-6);
+  const double leaks = kGmin * ((vn - vs) + vn + vn);
+  EXPECT_NEAR(lc.mp->id() + lc.mn->id() + leaks, 0.0, 1e-9 * lc.mn->id());
 }
 
 TEST(SpiceDc, DcSweepResistorLoadLine) {

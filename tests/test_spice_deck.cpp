@@ -91,11 +91,9 @@ TEST(Deck, LintsOncePerRun) {
   // The DC op, the transient, the re-op before AC and the AC sweep all
   // run on one unchanged circuit, so ERC runs once per deck.
   si::obs::set_enabled(true);
-#if SI_OBS_ENABLED
   si::obs::Counter& erc_runs = si::obs::counter("erc.runs");
   si::obs::Counter& solves = si::obs::counter("mna.newton_solves");
   const std::uint64_t erc_before = erc_runs.value();
-#endif
   auto r = run_deck(R"(
 V1 in 0 SIN(0 1 10k) AC 1
 R1 in out 10k
@@ -106,10 +104,8 @@ C1 out 0 1n
 )");
   EXPECT_TRUE(r.tran.has_value());
   EXPECT_TRUE(r.ac.has_value());
-#if SI_OBS_ENABLED
   EXPECT_EQ(erc_runs.value(), erc_before + 1);
   const std::uint64_t solves_before = solves.value();
-#endif
   // A deck that fails ERC still throws before any solve.
   EXPECT_THROW(run_deck(R"(
 V1 in 0 DC 1
@@ -119,9 +115,7 @@ R3 isla islb 22k
 .tran 1u 10u
 )"),
                si::erc::ErcError);
-#if SI_OBS_ENABLED
   EXPECT_EQ(solves.value(), solves_before);
-#endif
   si::obs::set_enabled(false);
 }
 

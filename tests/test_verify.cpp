@@ -291,7 +291,7 @@ TEST(VerifyTiming, NonOverlappingCascadeIsCleanWithMargin) {
       diags.begin(), diags.end(),
       [](const erc::Diagnostic& d) { return d.rule == "si.clock-overlap"; }));
 
-  // The timing matrix reports the exact non-overlap margin.
+  // phase_overlap reports the exact non-overlap margin.
   const spice::Switch* a = nullptr;
   const spice::Switch* b = nullptr;
   for (const auto& e : c.elements()) {
@@ -408,15 +408,11 @@ TEST(Verify, WitnessEvaluationsGrowLinearlyWithSections) {
   // than at 6).  With it, each upstream pair is evaluated about once per
   // corner.
   obs::set_enabled(true);
-#if SI_OBS_ENABLED
   const auto evals0 = obs::counter("verify.pair_current_evals").value();
-#endif
   const verify::VerifyResult r6 = verify::analyze(modulator_core(6));
   const verify::VerifyResult r12 = verify::analyze(modulator_core(12));
-#if SI_OBS_ENABLED
   EXPECT_EQ(obs::counter("verify.pair_current_evals").value() - evals0,
             r6.stats.pair_current_evals + r12.stats.pair_current_evals);
-#endif
   obs::set_enabled(false);
   ASSERT_GT(r6.stats.corners_evaluated, 0u);
   ASSERT_GT(r12.stats.corners_evaluated, 0u);
@@ -436,19 +432,13 @@ TEST(Verify, EightSectionCoreResolvesTwoClockPatterns) {
   // per switch.
   const Circuit c = modulator_core(8);
   obs::set_enabled(true);
-#if SI_OBS_ENABLED
   obs::Counter& resolutions = obs::counter("verify.phase_resolutions");
   const auto before_verify = resolutions.value();
-#endif
   const verify::VerifyResult r = verify::analyze(c);
-#if SI_OBS_ENABLED
   EXPECT_EQ(resolutions.value() - before_verify, 2u);
   const auto before_erc = resolutions.value();
-#endif
   (void)erc::check(c);
-#if SI_OBS_ENABLED
   EXPECT_EQ(resolutions.value() - before_erc, 2u);
-#endif
   obs::set_enabled(false);
   EXPECT_EQ(r.stats.phase_resolutions, 2u);
   EXPECT_EQ(r.stats.switches, 94u);
