@@ -663,7 +663,11 @@ SparseFactorRow time_sparse_factor_row(int sections) {
 // Assembly rows: one Newton iteration of the modulator core's transient
 // solve, split into its phases and driven through spice::MnaSystem the
 // way MnaEngine drives it, at the DC operating point:
-//  * baseline stamp — zero, stamp the linear elements, add gmin;
+//  * baseline stamp — zero, stamp the linear elements, add gmin.  A
+//                     transient pays it once per switch-state change
+//                     (and at the DC start and a dt or gmin change), not
+//                     once per step: MnaEngine keeps the baseline matrix
+//                     while its key holds and rebuilds the RHS alone;
 //  * restamp        — copy the baseline, then restamp every MOSFET
 //                     through its bound slot block (device_stamp_bound_ns
 //                     is the device part per device);

@@ -2,7 +2,8 @@
 // delay-line chain, Table 2 modulator core) with solver telemetry
 // enabled and report what the engines actually did — Newton iterations,
 // factorizations vs symbolic reuses, re-pivots and pattern misses, grid
-// steps taken — as a table or JSON.
+// steps taken, and per run the full baseline stamps against the solves
+// that kept the baseline matrix — as a table or JSON.
 //
 //   sim_stats [--json] [--stages=N] [--sections=N] [--periods=P]
 //             [--engine=event|monolithic]
@@ -39,6 +40,8 @@ struct RunSummary {
   std::size_t unknowns = 0;
   std::size_t points = 0;
   std::uint64_t accepted = 0;
+  std::uint64_t baseline_stamps = 0;  ///< mna.baseline_stamps of this run
+  std::uint64_t baseline_reuses = 0;  ///< mna.baseline_reuses of this run
   // Event-engine fields (all zero under the monolithic engine).
   std::uint64_t blocks = 0;
   std::uint64_t block_solves = 0;
@@ -65,6 +68,18 @@ RunSummary summarize(const char* workload, const Circuit& c,
   return s;
 }
 
+/// Runs `tr` and records its own share of the baseline counters.
+RunSummary run_counted(const char* workload, Circuit& c, Transient& tr) {
+  si::obs::Counter& stamps = si::obs::counter("mna.baseline_stamps");
+  si::obs::Counter& reuses = si::obs::counter("mna.baseline_reuses");
+  const std::uint64_t stamps0 = stamps.value();
+  const std::uint64_t reuses0 = reuses.value();
+  RunSummary s = summarize(workload, c, tr.run());
+  s.baseline_stamps = stamps.value() - stamps0;
+  s.baseline_reuses = reuses.value() - reuses0;
+  return s;
+}
+
 RunSummary run_delay_line(int stages, double periods, TransientEngine engine) {
   Circuit c;
   c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
@@ -81,8 +96,7 @@ RunSummary run_delay_line(int stages, double periods, TransientEngine engine) {
   topt.engine = engine;
   Transient tr(c, topt);
   tr.probe_voltage(c.node_name(h.out));
-  const auto r = tr.run();
-  return summarize("table1_delay_line", c, r);
+  return run_counted("table1_delay_line", c, tr);
 }
 
 RunSummary run_modulator(int sections, double periods, TransientEngine engine) {
@@ -104,8 +118,7 @@ RunSummary run_modulator(int sections, double periods, TransientEngine engine) {
   topt.engine = engine;
   Transient tr(c, topt);
   tr.probe_voltage(c.node_name(h.out_p));
-  const auto r = tr.run();
-  return summarize("table2_modulator", c, r);
+  return run_counted("table2_modulator", c, tr);
 }
 
 /// The whole value must parse: "2x" is an error, not 2.
@@ -141,9 +154,12 @@ int usage_error(const char* what, const char* arg) {
 }
 
 void print_summary(const RunSummary& s, bool event_engine) {
-  std::printf("%-18s unknowns=%-4zu points=%-6zu accepted=%llu",
+  std::printf("%-18s unknowns=%-4zu points=%-6zu accepted=%llu "
+              "baseline_stamps=%llu baseline_reuses=%llu",
               s.workload.c_str(), s.unknowns, s.points,
-              static_cast<unsigned long long>(s.accepted));
+              static_cast<unsigned long long>(s.accepted),
+              static_cast<unsigned long long>(s.baseline_stamps),
+              static_cast<unsigned long long>(s.baseline_reuses));
   if (event_engine)
     std::printf(" blocks=%llu block_skips=%llu steps_skipped=%llu "
                 "latency=%.3f",
@@ -196,11 +212,14 @@ int main(int argc, char** argv) {
     for (const auto* s : {&dl, &mod}) {
       std::printf(
           "%s{\"workload\": \"%s\", \"unknowns\": %zu, \"points\": %zu, "
-          "\"steps_accepted\": %llu, \"event_blocks\": %llu, "
+          "\"steps_accepted\": %llu, \"baseline_stamps\": %llu, "
+          "\"baseline_reuses\": %llu, \"event_blocks\": %llu, "
           "\"event_block_solves\": %llu, \"event_block_skips\": %llu, "
           "\"event_steps_skipped\": %llu, \"latency_ratio\": %.6f}",
           first ? "" : ", ", s->workload.c_str(), s->unknowns, s->points,
           static_cast<unsigned long long>(s->accepted),
+          static_cast<unsigned long long>(s->baseline_stamps),
+          static_cast<unsigned long long>(s->baseline_reuses),
           static_cast<unsigned long long>(s->blocks),
           static_cast<unsigned long long>(s->block_solves),
           static_cast<unsigned long long>(s->block_skips),

@@ -44,6 +44,10 @@ RealStamper::RealStamper(const Circuit& c, linalg::PatternBuilder& rec,
       b_(&b),
       x_(&x) {}
 
+RealStamper::RealStamper(const Circuit& c, linalg::Vector& b,
+                         const linalg::Vector& x)
+    : branch_base_(first_branch_row(c)), b_(&b), x_(&x) {}
+
 void RealStamper::record(int r, int c) { record_->add(r, c); }
 
 void RealStamper::branch_voltage_row(int branch, NodeId p, NodeId m) {

@@ -64,14 +64,16 @@ class SolutionView {
 
 /// Accumulates real (DC / transient Newton) stamps.
 ///
-/// Three interchangeable backends keep the Element interface unchanged
+/// Four interchangeable backends keep the Element interface unchanged
 /// while the MNA engine picks the representation:
 ///  - dense: writes into a DenseMatrix (the seed behavior);
 ///  - sparse: indexed writes into a SparseMatrix's nonzero array,
 ///    optionally through a SlotMemo so replayed Newton iterations skip
 ///    the slot search entirely (pattern-cached stamping);
 ///  - record: collects the (row, col) touches into a PatternBuilder
-///    during the engine's one-time discovery pass (values discarded).
+///    during the engine's one-time discovery pass (values discarded);
+///  - RHS only: no matrix, matrix adds dropped (a solve that keeps the
+///    engine's baseline matrix rebuilds only its right-hand side).
 ///
 /// The per-entry write path is defined here so it compiles into every
 /// device's stamp (DESIGN.md, "Stamp-partition contract"): add() writes
@@ -85,6 +87,7 @@ class RealStamper {
               const linalg::Vector& x, linalg::SlotMemo* memo = nullptr);
   RealStamper(const Circuit& c, linalg::PatternBuilder& rec,
               linalg::Vector& b, const linalg::Vector& x);
+  RealStamper(const Circuit& c, linalg::Vector& b, const linalg::Vector& x);
 
   /// Voltage of node `n` in the current Newton iterate.
   double voltage(NodeId n) const {
@@ -145,7 +148,7 @@ class RealStamper {
     } else if (dense_) {
       (*dense_)(static_cast<std::size_t>(r),
                 static_cast<std::size_t>(c)) += v;
-    } else {
+    } else if (record_) {
       record(r, c);
     }
   }

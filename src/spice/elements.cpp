@@ -1,5 +1,6 @@
 #include "spice/elements.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -260,8 +261,7 @@ Switch::Switch(std::string name, NodeId p, NodeId m,
       ctrl_(std::move(ctrl)),
       g_on_(1.0 / r_on),
       g_off_(1.0 / r_off),
-      threshold_(threshold),
-      last_g_(g_off_) {
+      threshold_(threshold) {
   if (!ctrl_) throw std::invalid_argument("Switch: null control waveform");
   if (r_on <= 0.0 || r_off <= 0.0)
     throw std::invalid_argument("Switch: resistances must be > 0");
@@ -271,25 +271,35 @@ std::vector<Terminal> Switch::terminals() const {
   return {{p_, "p", false}, {m_, "m", false}};
 }
 
-bool Switch::is_on(double t) const { return ctrl_->value(t) > threshold_; }
-
-double Switch::conductance_at(double t, AnalysisMode mode) const {
+bool Switch::is_on(double t, AnalysisMode mode) const {
   const double c = mode == AnalysisMode::kDcOperatingPoint
                        ? ctrl_->dc_value()
                        : ctrl_->value(t);
-  return c > threshold_ ? g_on_ : g_off_;
+  return c > threshold_;
 }
 
 void Switch::stamp(RealStamper& s, const StampContext& ctx) {
-  s.conductance(p_, m_, conductance_at(ctx.time, ctx.mode));
+  s.conductance(p_, m_, is_on(ctx.time, ctx.mode) ? g_on_ : g_off_);
 }
 
 void Switch::accept(const SolutionView&, const StampContext& ctx) {
-  last_g_ = conductance_at(ctx.time, ctx.mode);
+  accepted_ = ctx;
 }
 
 void Switch::stamp_ac(ComplexStamper& s, double) const {
-  s.admittance(p_, m_, last_g_);
+  const bool on = accepted_ && is_on(accepted_->time, accepted_->mode);
+  s.admittance(p_, m_, on ? g_on_ : g_off_);
+}
+
+std::optional<PulseKey> pulse_key(const Switch& sw) {
+  const auto* pulse = dynamic_cast<const PulseWave*>(&sw.control());
+  if (!pulse) return std::nullopt;
+  PulseKey key{};
+  const std::array<double, 7> params = pulse->parameters();
+  for (std::size_t i = 0; i < params.size(); ++i)
+    key[i] = std::bit_cast<std::uint64_t>(params[i]);
+  key[7] = std::bit_cast<std::uint64_t>(sw.threshold());
+  return key;
 }
 
 }  // namespace si::spice

@@ -3,7 +3,10 @@
 // sampling phases.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "spice/element.hpp"
 #include "spice/waveform.hpp"
@@ -256,10 +259,17 @@ class Switch final : public Element {
 
   std::vector<Terminal> terminals() const override;
   void stamp(RealStamper& s, const StampContext& ctx) override;
+  /// Records the accepted time and mode; stamp_ac() evaluates the
+  /// control there.
   void accept(const SolutionView& sol, const StampContext& ctx) override;
+  /// Conductance at the last accepted time and mode; r_off before any
+  /// accept.
   void stamp_ac(ComplexStamper& s, double omega) const override;
 
-  bool is_on(double t) const;
+  /// True when the control exceeds the threshold: its dc_value() at the
+  /// DC operating point, its value at `t` in transient.
+  bool is_on(double t,
+             AnalysisMode mode = AnalysisMode::kTransient) const;
 
   /// The controlling clock waveform (never null).
   const Waveform& control() const { return *ctrl_; }
@@ -271,12 +281,18 @@ class Switch final : public Element {
   NodeId m() const { return m_; }
 
  private:
-  double conductance_at(double t, AnalysisMode mode) const;
-
   NodeId p_, m_;
   std::unique_ptr<Waveform> ctrl_;
   double g_on_, g_off_, threshold_;
-  double last_g_;
+  std::optional<StampContext> accepted_;
 };
+
+/// The bits of a PulseWave control's parameters and of the threshold it
+/// is compared against.  Switches with equal keys are on and off
+/// together at every time, in both analysis modes.
+using PulseKey = std::array<std::uint64_t, 8>;
+
+/// `sw`'s PulseKey; nullopt when its control is not a PulseWave.
+std::optional<PulseKey> pulse_key(const Switch& sw);
 
 }  // namespace si::spice

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 
 #include "obs/telemetry.hpp"
 
@@ -22,6 +23,8 @@ struct MnaTelemetry {
   obs::Counter& dense_factors = obs::counter("mna.dense_factors");
   obs::Counter& pivot_repivots = obs::counter("mna.pivot_repivots");
   obs::Counter& pattern_misses = obs::counter("mna.pattern_misses");
+  obs::Counter& baseline_stamps = obs::counter("mna.baseline_stamps");
+  obs::Counter& baseline_reuses = obs::counter("mna.baseline_reuses");
   obs::Counter& singular_retries = obs::counter("mna.singular_matrix");
   obs::Timer& newton_time = obs::timer("mna.newton");
 
@@ -240,6 +243,14 @@ bool damped_newton_update(linalg::Vector& x, const linalg::Vector& x_new,
   return converged;
 }
 
+struct PulseKeyHash {
+  std::size_t operator()(const PulseKey& k) const {
+    std::uint64_t h = 0;
+    for (std::uint64_t w : k) h = (h ^ w) * 0x100000001b3ull;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+};
+
 }  // namespace
 
 // ------------------------------------------------------------ MnaEngine
@@ -253,8 +264,19 @@ void MnaEngine::prepare(const StampContext& ctx) {
 
   linear_.clear();
   nonlinear_.clear();
-  for (const auto& e : c.elements())
+  rhs_linear_.clear();
+  switch_groups_.clear();
+  std::unordered_set<PulseKey, PulseKeyHash> pulses;
+  for (const auto& e : c.elements()) {
     (e->nonlinear() ? nonlinear_ : linear_).push_back(e.get());
+    const auto* sw = dynamic_cast<const Switch*>(e.get());
+    const std::optional<PulseKey> key = sw ? pulse_key(*sw) : std::nullopt;
+    if (!sw && !e->nonlinear()) rhs_linear_.push_back(e.get());
+    if (sw && (!key || pulses.insert(*key).second))
+      switch_groups_.push_back(sw);
+  }
+  switch_states_.assign(switch_groups_.size(), false);
+  baseline_valid_ = false;
 
   const std::size_t n = c.system_size();
   b0_.assign(n, 0.0);
@@ -285,17 +307,46 @@ int MnaEngine::newton(const StampContext& ctx, linalg::Vector& x,
   }
 }
 
+bool MnaEngine::baseline_holds(const StampContext& ctx, double gdiag) {
+  bool holds = baseline_valid_ && ctx.mode == baseline_ctx_.mode &&
+               ctx.dt == baseline_ctx_.dt &&
+               ctx.integrator == baseline_ctx_.integrator &&
+               gdiag == baseline_gdiag_;
+  for (std::size_t g = 0; g < switch_groups_.size(); ++g) {
+    const bool on = switch_groups_[g]->is_on(ctx.time, ctx.mode);
+    if (on != switch_states_[g]) {
+      switch_states_[g] = on;
+      holds = false;
+    }
+  }
+  baseline_ctx_ = ctx;
+  baseline_gdiag_ = gdiag;
+  return holds;
+}
+
 int MnaEngine::iterate(const StampContext& ctx, linalg::Vector& x,
                        const NewtonOptions& opt, double gdiag) {
   MnaTelemetry& tm = MnaTelemetry::get();
   Circuit& c = *circuit_;
   const std::size_t n_nodes = c.node_count() - 1;
   b0_.assign(b0_.size(), 0.0);
-  {
-    RealStamper s = system_.baseline_stamper(c, b0_, x);
-    for (Element* e : linear_) e->stamp(s, ctx);
+  if (baseline_holds(ctx, gdiag)) {
+    // The switches add nothing to the RHS, so the remaining linear
+    // elements make the same adds, in the same order, as a full stamp.
+    system_.reuse_baseline();
+    tm.baseline_reuses.add();
+    RealStamper s(c, b0_, x);
+    for (Element* e : rhs_linear_) e->stamp(s, ctx);
+  } else {
+    baseline_valid_ = false;  // a throw (a pattern miss) leaves it dropped
+    tm.baseline_stamps.add();
+    {
+      RealStamper s = system_.baseline_stamper(c, b0_, x);
+      for (Element* e : linear_) e->stamp(s, ctx);
+    }
+    system_.add_diagonal(n_nodes, gdiag);
+    baseline_valid_ = true;
   }
-  system_.add_diagonal(n_nodes, gdiag);
 
   for (int it = 1; it <= opt.max_iterations; ++it) {
     // Cancellation / deadline checkpoint: CancelledError is not a
@@ -339,6 +390,7 @@ void AcEngine::assemble(double omega) {
   while (true) {
     b_.assign(c.system_size(), std::complex<double>{});
     try {
+      MnaTelemetry::get().baseline_stamps.add();
       {
         ComplexStamper s = system_.baseline_stamper(c, b_);
         for (const auto& e : c.elements()) e->stamp_ac(s, omega);

@@ -12,12 +12,12 @@
 //
 // Stamp-partition contract (see DESIGN.md): elements whose stamp values
 // are fixed for one solve context — everything except devices reporting
-// nonlinear() — are stamped once per newton() call into a baseline;
-// each Newton iteration copies the baseline and restamps only the
-// nonlinear devices, the MOSFETs, each through the block of matrix
-// slots the system bound for it when the pattern was built, so the
-// per-iteration cost is a value copy, a handful of indexed writes, and a
-// numeric refactor.
+// nonlinear() — are stamped into a baseline; each Newton iteration
+// copies the baseline and restamps only the nonlinear devices, the
+// MOSFETs, each through the block of matrix slots the system bound for
+// it when the pattern was built, so the per-iteration cost is a value
+// copy, a handful of indexed writes, and a numeric refactor.  MnaEngine
+// stamps the baseline matrix again only when its key changes.
 #pragma once
 
 #include <complex>
@@ -46,6 +46,7 @@ struct MnaStats {
   std::uint64_t numeric_refactors = 0;  ///< sparse numeric-only refactors
   std::uint64_t dense_factors = 0;      ///< dense LU factorizations
   std::uint64_t base_stamps = 0;        ///< baseline (linear-part) stamps
+  std::uint64_t base_reuses = 0;        ///< solves that kept the baseline
   std::uint64_t nonlinear_stamps = 0;   ///< per-iteration restamps
   std::uint64_t workspace_allocs = 0;   ///< workspace (re)allocations
   std::uint64_t pivot_repivots = 0;     ///< refactors rescued by re-pivoting
@@ -113,6 +114,10 @@ class MnaSystem {
     lin_memo_.start_replay();
     return Stamper(c, a0_sparse_, args..., &lin_memo_);
   }
+
+  /// Counts a solve that keeps the baseline of the last
+  /// baseline_stamper().
+  void reuse_baseline() { ++stats_.base_reuses; }
 
   /// Adds `g` to the baseline diagonal of rows [0, count) (the gmin
   /// leak).
@@ -190,7 +195,11 @@ class MnaSystem {
 /// Construct once per analysis run and reuse across solves; the pattern
 /// and symbolic factorization are rebuilt automatically when
 /// Circuit::revision() changes (an element was added and the circuit
-/// re-finalized).
+/// re-finalized).  The baseline matrix lasts across solves while its
+/// key holds: the analysis mode, dt, the integrator, the extra diagonal
+/// and the on/off state of every Switch.  A solve under the same key
+/// rebuilds only the baseline RHS, with the same adds in the same order
+/// as a full stamp, so its results equal a full restamp bit for bit.
 class MnaEngine {
  public:
   explicit MnaEngine(Circuit& c) : circuit_(&c) {}
@@ -209,6 +218,9 @@ class MnaEngine {
 
  private:
   void prepare(const StampContext& ctx);
+  /// True when the baseline matrix holds for `ctx` and `gdiag`; records
+  /// them, and the switch states, as the key of the next full stamp.
+  bool baseline_holds(const StampContext& ctx, double gdiag);
   int iterate(const StampContext& ctx, linalg::Vector& x,
               const NewtonOptions& opt, double gdiag);
 
@@ -219,6 +231,15 @@ class MnaEngine {
 
   std::vector<Element*> linear_;
   std::vector<Element*> nonlinear_;  // the MOSFETs, bound in system_
+  std::vector<Element*> rhs_linear_;  // linear_ less the switches
+
+  // The baseline key.  One switch stands for each group of switches
+  // sharing a pulse_key; any other switch is a group of its own.
+  bool baseline_valid_ = false;
+  StampContext baseline_ctx_;
+  double baseline_gdiag_ = 0.0;
+  std::vector<const Switch*> switch_groups_;
+  std::vector<bool> switch_states_;
 
   linalg::Vector b0_;     // baseline RHS (linear contributions)
   linalg::Vector b_;      // per-iteration RHS

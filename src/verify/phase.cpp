@@ -1,7 +1,6 @@
 #include "verify/phase.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -64,15 +63,10 @@ SwitchPhase PhaseResolver::resolve(const spice::Switch& sw) {
 }
 
 SwitchPhase PhaseResolver::operator()(const spice::Switch& sw) {
-  const auto* pulse = dynamic_cast<const spice::PulseWave*>(&sw.control());
-  if (!pulse) return resolve(sw);
-  std::array<std::uint64_t, 8> key{};
-  const std::array<double, 7> params = pulse->parameters();
-  for (std::size_t i = 0; i < params.size(); ++i)
-    key[i] = std::bit_cast<std::uint64_t>(params[i]);
-  key[7] = std::bit_cast<std::uint64_t>(sw.threshold());
-  auto it = pulses_.find(key);
-  if (it == pulses_.end()) it = pulses_.emplace(key, resolve(sw)).first;
+  const std::optional<spice::PulseKey> key = spice::pulse_key(sw);
+  if (!key) return resolve(sw);
+  auto it = pulses_.find(*key);
+  if (it == pulses_.end()) it = pulses_.emplace(*key, resolve(sw)).first;
   SwitchPhase sp = it->second;
   sp.sw = &sw;
   return sp;

@@ -6,8 +6,6 @@
 // reliably as a 100 ns one.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,9 +30,8 @@ struct SwitchPhase {
 /// threshold.
 SwitchPhase switch_phase(const spice::Switch& sw);
 
-/// switch_phase() for the many switches of one check.  Switches whose
-/// control is a PulseWave with the same parameters, compared against
-/// the same threshold, share one resolution (every switch of the
+/// switch_phase() for the many switches of one check.  Switches with
+/// the same spice::pulse_key share one resolution (every switch of the
 /// modulator core runs on one of TwoPhaseClock's two phases); each gets
 /// a copy with its own `sw`.  Other controls resolve per switch.
 /// on_intervals() is a pure function of those inputs, so every result
@@ -50,8 +47,7 @@ class PhaseResolver {
  private:
   SwitchPhase resolve(const spice::Switch& sw);
 
-  /// Bit patterns of the pulse parameters and the threshold.
-  std::map<std::array<std::uint64_t, 8>, SwitchPhase> pulses_;
+  std::map<spice::PulseKey, SwitchPhase> pulses_;
   std::size_t resolutions_ = 0;
 };
 

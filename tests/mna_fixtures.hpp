@@ -55,26 +55,29 @@ inline std::vector<double> original_unknowns(const spice::Circuit& c,
   return out;
 }
 
-/// Bridges its two nodes with 1 mS only once ctx.time reaches t_on, so
-/// pattern discovery before t_on never sees the (a, b) coordinates.
+/// Bridges its two nodes with 1 mS only in transient steps of at least
+/// `dt_on`, so pattern discovery at a shorter step never sees the (a, b)
+/// coordinates.  The bridge follows dt, not time: a linear element's
+/// matrix stamp may depend only on the baseline key (DESIGN.md,
+/// "Stamp-partition contract").
 class LatePathElement : public spice::Element {
  public:
   LatePathElement(std::string name, spice::NodeId a, spice::NodeId b,
-                  double t_on)
-      : Element(std::move(name)), a_(a), b_(b), t_on_(t_on) {}
+                  double dt_on)
+      : Element(std::move(name)), a_(a), b_(b), dt_on_(dt_on) {}
 
   std::vector<spice::Terminal> terminals() const override {
     return {{a_, "p", false}, {b_, "m", false}};
   }
 
   void stamp(spice::RealStamper& s, const spice::StampContext& ctx) override {
-    if (ctx.mode == spice::AnalysisMode::kTransient && ctx.time >= t_on_)
+    if (ctx.mode == spice::AnalysisMode::kTransient && ctx.dt >= dt_on_)
       s.conductance(a_, b_, 1e-3);
   }
 
  private:
   spice::NodeId a_, b_;
-  double t_on_;
+  double dt_on_;
 };
 
 /// A nonlinear element that bridges its nodes with 1 mS once v(a)

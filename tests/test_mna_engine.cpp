@@ -201,7 +201,7 @@ TEST(MnaEngine, PatternMissGrowsPatternAndResetsOnEdit) {
   c.add<Resistor>("R1", a, b, 1e3);
   c.add<Resistor>("R2", b, c.ground(), 1e3);
   c.add<Resistor>("R3", d, c.ground(), 1e3);
-  c.add<LatePathElement>("X1", b, d, /*t_on=*/0.5);
+  c.add<LatePathElement>("X1", b, d, /*dt_on=*/2e-3);
   pad_unknowns(c);
 
   MnaEngine engine(c);
@@ -211,16 +211,17 @@ TEST(MnaEngine, PatternMissGrowsPatternAndResetsOnEdit) {
   ctx.dt = 1e-3;
   si::linalg::Vector x;
 
-  // Before t_on the discovered pattern is complete.
+  // Below dt_on the discovered pattern is complete.
   ctx.time = 1e-3;
   engine.newton(ctx, x, nopt);
   EXPECT_EQ(engine.stats().pattern_builds, 1u);
   EXPECT_EQ(engine.stats().pattern_misses, 0u);
   EXPECT_NEAR(x[b - 1], 0.5, 1e-6);
 
-  // Crossing t_on stamps outside the pattern: the engine grows the
+  // A step of dt_on stamps outside the pattern: the engine grows the
   // pattern by the missed coordinate, stays sparse, and counts the miss.
   ctx.time = 1.0;
+  ctx.dt = 2e-3;
   engine.newton(ctx, x, nopt);
   EXPECT_EQ(engine.stats().pattern_misses, 1u);
   EXPECT_EQ(engine.stats().pattern_builds, 2u);
@@ -235,8 +236,8 @@ TEST(MnaEngine, PatternMissGrowsPatternAndResetsOnEdit) {
   EXPECT_EQ(engine.stats().pattern_builds, 2u);
   EXPECT_EQ(engine.stats().pattern_misses, 1u);
 
-  // An edit (revision bump) rediscovers the pattern — at a post-t_on
-  // time, so the bridge is part of it and nothing misses.
+  // An edit (revision bump) rediscovers the pattern — at dt_on, so the
+  // bridge is part of it and nothing misses.
   c.add<Resistor>("R4", d, c.ground(), 1e6);
   c.finalize();
   ctx.time = 1.2;

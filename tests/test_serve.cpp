@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -20,9 +21,14 @@
 #include <vector>
 
 #include "obs/telemetry.hpp"
+#include "runtime/rng_stream.hpp"
 #include "serve/job_server.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
+#include "spice/dc.hpp"
+#include "spice/deck.hpp"
+#include "spice/mosfet.hpp"
+#include "spice/parser.hpp"
 
 namespace {
 
@@ -296,6 +302,56 @@ TEST(Protocol, McJobBuildsOnePatternPerJob) {
   EXPECT_EQ(builds.value(), builds_before + 1);
   EXPECT_EQ(dense.value(), dense_before);
   si::obs::set_enabled(false);
+}
+
+TEST(Protocol, McTrialsReuseOneBaselineAndMatchFreshEngines) {
+  // A draw moves MOSFET parameters only, so every trial of a served mc
+  // job solves under the same baseline key: the job stamps the linear
+  // part once, and each trial's sample matches a solve on a fresh
+  // engine within 1e-9 V.
+  const std::string deck = std::string(kCellCards) + ".op\n";
+  Json req = base_request(deck);
+  req.set("analysis", "mc");
+  req.set("mc_trials", 8);
+  req.set("mc_seed", 5);
+  req.set("mc_measure", "v(d)");
+  si::obs::set_enabled(true);
+  si::obs::Counter& stamps = si::obs::counter("mna.baseline_stamps");
+  si::obs::Counter& reuses = si::obs::counter("mna.baseline_reuses");
+  const std::uint64_t stamps0 = stamps.value();
+  const std::uint64_t reuses0 = reuses.value();
+  const Json out = run_job(parse_request(req), nullptr);
+  EXPECT_EQ(stamps.value() - stamps0, 1u);
+  EXPECT_EQ(reuses.value() - reuses0, 7u);
+  si::obs::set_enabled(false);
+
+  // The same draws, one fresh engine per trial.
+  namespace sp = si::spice;
+  sp::Circuit c = sp::parse_netlist(sp::split_deck(deck).elements);
+  std::vector<std::pair<sp::Mosfet*, sp::MosfetParams>> devices;
+  for (const auto& e : c.elements())
+    if (auto* m = dynamic_cast<sp::Mosfet*>(e.get()))
+      devices.emplace_back(m, m->params());
+  sp::DcOptions dopt;
+  dopt.erc_gate = false;
+  std::vector<double> samples;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    si::runtime::RngStream rng(si::runtime::trial_seed(5, k));
+    for (const auto& [mos, nominal] : devices) {
+      sp::MosfetParams p = nominal;
+      p.kp = nominal.kp * std::max(0.1, 1.0 + 0.02 * rng.normal());
+      p.vt0 = nominal.vt0 * (1.0 + 0.02 * rng.normal());
+      mos->set_params(p);
+    }
+    const sp::DcResult r = sp::dc_operating_point(c, dopt);
+    samples.push_back(sp::SolutionView(c, r.x).voltage(*c.find_node("d")));
+  }
+  std::sort(samples.begin(), samples.end());
+  EXPECT_NEAR(out.find("min")->as_number(), samples.front(), 1e-9);
+  EXPECT_NEAR(out.find("max")->as_number(), samples.back(), 1e-9);
+  double mean = 0.0;
+  for (double v : samples) mean += v / 8.0;
+  EXPECT_NEAR(out.find("mean")->as_number(), mean, 1e-9);
 }
 
 TEST(Protocol, McMeasureNodeIsCaseInsensitive) {

@@ -84,11 +84,14 @@ TEST(TransientAlloc, SparseNewtonLoopIsAllocationFreeAfterWarmup) {
 
   const std::uint64_t before = g_allocs.load();
   const std::uint64_t ws_before = engine.stats().workspace_allocs;
+  const std::uint64_t reuses_before = engine.stats().base_reuses;
   for (int k = 6; k <= 60; ++k) step(k);
   const std::uint64_t after = g_allocs.load();
 
   EXPECT_EQ(after - before, 0u)
       << "heap allocations leaked into the warm Newton/transient loop";
+  // Most warm steps keep the baseline matrix and rebuild only the RHS.
+  EXPECT_GT(engine.stats().base_reuses - reuses_before, 40u);
   EXPECT_EQ(engine.stats().workspace_allocs, ws_before);
   EXPECT_EQ(engine.stats().dense_factors, 0u);
 }
@@ -110,11 +113,13 @@ TEST(TransientAlloc, DenseNewtonLoopIsAllocationFreeAfterWarmup) {
     engine.newton(ctx, x, nopt);
   }
   const std::uint64_t before = g_allocs.load();
+  const std::uint64_t reuses_before = engine.stats().base_reuses;
   for (int k = 6; k <= 40; ++k) {
     ctx.time = k * ctx.dt;
     engine.newton(ctx, x, nopt);
   }
   EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_GT(engine.stats().base_reuses - reuses_before, 25u);
   EXPECT_EQ(engine.stats().symbolic_factors, 0u);
 }
 
